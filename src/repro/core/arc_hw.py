@@ -71,7 +71,7 @@ class ArcHW(AtomicStrategy):
         """Schedule each coalesced transaction: ROP path or reduction unit."""
         n_groups = batch.n_groups
         if n_groups == 0:
-            return BatchPlan()
+            return self.idle_plan()
         cost = self._cost
         num_params = batch.num_params
         # atomred issues exactly like an atomic: one instruction per
@@ -94,8 +94,6 @@ class ArcHW(AtomicStrategy):
         ru_values = 0
         requests = []
         for slot, size in zip(batch.slots, batch.sizes):
-            slot = int(slot)
-            size = int(size)
             if rop_stalled and size > 1:
                 # Warp-level reduction at the sub-core: the serial FPU sums
                 # `size` lane values for each parameter, then one aggregated

@@ -67,7 +67,7 @@ class ArcSWSerialized(_ArcSWBase):
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
         """Serialized leader-lane reduction per group above the threshold."""
         if batch.n_groups == 0:
-            return BatchPlan()
+            return self.idle_plan()
         cost = self._cost
         num_params = batch.num_params
         threshold = self.balance_threshold
@@ -77,8 +77,6 @@ class ArcSWSerialized(_ArcSWBase):
         requests = []
         max_reduced_lanes = 0
         for slot, size in zip(batch.slots, batch.sizes):
-            slot = int(slot)
-            size = int(size)
             if size >= threshold and size > 1:
                 # Groups reduce concurrently in SIMT: different leaders walk
                 # their groups in lock-step, so the loop trip count is the
@@ -122,23 +120,25 @@ class ArcSWButterfly(_ArcSWBase):
                 "butterfly reduction (SW-B) is inapplicable -- use SW-S"
             )
 
+    def idle_plan(self) -> BatchPlan:
+        """Whole warp inactive: a warp-wide ballot early-out skips the
+        zero-value reduction entirely.  (SW-B's redundant computation bites
+        on warps where only *some* lanes are inactive -- those still run
+        the full 32-lane tree.)"""
+        return BatchPlan(issue_cycles=self._cost.match_op + self._cost.branch)
+
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
         """Full-warp butterfly when all lanes share a slot, else fallback."""
+        if batch.n_groups == 0:
+            return self.idle_plan()
         cost = self._cost
         num_params = batch.num_params
-
-        if batch.n_groups == 0:
-            # Whole warp inactive: a warp-wide ballot early-out skips the
-            # zero-value reduction entirely.  (SW-B's redundant computation
-            # bites on warps where only *some* lanes are inactive -- those
-            # still run the full 32-lane tree below.)
-            return BatchPlan(issue_cycles=cost.match_op + cost.branch)
 
         if batch.all_same_slot and batch.active_lanes >= self.balance_threshold:
             # Full-warp reduction tree: 5 shuffle steps per parameter, all
             # 32 lanes participating (inactive ones add zeros), then lane 0
             # issues one atomicAdd per parameter.
-            slot = int(batch.slots[0])
+            slot = batch.slots[0]
             issue = (
                 self._prologue_cycles()
                 + BUTTERFLY_STEPS * num_params * cost.shuffle
@@ -156,11 +156,8 @@ class ArcSWButterfly(_ArcSWBase):
         for slot, size in zip(batch.slots, batch.sizes):
             issue += num_params * cost.atomic_issue
             requests.append(
-                MemRequest(
-                    slot=int(slot),
-                    rop_ops=int(size) * num_params,
-                    addresses=num_params,
-                )
+                MemRequest(slot=slot, rop_ops=size * num_params,
+                           addresses=num_params)
             )
         return BatchPlan(issue_cycles=issue, requests=requests)
 

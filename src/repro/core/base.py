@@ -11,6 +11,9 @@ which memory transactions travel to the L2 ROP units.
 Static strategies derive their plan purely from the batch's coalesced
 groups.  Dynamic ones (ARC-HW's greedy scheduler, LAB's finite buffer) also
 read live engine state through :class:`EngineView`.
+
+Batches with no active lane are planned once per kernel, not once per
+batch: see :meth:`AtomicStrategy.idle_plan`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from repro.gpu.config import GPUConfig
@@ -30,13 +33,14 @@ if TYPE_CHECKING:
 __all__ = ["MemRequest", "BatchPlan", "BatchView", "EngineView", "AtomicStrategy"]
 
 
-@dataclass(frozen=True, slots=True)
-class MemRequest:
+class MemRequest(NamedTuple):
     """One coalesced atomic transaction headed for the memory subsystem.
 
     ``rop_ops`` is the number of serialized same-address lane operations the
     ROP unit must perform for this transaction (hardware processes atomics
     to a common address one at a time).
+
+    A plain tuple: the engine unpacks it positionally in field order.
     """
 
     slot: int
@@ -147,7 +151,25 @@ class AtomicStrategy(ABC):
 
     @abstractmethod
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """Decide how *batch*'s atomic updates are carried out."""
+        """Decide how *batch*'s atomic updates are carried out.
+
+        The engine calls this only for batches with at least one active
+        lane.  An empty *batch* must still be accepted and planned as
+        :meth:`idle_plan`.
+        """
+
+    def idle_plan(self) -> BatchPlan:
+        """The plan for a batch with no active lane.
+
+        The engine calls this once per kernel, after :meth:`begin_kernel`,
+        and applies the result to every batch with no active lane in
+        place of :meth:`plan_batch`.  It must therefore not read the
+        engine or depend on the batch, and it may spend only sub-core
+        cycles (``issue_cycles``, ``shuffle_ops``): the engine raises
+        :class:`ValueError` if it carries ``requests``, ``ru_values``,
+        ``sm_buffer_ops`` or ``l1_tag_ops``.  The default costs nothing.
+        """
+        return BatchPlan()
 
     def end_kernel(self, engine: EngineView) -> list[tuple[int, MemRequest]]:
         """Flush residual buffered state; returns ``(sm, request)`` pairs."""

@@ -32,17 +32,14 @@ class BaselineAtomic(AtomicStrategy):
         """Decide how this batch's atomics are carried out."""
         n_groups = batch.n_groups
         if n_groups == 0:
-            return BatchPlan()
+            return self.idle_plan()
         num_params = batch.num_params
         # One atomic instruction per parameter; the LDST port replays it
         # once per coalesced transaction (group).
         issue = num_params * n_groups * self._cost.atomic_issue
         requests = [
-            MemRequest(
-                slot=int(slot),
-                rop_ops=int(size) * num_params,
-                addresses=num_params,
-            )
+            MemRequest(slot=slot, rop_ops=size * num_params,
+                       addresses=num_params)
             for slot, size in zip(batch.slots, batch.sizes)
         ]
         return BatchPlan(issue_cycles=issue, requests=requests)

@@ -40,14 +40,16 @@ class CCCLReduce(AtomicStrategy):
         # library path can never trigger and everything falls back.
         self._transform_possible = trace.bfly_eligible
 
+    def idle_plan(self) -> BatchPlan:
+        """Whole warp inactive: ballot early-out before the library call."""
+        return BatchPlan(issue_cycles=self._cost.match_op + self._cost.branch)
+
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
         """Decide how this batch's atomics are carried out."""
+        if batch.n_groups == 0:
+            return self.idle_plan()
         cost = self._cost
         num_params = batch.num_params
-
-        if batch.n_groups == 0:
-            # Whole warp inactive: ballot early-out before the library call.
-            return BatchPlan(issue_cycles=cost.match_op + cost.branch)
 
         eligible = self._transform_possible and batch.n_groups == 1
         if eligible:
@@ -62,22 +64,17 @@ class CCCLReduce(AtomicStrategy):
                 issue_cycles=issue,
                 shuffle_ops=BUTTERFLY_STEPS * num_params * WARP_SIZE,
                 requests=[
-                    MemRequest(slot=int(batch.slots[0]), rop_ops=num_params, addresses=num_params)
+                    MemRequest(slot=batch.slots[0], rop_ops=num_params, addresses=num_params)
                 ],
             )
 
         # Divergent warp: the library cannot be used; plain atomics remain.
-        if batch.n_groups == 0:
-            return BatchPlan()
         issue = cost.branch
         requests = []
         for slot, size in zip(batch.slots, batch.sizes):
             issue += num_params * cost.atomic_issue
             requests.append(
-                MemRequest(
-                    slot=int(slot),
-                    rop_ops=int(size) * num_params,
-                    addresses=num_params,
-                )
+                MemRequest(slot=slot, rop_ops=size * num_params,
+                           addresses=num_params)
             )
         return BatchPlan(issue_cycles=issue, requests=requests)

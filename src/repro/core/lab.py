@@ -73,7 +73,7 @@ class LAB(AtomicStrategy):
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
         """Decide how this batch's atomics are carried out."""
         if batch.n_groups == 0:
-            return BatchPlan()
+            return self.idle_plan()
         cost = self._cost
         num_params = batch.num_params
         issue = num_params * batch.n_groups * cost.atomic_issue
@@ -82,7 +82,6 @@ class LAB(AtomicStrategy):
         buffer_ops = 0
         evictions = []
         for slot, size in zip(batch.slots, batch.sizes):
-            slot = int(slot)
             # Every lane's value is applied serially at the SM-wide buffer.
             buffer_ops += int(size * num_params * self.op_overhead)
             if slot in buffer:

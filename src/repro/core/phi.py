@@ -47,7 +47,7 @@ class PHI(AtomicStrategy):
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
         """Decide how this batch's atomics are carried out."""
         if batch.n_groups == 0:
-            return BatchPlan()
+            return self.idle_plan()
         cost = self._cost
         num_params = batch.num_params
         issue = num_params * batch.n_groups * cost.atomic_issue
@@ -56,8 +56,7 @@ class PHI(AtomicStrategy):
         tag_ops = 0
         evictions = []
         for slot, size in zip(batch.slots, batch.sizes):
-            slot = int(slot)
-            tag_ops += int(size) * num_params
+            tag_ops += size * num_params
             if slot in buffer:
                 buffer.move_to_end(slot)
                 continue

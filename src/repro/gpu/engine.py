@@ -21,14 +21,11 @@ where, and by how much) without modeling a full out-of-order memory system.
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import deque
-from dataclasses import replace
+from heapq import heapify, heappop, heappush, heapreplace
 
-import numpy as np
-
-from repro.core.base import AtomicStrategy, BatchView, EngineView, MemRequest
+from repro.core.base import AtomicStrategy, BatchView, EngineView
 from repro.gpu.config import GPUConfig
 from repro.gpu.stats import SimResult
 
@@ -41,121 +38,29 @@ __all__ = ["simulate_kernel"]
 
 
 class _EngineState(EngineView):
-    """Shared mutable simulation state (also the strategies' EngineView)."""
+    """The live state dynamic strategies read (their EngineView).
+
+    The event loop sets ``now`` once per event and mutates the ``lsu``
+    heaps and the ``ru_free`` list in place.
+    """
 
     def __init__(self, config: GPUConfig):
-        self.config = config
-        # Optional Telemetry collector (None: every probe is one dead
-        # predicate test; no allocation, no recording).
-        self.telemetry = None
         self.now = 0.0
-        self.ic_free = 0.0
-        self.ic_step = 1.0 / config.interconnect_bw
-        # Per-partition min-heaps of ROP-unit free times.
-        self.partitions = [
-            [0.0] * config.rops_per_partition
-            for _ in range(config.num_partitions)
-        ]
         # Per-SM LSU in-flight completion heaps.
         self.lsu: list[list[float]] = [[] for _ in range(config.num_sms)]
         self.lsu_depth = config.lsu_queue_depth
-        # Per-SM local units and per-sub-core reduction units.
-        self.buf_free = np.zeros(config.num_sms)
-        self.l1_free = np.zeros(config.num_sms)
-        self.ru_free = np.zeros(config.num_subcores)
-        # Hot-address serialization at the ROPs.
-        self.slot_free: dict[int, float] = {}
-        self.last_completion = 0.0
-        self.lsu_full_events = 0
-
-    # EngineView ------------------------------------------------------- #
+        # Per-sub-core reduction-unit free times.
+        self.ru_free = [0.0] * config.num_subcores
 
     def lsu_pressure(self, sm: int) -> float:
         heap = self.lsu[sm]
         now = self.now
         while heap and heap[0] <= now:
-            heapq.heappop(heap)
+            heappop(heap)
         return len(heap) / self.lsu_depth
 
     def ru_backlog(self, subcore: int) -> float:
-        return max(0.0, float(self.ru_free[subcore]) - self.now)
-
-    # Resource helpers -------------------------------------------------- #
-
-    def lsu_admit(self, sm: int, ready: float) -> float:
-        """Earliest time a new request fits in *sm*'s LSU queue."""
-        heap = self.lsu[sm]
-        while heap and heap[0] <= ready:
-            heapq.heappop(heap)
-        if len(heap) < self.lsu_depth:
-            return ready
-        self.lsu_full_events += 1
-        return heapq.heappop(heap)
-
-    def lsu_hold(self, sm: int, until: float) -> None:
-        """Occupy one LSU queue entry of *sm* until *until*."""
-        heapq.heappush(self.lsu[sm], until)
-
-    def service_rop(self, request: MemRequest, accepted: float) -> float:
-        """Route an accepted transaction to its partition's ROPs.
-
-        Returns the completion time.  The transaction's operations occupy
-        one ROP unit for their total service time (aggregate throughput),
-        while the *per-address* dependency chain -- the paper's same-address
-        serialization -- only advances by ``rop_ops / addresses``
-        operations, because operations to a primitive's different
-        parameters hit different addresses and can overlap.
-        """
-        cfg = self.config
-        ic_start = max(accepted, self.ic_free)
-        self.ic_free = ic_start + request.addresses * self.ic_step
-        arrive = ic_start + cfg.cost.interconnect_latency
-
-        rops = self.partitions[request.slot % cfg.num_partitions]
-        unit_free = heapq.heappop(rops)
-        start = max(arrive, unit_free, self.slot_free.get(request.slot, 0.0))
-        service = request.rop_ops * cfg.cost.atomic_service
-        end = start + service
-        heapq.heappush(rops, end)
-        self.slot_free[request.slot] = start + service / request.addresses
-        self.last_completion = max(self.last_completion, end)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.rop_intervals.append(
-                (request.slot % cfg.num_partitions, request.slot,
-                 request.rop_ops, start, end)
-            )
-            telemetry.ic_intervals.append((ic_start, self.ic_free))
-        return end
-
-
-def _route_request(
-    state: _EngineState,
-    stats: SimResult,
-    sm: int,
-    request: MemRequest,
-    ready: float,
-) -> tuple[float, float]:
-    """Send one transaction toward the ROPs.
-
-    Returns ``(admission_time, completion_time)``; the caller decides who
-    (sub-core or reduction unit) absorbs any admission wait.
-    """
-    if request.bypass_lsu:
-        admission = ready
-    else:
-        admission = state.lsu_admit(sm, ready)
-    completion = state.service_rop(request, admission)
-    if not request.bypass_lsu:
-        # The queue entry frees when the ROP retires the transaction; that
-        # coupling is what backs atomic pressure up into the SMs.
-        state.lsu_hold(sm, completion)
-        if state.telemetry is not None:
-            state.telemetry.lsu_intervals.append((sm, admission, completion))
-    stats.transactions += request.addresses
-    stats.rop_ops += request.rop_ops
-    stats.rop_busy_cycles += request.rop_ops * state.config.cost.atomic_service
-    return admission, completion
+        return max(0.0, self.ru_free[subcore] - self.now)
 
 
 def simulate_kernel(
@@ -185,8 +90,21 @@ def simulate_kernel(
     -------
     SimResult
         Cycle counts, stall attribution, and event tallies.
+
+    Raises
+    ------
+    ValueError
+        If the strategy's ``idle_plan()`` carries memory traffic.
     """
     strategy.begin_kernel(trace, config)
+    # Every batch with no active lane runs this plan; plan_batch never
+    # sees such a batch.
+    idle = strategy.idle_plan()
+    if idle.requests or idle.ru_values or idle.sm_buffer_ops or idle.l1_tag_ops:
+        raise ValueError(
+            f"{strategy.name}: idle_plan() must carry no memory traffic "
+            "(requests, ru_values, sm_buffer_ops or l1_tag_ops)"
+        )
     state = _EngineState(config)
     stats = SimResult(
         strategy=strategy.name, gpu=config.name, trace_name=trace.name
@@ -200,48 +118,54 @@ def simulate_kernel(
         if tel is not None:
             tel.finish(stats)
         return stats
-    state.telemetry = tel
-
-    coalesced = trace.coalesced
-    n_subcores = config.num_subcores
 
     # Group batches by warp, preserving trace (program) order per warp.
     # Warps are dispatched to sub-cores greedily in first-appearance order,
     # like the hardware block scheduler: a sub-core that drains its warp
     # pulls the next pending one.  This is what balances uneven tiles
     # across the GPU.
-    warp_order: list[int] = []
+    warp_ids = trace.warp_id.tolist()
     batches_by_warp: dict[int, list[int]] = {}
-    for index, warp in enumerate(trace.warp_id):
-        warp = int(warp)
-        if warp not in batches_by_warp:
-            batches_by_warp[warp] = []
-            warp_order.append(warp)
-        batches_by_warp[warp].append(index)
-    pending_warps = deque(warp_order)
+    for index, warp in enumerate(warp_ids):
+        batches_by_warp.setdefault(warp, []).append(index)
+    pending_warps = deque(batches_by_warp.values())
 
-    view = BatchView(0, 0, 0, None, None, trace.num_params, trace.bfly_eligible)
-    cost = config.cost
-    # Plain Python lists: batch-granularity access beats numpy scalars on
-    # the event-loop hot path.
-    compute_per_batch = trace.compute_cycles_per_batch.tolist()
-    subcores_per_sm = config.subcores_per_sm
+    # Plain Python lists and hoisted locals: one access per batch or
+    # request beats numpy scalars and attribute lookups on the hot path.
+    coalesced = trace.coalesced
     offsets = coalesced.offsets.tolist()
     group_slots = coalesced.slots.tolist()
     group_sizes = coalesced.sizes.tolist()
+    compute_per_batch = trace.compute_cycles_per_batch.tolist()
+    view = BatchView(0, 0, 0, None, None, trace.num_params, trace.bfly_eligible)
+    plan_batch = strategy.plan_batch
+    n_subcores = config.num_subcores
+    sm_of = [subcore // config.subcores_per_sm for subcore in range(n_subcores)]
     sm_last_time = [0.0] * config.num_sms
-    warp_ids = trace.warp_id
+    cost = config.cost
+    atomic_service = cost.atomic_service
+    ic_latency = cost.interconnect_latency
+    ic_step = 1.0 / config.interconnect_bw
+    transit = cost.lsu_transit
+    # LSU queues and reduction units are shared with the strategies.
+    lsu = state.lsu
+    lsu_depth = state.lsu_depth
+    ru_free = state.ru_free
+    buf_free = [0.0] * config.num_sms  # LAB SRAM buffer
+    l1_free = [0.0] * config.num_sms  # PHI L1 tag pipeline
+    # Per-partition min-heaps of ROP-unit free times.
+    num_partitions = config.num_partitions
+    partitions = [[0.0] * config.rops_per_partition for _ in range(num_partitions)]
+    # Hot-address serialization at the ROPs.
+    slot_free: dict[int, float] = {}
+    ic_free = 0.0
+    last_completion = 0.0
 
     # Local accumulators (folded into stats after the loop).
-    acc_compute = 0.0
-    acc_issue = 0.0
-    acc_shuffles = 0
-    acc_lsu_stall = 0.0
-    acc_local_stall = 0.0
-    acc_buffer_ops = 0
-    acc_tag_ops = 0
-    acc_ru_busy = 0.0
-    acc_ru_values = 0
+    acc_compute = acc_issue = acc_lsu_stall = acc_local_stall = 0.0
+    acc_ru_busy = acc_rop_busy = 0.0
+    acc_shuffles = acc_buffer_ops = acc_tag_ops = acc_ru_values = 0
+    transactions = rop_ops_total = lsu_full_events = 0
 
     # Event loop: pop the sub-core that becomes ready earliest, run its next
     # batch to completion (from the sub-core's point of view), repeat.
@@ -261,157 +185,241 @@ def simulate_kernel(
     for subcore in range(n_subcores):
         if not pending_warps:
             break
-        current_batches[subcore] = batches_by_warp[pending_warps.popleft()]
+        current_batches[subcore] = pending_warps.popleft()
         ready_heap.append((0.0, subcore, push_seq))
         push_seq += 1
-    heapq.heapify(ready_heap)
+    heapify(ready_heap)
 
     last_popped = (-1.0, -1, -1)
     while ready_heap:
-        t0, subcore, seq = heapq.heappop(ready_heap)
+        t, subcore, seq = heappop(ready_heap)
         if sanitize:
-            assert last_popped < (t0, subcore, seq), (
-                f"event-tie order violated: popped {(t0, subcore, seq)} "
+            assert last_popped < (t, subcore, seq), (
+                f"event-tie order violated: popped {(t, subcore, seq)} "
                 f"after {last_popped}; pushes must be monotonic in "
                 "(time, subcore, seq)"
             )
-            last_popped = (t0, subcore, seq)
-        index = current_batches[subcore][cursors[subcore]]
-        cursors[subcore] += 1
-        sm = subcore // subcores_per_sm
-
-        state.now = t0
-        lo, hi = offsets[index], offsets[index + 1]
-        view.index = index
-        view.sm = sm
-        view.subcore = subcore
-        view.slots = group_slots[lo:hi]
-        view.sizes = group_sizes[lo:hi]
-        plan = strategy.plan_batch(view, state)
-
-        compute = compute_per_batch[index]
-        t = t0 + compute + plan.issue_cycles
-        acc_compute += compute
-        acc_issue += plan.issue_cycles
-        acc_shuffles += plan.shuffle_ops
-        if tel is not None:
-            warp = int(warp_ids[index])
-            if compute:
-                tel.spans.append(
-                    (subcore, warp, index, "compute", t0, t0 + compute)
-                )
-            if plan.issue_cycles:
-                tel.spans.append(
-                    (subcore, warp, index, "issue", t0 + compute, t)
-                )
-
-        # SM-local buffering (LAB / PHI): the sub-core streams lane values
-        # into a shared per-SM unit and is blocked until it finishes
-        # accepting them.  When the traffic traverses the MIO/LSU path
-        # (local_absorb), a queue entry is held until the local unit starts
-        # servicing the bundle.
-        # LAB SRAM buffer: traffic transits the LSU briefly (the buffer has
-        # its own downstream queue), then serializes at the per-SM buffer.
-        if plan.sm_buffer_ops:
-            if plan.local_absorb:
-                admission = state.lsu_admit(sm, t)
-                acc_lsu_stall += admission - t
-                if tel is not None:
-                    if admission > t:
-                        tel.spans.append(
-                            (subcore, warp, index, "lsu_wait", t, admission)
-                        )
-                    tel.lsu_intervals.append(
-                        (sm, admission, admission + cost.lsu_transit)
-                    )
-                t = admission
-                state.lsu_hold(sm, admission + cost.lsu_transit)
-            start = max(t, state.buf_free[sm])
-            end = start + plan.sm_buffer_ops * cost.lab_buffer_op
-            state.buf_free[sm] = end
-            acc_local_stall += end - t
-            acc_buffer_ops += plan.sm_buffer_ops
-            if tel is not None:
-                tel.spans.append(
-                    (subcore, warp, index, "local_unit", t, end)
-                )
-            t = end
-        # PHI L1 tags: the queue entry is held until the L1 pipeline
-        # finishes the per-lane lookups -- this is how the flood of atomic
-        # requests overwhelms the LSU *before* aggregation (§7.1).
-        if plan.l1_tag_ops:
-            if plan.local_absorb:
-                admission = state.lsu_admit(sm, t)
-                acc_lsu_stall += admission - t
-                if tel is not None and admission > t:
-                    tel.spans.append(
-                        (subcore, warp, index, "lsu_wait", t, admission)
-                    )
-                t = admission
-            start = max(t, state.l1_free[sm])
-            end = start + plan.l1_tag_ops * cost.phi_tag_op
-            state.l1_free[sm] = end
-            if plan.local_absorb:
-                state.lsu_hold(sm, end)
-                if tel is not None:
-                    tel.lsu_intervals.append((sm, t, end))
-            acc_local_stall += end - t
-            acc_tag_ops += plan.l1_tag_ops
-            if tel is not None:
-                tel.spans.append(
-                    (subcore, warp, index, "local_unit", t, end)
-                )
-            t = end
-
-        # ARC-HW reduction unit: dedicated serial FPU per sub-core.  The
-        # sub-core hands over the transaction and moves on; only the
-        # reduced request waits for the FPU.
-        ru_done = t
-        if plan.ru_values:
-            ru_start = max(t, state.ru_free[subcore])
-            ru_done = ru_start + plan.ru_values * cost.reduction_unit_op
-            state.ru_free[subcore] = ru_done
-            acc_ru_busy += ru_done - ru_start
-            acc_ru_values += plan.ru_values
-            if tel is not None:
-                tel.ru_intervals.append((subcore, ru_start, ru_done))
-
-        for request in plan.requests:
-            ready = ru_done if request.after_ru else t
-            admission, _ = _route_request(state, stats, sm, request, ready)
-            wait = admission - ready
-            if wait > 0:
-                if request.after_ru:
-                    # The reduction unit holds its result until the LSU
-                    # accepts it; the sub-core itself is not blocked.
-                    state.ru_free[subcore] = max(
-                        state.ru_free[subcore], admission
-                    )
-                else:
-                    acc_lsu_stall += wait
-                    if tel is not None:
-                        tel.spans.append(
-                            (subcore, warp, index, "lsu_wait",
-                             ready, admission)
-                        )
-                    t = max(t, admission)
-
-        if t > sm_last_time[sm]:
-            sm_last_time[sm] = t
-        if cursors[subcore] >= len(current_batches[subcore]):
-            # Warp drained: pull the next pending warp, if any.
-            cursors[subcore] = 0
-            if pending_warps:
-                current_batches[subcore] = batches_by_warp[
-                    pending_warps.popleft()
-                ]
+            last_popped = (t, subcore, seq)
+        state.now = t
+        sm = sm_of[subcore]
+        batches = current_batches[subcore]
+        cursor = cursors[subcore]
+        while True:
+            index = batches[cursor]
+            cursor += 1
+            lo = offsets[index]
+            hi = offsets[index + 1]
+            if lo == hi:
+                plan = idle
             else:
-                current_batches[subcore] = []
-        if current_batches[subcore]:
-            heapq.heappush(ready_heap, (t, subcore, push_seq))
+                view.index = index
+                view.sm = sm
+                view.subcore = subcore
+                view.slots = group_slots[lo:hi]
+                view.sizes = group_sizes[lo:hi]
+                plan = plan_batch(view, state)
+
+            t0 = t
+            compute = compute_per_batch[index]
+            issue = plan.issue_cycles
+            t = t0 + compute + issue
+            acc_compute += compute
+            acc_issue += issue
+            acc_shuffles += plan.shuffle_ops
+            if tel is not None:
+                warp = warp_ids[index]
+                if compute:
+                    tel.spans.append(
+                        (subcore, warp, index, "compute", t0, t0 + compute))
+                if issue:
+                    tel.spans.append((subcore, warp, index, "issue", t0 + compute, t))
+
+            # SM-local buffering (LAB / PHI): the sub-core streams lane values
+            # into a shared per-SM unit and is blocked until it finishes
+            # accepting them.  When the traffic traverses the MIO/LSU path
+            # (local_absorb), a queue entry is held until the local unit starts
+            # servicing the bundle.
+            # LAB SRAM buffer: traffic transits the LSU briefly (the buffer has
+            # its own downstream queue), then serializes at the per-SM buffer.
+            if plan.sm_buffer_ops:
+                if plan.local_absorb:
+                    heap = lsu[sm]
+                    while heap and heap[0] <= t:
+                        heappop(heap)
+                    if len(heap) < lsu_depth:
+                        admission = t
+                    else:
+                        lsu_full_events += 1
+                        admission = heappop(heap)
+                    acc_lsu_stall += admission - t
+                    if tel is not None:
+                        if admission > t:
+                            tel.spans.append(
+                                (subcore, warp, index, "lsu_wait", t, admission))
+                        tel.lsu_intervals.append((sm, admission, admission + transit))
+                    t = admission
+                    heappush(heap, admission + transit)
+                start = max(t, buf_free[sm])
+                end = start + plan.sm_buffer_ops * cost.lab_buffer_op
+                buf_free[sm] = end
+                acc_local_stall += end - t
+                acc_buffer_ops += plan.sm_buffer_ops
+                if tel is not None:
+                    tel.spans.append((subcore, warp, index, "local_unit", t, end))
+                t = end
+            # PHI L1 tags: the queue entry is held until the L1 pipeline
+            # finishes the per-lane lookups -- this is how the flood of atomic
+            # requests overwhelms the LSU *before* aggregation (§7.1).
+            if plan.l1_tag_ops:
+                if plan.local_absorb:
+                    heap = lsu[sm]
+                    while heap and heap[0] <= t:
+                        heappop(heap)
+                    if len(heap) < lsu_depth:
+                        admission = t
+                    else:
+                        lsu_full_events += 1
+                        admission = heappop(heap)
+                    acc_lsu_stall += admission - t
+                    if tel is not None and admission > t:
+                        tel.spans.append(
+                            (subcore, warp, index, "lsu_wait", t, admission))
+                    t = admission
+                start = max(t, l1_free[sm])
+                end = start + plan.l1_tag_ops * cost.phi_tag_op
+                l1_free[sm] = end
+                if plan.local_absorb:
+                    heappush(lsu[sm], end)
+                    if tel is not None:
+                        tel.lsu_intervals.append((sm, t, end))
+                acc_local_stall += end - t
+                acc_tag_ops += plan.l1_tag_ops
+                if tel is not None:
+                    tel.spans.append((subcore, warp, index, "local_unit", t, end))
+                t = end
+
+            # ARC-HW reduction unit: dedicated serial FPU per sub-core.  The
+            # sub-core hands over the transaction and moves on; only the
+            # reduced request waits for the FPU.
+            ru_done = t
+            if plan.ru_values:
+                ru_start = max(t, ru_free[subcore])
+                ru_done = ru_start + plan.ru_values * cost.reduction_unit_op
+                ru_free[subcore] = ru_done
+                acc_ru_busy += ru_done - ru_start
+                acc_ru_values += plan.ru_values
+                if tel is not None:
+                    tel.ru_intervals.append((subcore, ru_start, ru_done))
+
+            # Each transaction takes an LSU queue entry (unless it bypasses
+            # the LSU), crosses the interconnect and occupies one ROP unit of
+            # its slot's partition for its total service time (aggregate
+            # throughput), while the *per-address* dependency chain -- the
+            # paper's same-address serialization -- only advances by
+            # ``rop_ops / addresses`` operations, because operations to a
+            # primitive's different parameters hit different addresses and
+            # can overlap.
+            heap = lsu[sm]
+            for slot, rop_ops, addresses, after_ru, bypass_lsu in plan.requests:
+                ready = ru_done if after_ru else t
+                if bypass_lsu:
+                    admission = ready
+                else:
+                    while heap and heap[0] <= ready:
+                        heappop(heap)
+                    if len(heap) < lsu_depth:
+                        admission = ready
+                    else:
+                        lsu_full_events += 1
+                        admission = heappop(heap)
+                ic_start = admission if admission >= ic_free else ic_free
+                ic_free = ic_start + addresses * ic_step
+                arrive = ic_start + ic_latency
+                rops = partitions[slot % num_partitions]
+                start = arrive if arrive >= rops[0] else rops[0]
+                prior = slot_free.get(slot, 0.0)
+                if prior > start:
+                    start = prior
+                service = rop_ops * atomic_service
+                end = start + service
+                heapreplace(rops, end)
+                slot_free[slot] = start + service / addresses
+                if end > last_completion:
+                    last_completion = end
+                transactions += addresses
+                rop_ops_total += rop_ops
+                acc_rop_busy += service
+                if not bypass_lsu:
+                    # The queue entry frees when the ROP retires the
+                    # transaction; that coupling is what backs atomic
+                    # pressure up into the SMs.
+                    heappush(heap, end)
+                if tel is not None:
+                    tel.rop_intervals.append(
+                        (slot % num_partitions, slot, rop_ops, start, end))
+                    tel.ic_intervals.append((ic_start, ic_free))
+                    if not bypass_lsu:
+                        tel.lsu_intervals.append((sm, admission, end))
+                wait = admission - ready
+                if wait > 0:
+                    if after_ru:
+                        # The reduction unit holds its result until the LSU
+                        # accepts it; the sub-core itself is not blocked.
+                        if admission > ru_free[subcore]:
+                            ru_free[subcore] = admission
+                    else:
+                        acc_lsu_stall += wait
+                        if tel is not None:
+                            tel.spans.append(
+                                (subcore, warp, index, "lsu_wait", ready, admission))
+                        if admission > t:
+                            t = admission
+
+            if t > sm_last_time[sm]:
+                sm_last_time[sm] = t
+            if cursor == len(batches):
+                # Warp drained: pull the next pending warp, if any.
+                cursor = 0
+                batches = pending_warps.popleft() if pending_warps else []
+            # Run the following batch in this event too when it is idle and
+            # not its warp's last.  Idle batches touch no shared state; a
+            # warp's last batch keeps its own event because the next pending
+            # warp is pulled when that event pops, in order across sub-cores.
+            if cursor + 1 < len(batches):
+                following = batches[cursor]
+                if offsets[following] == offsets[following + 1]:
+                    continue
+            break
+        current_batches[subcore] = batches
+        cursors[subcore] = cursor
+        if batches:
+            heappush(ready_heap, (t, subcore, push_seq))
             push_seq += 1
-        else:
-            state.last_completion = max(state.last_completion, t)
+        elif t > last_completion:
+            last_completion = t
+
+    # Kernel-exit flush of residual buffered state (LAB / PHI).  No warps
+    # remain to block, so the writeback streams without occupying LSU
+    # entries (the ROP path above, with the LSU bypassed); draining in
+    # SM-completion order keeps the shared interconnect FIFO causally
+    # consistent.
+    flushes = sorted(strategy.end_kernel(state), key=lambda item: sm_last_time[item[0]])
+    for sm, (slot, rop_ops, addresses, _, _) in flushes:
+        ic_start = max(sm_last_time[sm], ic_free)
+        ic_free = ic_start + addresses * ic_step
+        rops = partitions[slot % num_partitions]
+        start = max(ic_start + ic_latency, rops[0], slot_free.get(slot, 0.0))
+        service = rop_ops * atomic_service
+        end = start + service
+        heapreplace(rops, end)
+        slot_free[slot] = start + service / addresses
+        last_completion = max(last_completion, end)
+        transactions += addresses
+        rop_ops_total += rop_ops
+        acc_rop_busy += service
+        if tel is not None:
+            tel.rop_intervals.append((slot % num_partitions, slot, rop_ops, start, end))
+            tel.ic_intervals.append((ic_start, ic_free))
 
     stats.compute_cycles = acc_compute
     stats.issue_cycles = acc_issue
@@ -422,23 +430,11 @@ def simulate_kernel(
     stats.l1_tag_ops = acc_tag_ops
     stats.ru_busy_cycles = acc_ru_busy
     stats.ru_values = acc_ru_values
-
-    # Kernel-exit flush of residual buffered state (LAB / PHI).  No warps
-    # remain to block, so the writeback streams without occupying LSU
-    # entries; draining in SM-completion order keeps the shared
-    # interconnect FIFO causally consistent.
-    flushes = [
-        (float(sm_last_time[sm]), sm, request)
-        for sm, request in strategy.end_kernel(state)
-    ]
-    flushes.sort(key=lambda item: item[0])
-    for ready, sm, request in flushes:
-        _route_request(
-            state, stats, sm, replace(request, bypass_lsu=True), ready
-        )
-
-    stats.total_cycles = state.last_completion
-    stats.lsu_full_events = state.lsu_full_events
+    stats.rop_busy_cycles = acc_rop_busy
+    stats.transactions = transactions
+    stats.rop_ops = rop_ops_total
+    stats.total_cycles = last_completion
+    stats.lsu_full_events = lsu_full_events
     if tel is not None:
         tel.finish(stats)
     return stats

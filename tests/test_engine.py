@@ -12,7 +12,9 @@ from repro.core import (
     ArcSWButterfly,
     ArcSWSerialized,
     BaselineAtomic,
+    BatchPlan,
     LABIdeal,
+    MemRequest,
 )
 from repro.gpu import RTX3060_SIM, RTX4090_SIM, simulate_kernel
 from repro.trace import KernelTrace, coalesced_trace, hotspot_trace, scattered_trace
@@ -45,6 +47,20 @@ def test_empty_trace_completes_at_zero():
     result = simulate_kernel(trace, tiny_gpu(), BaselineAtomic())
     assert result.total_cycles == 0
     assert result.n_batches == 0
+
+
+def test_idle_plan_with_traffic_is_rejected():
+    """The engine applies idle_plan() to every idle batch without
+    routing memory traffic, so a plan that carries any must fail loudly."""
+
+    class LeakyIdle(BaselineAtomic):
+        def idle_plan(self):
+            return BatchPlan(requests=[MemRequest(slot=0, rop_ops=1)])
+
+    lanes = np.full((4, 32), -1, dtype=np.int64)
+    trace = KernelTrace(lanes, num_params=1, n_slots=1)
+    with pytest.raises(ValueError, match="idle_plan"):
+        simulate_kernel(trace, tiny_gpu(), LeakyIdle())
 
 
 def test_single_batch_latency_accounting():

@@ -13,14 +13,21 @@ traces to *captured workload* traces -- the histogram workload and a
 small 3DGS render capture -- across **every** registered strategy
 (all ARC-SW thresholds included, not just the report set).  This is the
 bit-identity safety net ROADMAP item 1's engine rewrite works against:
-any fast path must reproduce these cells byte for byte.  When engine
-*behaviour* changes deliberately, re-record with::
+any fast path must reproduce these cells byte for byte.
+
+``tests/data/engine_guard_telemetry.json`` pins what a live
+:class:`~repro.gpu.telemetry.Telemetry` collector records on the same
+grid: one digest per cell over its sorted spans and LSU, ROP,
+interconnect and reduction-unit intervals.  ``SimResult`` alone would
+not notice an engine path that stops emitting a batch's phase spans.
+When engine *behaviour* changes deliberately, re-record both with::
 
     PYTHONPATH=src python tests/test_engine_guard.py --record
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -38,6 +45,9 @@ from repro.trace import (
 FIXTURE = Path(__file__).parent / "data" / "engine_guard.json"
 WORKLOAD_FIXTURE = (
     Path(__file__).parent / "data" / "engine_guard_workloads.json"
+)
+TELEMETRY_FIXTURE = (
+    Path(__file__).parent / "data" / "engine_guard_telemetry.json"
 )
 
 #: Exact trace constructions the fixture was recorded against.
@@ -107,20 +117,46 @@ def iter_workload_grid():
             yield f"{tname}|{gpu.name}|{sname}", trace, gpu, sname
 
 
-def record_workload_fixture(path: Path = WORKLOAD_FIXTURE) -> int:
-    """(Re-)record the workload-grid fixture.  Returns the cell count."""
-    results = {}
+def telemetry_digest(telemetry: Telemetry) -> str:
+    """SHA-256 over every record kind, each sorted.
+
+    Sorting makes the digest independent of the order in which the
+    engine appended records; it still changes when any record is
+    added, dropped or altered.
+    """
+    records = {
+        "spans": sorted(telemetry.spans),
+        "lsu": sorted(telemetry.lsu_intervals),
+        "rop": sorted(telemetry.rop_intervals),
+        "ic": sorted(telemetry.ic_intervals),
+        "ru": sorted(telemetry.ru_intervals),
+    }
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def record_workload_fixture(path: Path = WORKLOAD_FIXTURE,
+                            telemetry_path: Path = TELEMETRY_FIXTURE) -> int:
+    """(Re-)record the workload-grid fixture and its telemetry digests.
+
+    Returns the cell count.
+    """
+    results, digests = {}, {}
     for key, trace, gpu, sname in iter_workload_grid():
-        result = simulate_kernel(trace, gpu, make_strategy(sname))
+        telemetry = Telemetry()
+        result = simulate_kernel(
+            trace, gpu, make_strategy(sname), telemetry=telemetry
+        )
         results[key] = json.loads(json.dumps(result.to_dict()))
-    path.write_text(json.dumps(
-        {"format": 1, "results": results}, indent=1, sort_keys=True
-    ) + "\n")
+        digests[key] = telemetry_digest(telemetry)
+    for target, payload in ((path, results), (telemetry_path, digests)):
+        target.write_text(json.dumps(
+            {"format": 1, "results": payload}, indent=1, sort_keys=True
+        ) + "\n")
     return len(results)
 
 
-def load_workload_fixture() -> dict:
-    recorded = json.loads(WORKLOAD_FIXTURE.read_text())
+def load_workload_fixture(path: Path = WORKLOAD_FIXTURE) -> dict:
+    recorded = json.loads(path.read_text())
     assert recorded["format"] == 1
     return recorded["results"]
 
@@ -130,6 +166,7 @@ def load_workload_fixture() -> dict:
 )
 def test_workload_grid_matches_recorded_fixture(with_telemetry):
     recorded = load_workload_fixture()
+    digests = load_workload_fixture(TELEMETRY_FIXTURE)
     seen = set()
     for key, trace, gpu, sname in iter_workload_grid():
         seen.add(key)
@@ -139,7 +176,9 @@ def test_workload_grid_matches_recorded_fixture(with_telemetry):
         )
         produced = json.loads(json.dumps(result.to_dict()))
         assert produced == recorded[key], key
-    assert seen == set(recorded), "workload grid drifted"
+        if with_telemetry:
+            assert telemetry_digest(telemetry) == digests[key], key
+    assert seen == set(recorded) == set(digests), "workload grid drifted"
 
 
 def test_workload_grid_covers_every_registered_strategy():
@@ -186,6 +225,7 @@ if __name__ == "__main__":
 
     if "--record" in sys.argv:
         count = record_workload_fixture()
-        print(f"recorded {count} cells -> {WORKLOAD_FIXTURE}")
+        print(f"recorded {count} cells -> {WORKLOAD_FIXTURE}, "
+              f"{TELEMETRY_FIXTURE}")
     else:
         print(__doc__)

@@ -17,6 +17,7 @@ import pytest
 from repro.core import LAB, ArcHW, BaselineAtomic
 from repro.gpu import RTX4090_SIM, simulate_kernel
 from repro.trace import mixed_locality_trace, scattered_trace
+from tests.test_engine_dispatch import fold_gpu, fold_trace
 
 
 def small_gpu():
@@ -36,6 +37,17 @@ def test_sanitizer_is_result_neutral(monkeypatch, strategy):
     plain = simulate_kernel(trace, small_gpu(), strategy)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     checked = simulate_kernel(trace, small_gpu(), strategy)
+    assert dataclasses.asdict(checked) == dataclasses.asdict(plain)
+
+
+def test_sanitizer_is_result_neutral_on_folded_idle_batches(monkeypatch):
+    # Runs of idle batches execute inside their preceding event; the
+    # event stream the assert checks must stay ordered across them.
+    trace = fold_trace()
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    plain = simulate_kernel(trace, fold_gpu(), BaselineAtomic())
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    checked = simulate_kernel(trace, fold_gpu(), BaselineAtomic())
     assert dataclasses.asdict(checked) == dataclasses.asdict(plain)
 
 

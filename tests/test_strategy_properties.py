@@ -12,7 +12,10 @@ contract:
   order, but both must agree with the float64 reference to tolerance);
 * repeated evaluation from fresh instances must be deterministic --
   bitwise for the functional reduction, full ``SimResult.to_dict()``
-  equality for whole-kernel simulation.
+  equality for whole-kernel simulation;
+* ``plan_batch`` on a batch with no active lane must return exactly
+  ``idle_plan()``, carry no memory traffic and never read the engine
+  (the engine applies ``idle_plan()`` to idle batches unseen).
 
 These invariants are what the bench comparator's exact-equality policy
 for deterministic metrics stands on.
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.base import BatchView, EngineView
 from repro.experiments.runner import STRATEGY_FACTORIES, make_strategy
 from repro.gpu import RTX3060_SIM, simulate_kernel
 from repro.gpu.warp import WARP_SIZE
@@ -164,6 +168,34 @@ def test_accounting_is_sane_for_every_strategy(name, params):
     touched = (result.rop_ops + result.shuffle_ops + result.ru_values
                + result.buffer_ops + result.l1_tag_ops)
     assert touched >= min(result.lane_ops, 1), name
+
+
+class UnreadableEngine(EngineView):
+    """EngineView whose every read fails the test."""
+
+    @property
+    def now(self):
+        raise AssertionError("idle planning read engine.now")
+
+    def lsu_pressure(self, sm):
+        raise AssertionError("idle planning read lsu_pressure")
+
+    def ru_backlog(self, subcore):
+        raise AssertionError("idle planning read ru_backlog")
+
+
+@pytest.mark.parametrize("name", ALL_STRATEGIES)
+def test_empty_batch_plans_as_idle_plan_without_traffic(name):
+    strategy = make_strategy(name)
+    trace = build_trace({"n_batches": 1, "n_slots": 4, "num_params": 3,
+                         "density": 0.0, "seed": 0})
+    strategy.begin_kernel(trace, RTX3060_SIM)
+    empty = BatchView(0, 1, 5, [], [], trace.num_params, True)
+    plan = strategy.plan_batch(empty, UnreadableEngine())
+    idle = strategy.idle_plan()
+    assert plan == idle, name
+    assert not (idle.requests or idle.ru_values or idle.sm_buffer_ops
+                or idle.l1_tag_ops), name
 
 
 def test_registry_names_are_stable():
