@@ -292,30 +292,4 @@ def compare_reports(baseline: dict, fresh: dict,
     elif base_par is not None or fresh_par is not None:
         _exact(comparison, "aggregate.parallel", base_par, fresh_par)
 
-    # ``.get``: the service block postdates FORMAT_VERSION 1 baselines,
-    # which stay valid without it (absent compares like null).
-    base_svc = base_agg.get("service")
-    fresh_svc = fresh_agg.get("service")
-    if base_svc is not None and fresh_svc is not None:
-        for key in ("requests", "unique_cells", "coalesced", "shed",
-                    "degraded", "executions", "bit_identical"):
-            _exact(comparison, f"aggregate.service.{key}",
-                   base_svc[key], fresh_svc[key])
-        _timing(comparison, "aggregate.service.requests_per_sec",
-                base_svc["requests_per_sec"], fresh_svc["requests_per_sec"],
-                tolerances.timing_frac, higher_is_better=True)
-        for key in ("latency_ms_p50", "latency_ms_p95"):
-            _timing(comparison, f"aggregate.service.{key}",
-                    base_svc[key], fresh_svc[key], tolerances.timing_frac)
-        # Span-breakdown keys postdate the first service baselines;
-        # compare only when both sides report them.
-        for key in ("queue_wait_ms_p50", "queue_wait_ms_p95",
-                    "execute_ms_p50", "execute_ms_p95"):
-            if key in base_svc and key in fresh_svc:
-                _timing(comparison, f"aggregate.service.{key}",
-                        base_svc[key], fresh_svc[key],
-                        tolerances.timing_frac)
-    elif base_svc is not None or fresh_svc is not None:
-        _exact(comparison, "aggregate.service", base_svc, fresh_svc)
-
     return comparison

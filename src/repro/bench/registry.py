@@ -15,10 +15,9 @@ execution *mode* that says what the measurement exercises:
 * ``parallel``   -- the matrix serially, then through
   :func:`~repro.experiments.parallel.run_matrix_parallel`: spawn-pool
   scaling and serial/parallel bit-identity.
-* ``service``    -- a duplicate-heavy request burst through an
-  in-process :class:`~repro.service.Broker`: coalescing fan-out,
-  deterministic queue-full shedding, request latency percentiles, and
-  service/serial bit-identity.
+
+The simulation service is measured end to end by ``perfbench/`` (its
+``service-open`` and ``service-hot`` workloads), not here.
 
 Traces are built by seeded factories (synthetic generators or small
 workload captures), so every scenario is fully deterministic in its
@@ -121,20 +120,6 @@ def _histogram_trace() -> "KernelTrace":
     return workload.capture_trace()
 
 
-def _service_coalesced() -> "KernelTrace":
-    from repro.trace import coalesced_trace
-
-    return coalesced_trace(n_batches=300, n_slots=256, num_params=4,
-                           seed=8, name="bench-svc-coalesced")
-
-
-def _service_scattered() -> "KernelTrace":
-    from repro.trace import scattered_trace
-
-    return scattered_trace(n_batches=200, n_slots=1024, num_params=1,
-                           seed=9, name="bench-svc-scattered")
-
-
 def _parallel_coalesced() -> "KernelTrace":
     from repro.trace import coalesced_trace
 
@@ -209,25 +194,6 @@ SCENARIOS: "dict[str, Scenario]" = {
             ),
             gpus=("3060-Sim",),
             strategies=("baseline", "ARC-HW", "ARC-SW-S-8", "CCCL"),
-            jobs=2,
-        ),
-        Scenario(
-            name="service_load",
-            description="the simulation service under a duplicate-heavy "
-                        "burst: coalescing fan-out, deterministic "
-                        "queue-full shedding, request latency",
-            mode="service",
-            # ``repeats`` is the request count per unique cell, so the
-            # burst is 4x duplicates -- enough to exercise fan-out while
-            # staying whole-seconds cheap for per-PR CI.
-            cheap=True,
-            repeats=4,
-            traces=(
-                ("svc-coalesced", _service_coalesced),
-                ("svc-scattered", _service_scattered),
-            ),
-            gpus=("3060-Sim",),
-            strategies=("baseline", "ARC-HW"),
             jobs=2,
         ),
         Scenario(

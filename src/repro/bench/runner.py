@@ -294,167 +294,11 @@ def _run_parallel(scenario: Scenario, cells,
     return records, {"parallel": parallel_block}
 
 
-def _percentile(samples: "list[float]", frac: float) -> float:
-    """Nearest-rank percentile of *samples* (0.5 -> p50, 0.95 -> p95)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, int(frac * len(ordered))))
-    return ordered[rank]
-
-
-def _run_service(scenario: Scenario, cells,
-                 repeats: int) -> "tuple[list, dict]":
-    """A duplicate-heavy burst through an in-process service broker.
-
-    ``repeats`` is the request count per unique cell.  The broker starts
-    *paused*, every request is admitted before dispatch resumes, so the
-    coalescing arithmetic is exact: one admission per unique cell, every
-    duplicate coalesced onto it.  A planned ``queue-full`` fault on the
-    first cell's first arrival makes load-shedding part of the measured
-    (and baseline-compared) behaviour.  A serial reference pass proves
-    every service-delivered result bit-identical.
-    """
-    import asyncio
-
-    from repro.experiments import diskcache, faults
-    from repro.experiments.runner import (
-        clear_caches,
-        make_strategy,
-        seed_trace,
-    )
-    from repro.gpu import SIMULATED_GPUS, simulate_kernel
-    from repro.service import Broker, SimRequest
-
-    # Serial reference, outside the service path and the timed region.
-    reference = {}
-    for trace_name, trace, gpu_name, strategy in cells:
-        result = simulate_kernel(trace, SIMULATED_GPUS[gpu_name],
-                                 make_strategy(strategy))
-        reference[_cell_id(trace_name, gpu_name, strategy)] = (trace, result)
-
-    shed_cell = _cell_id(cells[0][0], cells[0][2], cells[0][3])
-    plan = faults.FaultPlan((
-        faults.FaultSpec(cell=shed_cell, kind="queue-full", times=1),
-    ))
-
-    async def drive(broker: Broker):
-        await broker.start()
-        try:
-            tasks = []
-            for _ in range(repeats):
-                for trace_name, _, gpu_name, strategy in cells:
-                    request = SimRequest(workload=trace_name, gpu=gpu_name,
-                                         strategy=strategy)
-                    tasks.append(asyncio.ensure_future(
-                        broker.submit(request)
-                    ))
-            # One scheduler pass runs every submission's synchronous
-            # admission step (in creation order) before any dispatch.
-            await asyncio.sleep(0)
-            broker.resume()
-            return await asyncio.gather(*tasks, return_exceptions=True)
-        finally:
-            await broker.stop()
-
-    trace_by_name = {name: trace for name, trace, _, _ in cells}
-    with tempfile.TemporaryDirectory(prefix="repro-bench-svc-") as tmp:
-        with diskcache.isolated(tmp):
-            diskcache.configure(root=tmp, enabled=True)
-            clear_caches()
-            for name, trace in trace_by_name.items():
-                seed_trace(name, trace)
-            faults.configure(plan)
-            broker = Broker(jobs=scenario.jobs, paused=True,
-                            session="bench-service")
-            try:
-                wall_ms, outcomes = time_call_ms(
-                    lambda: asyncio.run(drive(broker))
-                )
-            finally:
-                faults.configure(None)
-                clear_caches()
-
-    latencies_by_cell: "dict[str, list[float]]" = {}
-    digests_by_cell: "dict[str, list[str]]" = {}
-    bit_identical = True
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            continue  # the planned shed; counted via broker.stats below
-        latencies_by_cell.setdefault(outcome.cell, []).append(
-            outcome.latency_ms
-        )
-        digests_by_cell.setdefault(outcome.cell, []).append(
-            sim_digest(outcome.result)
-        )
-
-    records = []
-    all_latencies = []
-    for trace_name, trace, gpu_name, strategy in cells:
-        cell_id = _cell_id(trace_name, gpu_name, strategy)
-        _, serial_result = reference[cell_id]
-        serial_digest = sim_digest(serial_result)
-        digests = digests_by_cell.get(cell_id, [])
-        if any(digest != serial_digest for digest in digests):
-            bit_identical = False
-        latencies = latencies_by_cell.get(cell_id) or [0.0]
-        all_latencies.extend(latencies_by_cell.get(cell_id, []))
-        record = {
-            "id": cell_id, "trace": trace_name, "gpu": gpu_name,
-            "strategy": strategy, "variant": None,
-            "wall_ms": summarize_samples(latencies),
-            "deterministic": {
-                "sim_cycles": serial_result.total_cycles,
-                "rop_ops": serial_result.rop_ops,
-                "lane_ops": serial_result.lane_ops,
-                "trace_fingerprint": trace.fingerprint,
-                "sim_digest": serial_digest,
-                "repeat_stable": len(set(digests)) <= 1,
-                "phase_cycles": None,
-            },
-            "throughput": {
-                "batches_per_sec": trace.n_batches / (
-                    max(summarize_samples(latencies)["median"], 1e-9) / 1e3
-                ),
-            },
-        }
-        obslog.emit("bench.cell", id=record["id"],
-                    wall_ms=record["wall_ms"]["median"])
-        records.append(record)
-
-    stats = broker.stats
-    service_block = {
-        # Deterministic under the paused-admission protocol above.
-        "requests": stats.requests,
-        "unique_cells": len(cells),
-        "coalesced": stats.coalesced,
-        "shed": stats.shed,
-        "degraded": stats.degraded,
-        "executions": stats.executions,
-        "bit_identical": bit_identical,
-        # Timing (host-dependent, tolerance-compared).
-        "requests_per_sec": stats.requests / max(wall_ms / 1e3, 1e-9),
-        "latency_ms_p50": _percentile(all_latencies, 0.5),
-        "latency_ms_p95": _percentile(all_latencies, 0.95),
-    }
-    # Span-level breakdown: where the request latency went.  Sampled by
-    # the broker from its svc.queue_wait / svc.execute spans, so the
-    # bench report and a stitched `repro trace` agree by construction.
-    queue_waits = broker.span_samples.get("svc.queue_wait", [])
-    executes = broker.span_samples.get("svc.execute", [])
-    service_block["queue_wait_ms_p50"] = _percentile(queue_waits, 0.5)
-    service_block["queue_wait_ms_p95"] = _percentile(queue_waits, 0.95)
-    service_block["execute_ms_p50"] = _percentile(executes, 0.5)
-    service_block["execute_ms_p95"] = _percentile(executes, 0.95)
-    return records, {"service": service_block}
-
-
 _MODE_RUNNERS = {
     "engine": _run_engine,
     "telemetry": _run_telemetry,
     "cache": _run_cache,
     "parallel": _run_parallel,
-    "service": _run_service,
 }
 
 
@@ -471,8 +315,7 @@ def run_scenario(name: str, repeats: "int | None" = None) -> dict:
         "gpus": list(scenario.gpus),
         "strategies": list(scenario.strategies),
         "traces": [trace_name for trace_name, _ in scenario.traces],
-        "jobs": (scenario.jobs
-                 if scenario.mode in ("parallel", "service") else None),
+        "jobs": scenario.jobs if scenario.mode == "parallel" else None,
     }
     obslog.emit("bench.start", scenario=name, mode=scenario.mode,
                 repeats=repeats, cells=len(cells))
@@ -493,7 +336,6 @@ def run_scenario(name: str, repeats: "int | None" = None) -> dict:
         "cache": extra.get("cache"),
         "telemetry_overhead": extra.get("telemetry_overhead"),
         "parallel": extra.get("parallel"),
-        "service": extra.get("service"),
     }
     obslog.emit("bench.finish", scenario=name, cells=len(records),
                 wall_ms_total=wall_total)

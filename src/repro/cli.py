@@ -858,15 +858,6 @@ def _cmd_bench(args) -> int:
             aggregate["parallel"]["jobs"],
             aggregate["parallel"]["bit_identical"],
         )
-    if aggregate.get("service") is not None:
-        svc = aggregate["service"]
-        console.info(
-            "service: %.1f req/s, p50 %.1f ms, p95 %.1f ms, "
-            "coalesced %d/%d, shed %d, bit-identical: %s",
-            svc["requests_per_sec"], svc["latency_ms_p50"],
-            svc["latency_ms_p95"], svc["coalesced"], svc["requests"],
-            svc["shed"], svc["bit_identical"],
-        )
     console.info("bench written: %s", out_path)
     if comparison is not None:
         print()
@@ -969,6 +960,12 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+#: Session counters on the ``requests`` line of ``repro serve --status``
+#: and ``repro top``.
+_REQUEST_LINE_STATS = ("requests", "admitted", "coalesced", "memo_hits",
+                       "shed", "degraded", "completed")
+
+
 def _cmd_serve(args) -> int:
     import json
 
@@ -1005,9 +1002,7 @@ def _cmd_serve(args) -> int:
               f"(trips {breaker.get('trips_total', 0)})")
         print("requests:  "
               + " ".join(f"{k}={stats.get(k, 0)}"
-                         for k in ("requests", "admitted", "coalesced",
-                                   "memo_hits", "shed", "degraded",
-                                   "completed")))
+                         for k in _REQUEST_LINE_STATS))
         return 0
 
     import asyncio
@@ -1017,6 +1012,7 @@ def _cmd_serve(args) -> int:
     from repro.experiments.resilience import RetryPolicy
     from repro.service import Broker, CircuitBreaker, ServiceDaemon
 
+    from repro.obs import metrics as obsmetrics
     from repro.obs import tracing
 
     jobs = args.jobs if args.jobs is not None else default_jobs(fallback=2)
@@ -1034,6 +1030,9 @@ def _cmd_serve(args) -> int:
         policy=policy,
         degrade=not args.no_degrade,
         breaker=CircuitBreaker(threshold=args.breaker_threshold),
+        # The process-wide registry, so the endpoint also exposes the
+        # cache and retry families those layers report there.
+        metrics=obsmetrics.registry(),
     )
     daemon = ServiceDaemon(broker, socket_path=socket_path,
                            metrics_port=args.metrics_port)
@@ -1053,6 +1052,8 @@ def _unreachable(args, svc_daemon, exc) -> int:
 
 def _metrics_summary_lines(snapshot: dict) -> "list[str]":
     """Compact `repro top` view of a daemon metrics snapshot."""
+    from repro.service.broker import STAT_COUNTERS
+
     def value(name, default=0.0, **labels):
         entry = snapshot.get(name)
         if not entry:
@@ -1076,14 +1077,8 @@ def _metrics_summary_lines(snapshot: dict) -> "list[str]":
         int(value("repro_service_breaker_state")), "?")
     lines = [
         "requests   "
-        + " ".join(f"{label}={int(total(name))}" for label, name in (
-            ("total", "repro_service_requests_total"),
-            ("admitted", "repro_service_admitted_total"),
-            ("coalesced", "repro_service_coalesced_total"),
-            ("memo", "repro_service_memo_hits_total"),
-            ("shed", "repro_service_shed_total"),
-            ("degraded", "repro_service_degraded_total"),
-        )),
+        + " ".join(f"{key}={int(total(STAT_COUNTERS[key][0]))}"
+                   for key in _REQUEST_LINE_STATS),
         f"queue      {int(value('repro_service_queue_size'))}"
         f"/{int(value('repro_service_queue_depth'))}"
         f"  inflight {int(value('repro_service_inflight'))}",

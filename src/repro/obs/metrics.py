@@ -112,6 +112,10 @@ class Counter(_Instrument):
     def value(self, **labels) -> float:
         return self._series.get(self._key(labels), 0.0)
 
+    def total(self) -> int:
+        """The count summed over every labelled series."""
+        return int(sum(self._series.values()))
+
 
 class Gauge(_Instrument):
     """Point-in-time value that can move both ways."""

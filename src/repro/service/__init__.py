@@ -23,7 +23,7 @@ entries, O_APPEND journal and obslog lines); the service layer itself
 opens no shared file.
 """
 
-from repro.service.broker import Broker, BrokerStats
+from repro.service.broker import Broker
 from repro.service.daemon import ServiceDaemon, call, default_socket_path
 from repro.service.request import (
     DeadlineExceeded,
@@ -37,7 +37,6 @@ from repro.service.supervisor import CircuitBreaker, PoolSupervisor
 
 __all__ = [
     "Broker",
-    "BrokerStats",
     "CircuitBreaker",
     "DeadlineExceeded",
     "PoolSupervisor",

@@ -69,39 +69,33 @@ from repro.service.request import (
 from repro.service.supervisor import CircuitBreaker, PoolSupervisor
 from repro.trace.io import save_trace
 
-__all__ = ["Broker", "BrokerStats"]
+__all__ = ["Broker", "STAT_COUNTERS"]
 
-
-@dataclass
-class BrokerStats:
-    """Session counters, exposed verbatim by ``repro serve --status``."""
-
-    requests: int = 0
-    admitted: int = 0
-    coalesced: int = 0
-    memo_hits: int = 0
-    shed: int = 0
-    degraded: int = 0
-    deadline_misses: int = 0
-    executions: int = 0
-    failures: int = 0
-    journal_recoveries: int = 0
-    completed: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "admitted": self.admitted,
-            "coalesced": self.coalesced,
-            "memo_hits": self.memo_hits,
-            "shed": self.shed,
-            "degraded": self.degraded,
-            "deadline_misses": self.deadline_misses,
-            "executions": self.executions,
-            "failures": self.failures,
-            "journal_recoveries": self.journal_recoveries,
-            "completed": self.completed,
-        }
+#: ``snapshot()["stats"]`` key -> (registry counter family, help text,
+#: label names).  The broker's registry is the only store of these
+#: counts; a labelled family's stat is the sum over its series.
+STAT_COUNTERS = {
+    "requests": ("repro_service_requests_total", "Requests received", ()),
+    "admitted": ("repro_service_admitted_total",
+                 "Requests admitted to queue", ()),
+    "coalesced": ("repro_service_coalesced_total",
+                  "Requests coalesced onto an in-flight execution", ()),
+    "memo_hits": ("repro_service_memo_hits_total",
+                  "Requests answered from the session memo", ()),
+    "shed": ("repro_service_shed_total", "Requests shed at admission", ()),
+    "degraded": ("repro_service_degraded_total", "Degraded executions",
+                 ("reason",)),
+    "deadline_misses": ("repro_service_deadline_misses_total",
+                        "Requests expired before completion", ()),
+    "executions": ("repro_service_executions_total",
+                   "Pool attempt submissions", ()),
+    "failures": ("repro_service_failures_total", "Failed attempts", ()),
+    "journal_recoveries": (
+        "repro_service_journal_recoveries_total",
+        "Crash recoveries served from journal + disk cache", ()),
+    "completed": ("repro_service_completed_total", "Completed executions",
+                  ("source",)),
+}
 
 
 @dataclass
@@ -163,55 +157,28 @@ class Broker:
         self._clock = clock
         self._paused = paused
         self._session = session if session is not None else f"pid{os.getpid()}"
-        self.stats = BrokerStats()
         self._started = False
         self._inflight: "dict[str, _Entry]" = {}
         self._results: "dict[str, SimResult]" = {}
         self._stale: "dict[str, tuple[str, SimResult]]" = {}
         self._arrivals: "dict[str, int]" = {}
-        self._executions_by_key: "dict[str, int]" = {}
         self._spooled: "set[str]" = set()
         self._journal: "RunManifest | None" = None
         self._journalled: "set[str]" = set()
         self._t0 = self._clock()
-        #: Recent wall-clock span durations (ms) by span name, kept in
-        #: memory for the bench breakdown -- bounded so a long-lived
-        #: daemon cannot grow it without bound.
-        self.span_samples: "dict[str, list[float]]" = {}
+        #: The store for every service counter and timing.  A fresh
+        #: registry per broker keeps ``snapshot()["stats"]`` per-broker;
+        #: ``repro serve`` passes the process-wide one.
         self.metrics = (metrics if metrics is not None
-                        else obsmetrics.registry())
+                        else obsmetrics.MetricsRegistry())
         self._register_metrics()
 
     def _register_metrics(self) -> None:
         m = self.metrics
-        self._m_requests = m.counter(
-            "repro_service_requests_total", "Requests received")
-        self._m_admitted = m.counter(
-            "repro_service_admitted_total", "Requests admitted to queue")
-        self._m_coalesced = m.counter(
-            "repro_service_coalesced_total",
-            "Requests coalesced onto an in-flight execution")
-        self._m_memo = m.counter(
-            "repro_service_memo_hits_total",
-            "Requests answered from the session memo")
-        self._m_shed = m.counter(
-            "repro_service_shed_total", "Requests shed at admission")
-        self._m_degraded = m.counter(
-            "repro_service_degraded_total", "Degraded executions",
-            labelnames=("reason",))
-        self._m_deadline_miss = m.counter(
-            "repro_service_deadline_misses_total",
-            "Requests expired before completion")
-        self._m_executions = m.counter(
-            "repro_service_executions_total", "Pool attempt submissions")
-        self._m_failures = m.counter(
-            "repro_service_failures_total", "Failed attempts")
-        self._m_recoveries = m.counter(
-            "repro_service_journal_recoveries_total",
-            "Crash recoveries served from journal + disk cache")
-        self._m_completed = m.counter(
-            "repro_service_completed_total", "Completed executions",
-            labelnames=("source",))
+        self._count = {
+            key: m.counter(name, help_text, labelnames=labels)
+            for key, (name, help_text, labels) in STAT_COUNTERS.items()
+        }
         self._m_attempts = m.counter(
             "repro_service_attempts_total", "Attempt outcomes",
             labelnames=("outcome",))
@@ -251,11 +218,6 @@ class Broker:
         )
         obslog.emit(event, **fields)
 
-    def _sample_span(self, name: str, dur_ms: float) -> None:
-        samples = self.span_samples.setdefault(name, [])
-        if len(samples) < 4096:
-            samples.append(dur_ms)
-
     def _refresh_gauges(self) -> None:
         self._m_queue_size.set(self._queue.qsize() if self._started else 0)
         self._m_inflight.set(len(self._inflight))
@@ -290,11 +252,11 @@ class Broker:
 
         self._supervisor = PoolSupervisor(
             pool_factory,
+            metrics=self.metrics,
             breaker=self._breaker,
             probe_timeout=self.probe_timeout,
             clock=self._clock,
             emit=self.emit_event,
-            metrics=self.metrics,
         )
         self._supervisor.start()
         # One thread suffices for serial degradation: it exists so an
@@ -337,7 +299,7 @@ class Broker:
             self._journal.discard()
         self._spool.cleanup()
         self._started = False
-        self.emit_event("svc.stop", **self.stats.as_dict())
+        self.emit_event("svc.stop", **self._stats())
 
     def pause(self) -> None:
         """Hold dispatchers off the queue (admission keeps running)."""
@@ -408,8 +370,7 @@ class Broker:
         logical = diskcache.logical_key(config, trace, strategy)
         deadline = (None if request.deadline is None
                     else admitted_at + request.deadline)
-        self.stats.requests += 1
-        self._m_requests.inc()
+        self._count["requests"].inc()
         if request.deadline is not None:
             self._m_deadline_budget.observe(request.deadline)
         self.emit_event("svc.accept", cell=cell, key=key,
@@ -418,8 +379,7 @@ class Broker:
 
         memo = self._results.get(key)
         if memo is not None:
-            self.stats.memo_hits += 1
-            self._m_memo.inc()
+            self._count["memo_hits"].inc()
             return self._response(cell, key, memo, "memo", admitted_at)
 
         entry = self._inflight.get(key)
@@ -427,8 +387,7 @@ class Broker:
             waiter = self._loop.create_future()
             entry.waiters.append(waiter)
             entry.deadlines.append(deadline)
-            self.stats.coalesced += 1
-            self._m_coalesced.inc()
+            self._count["coalesced"].inc()
             self.emit_event("svc.coalesce", cell=cell, key=key,
                             waiters=len(entry.waiters))
             return await self._await_waiter(
@@ -462,8 +421,7 @@ class Broker:
         # Cannot raise QueueFull: occupancy was checked above and no
         # await happened since.
         self._queue.put_nowait(entry)
-        self.stats.admitted += 1
-        self._m_admitted.inc()
+        self._count["admitted"].inc()
         self._refresh_gauges()
         return await self._await_waiter(
             waiter, cell, key, request.deadline, deadline, admitted_at,
@@ -476,8 +434,7 @@ class Broker:
         stale = self._stale.get(logical) if self.degrade_enabled else None
         if stale is not None:
             stale_key, result = stale
-            self.stats.degraded += 1
-            self._m_degraded.inc(reason="queue-full")
+            self._count["degraded"].inc(reason="queue-full")
             warning = (
                 "served stale: queue saturated; result computed for an "
                 f"earlier engine fingerprint (key {stale_key[:12]}...)"
@@ -490,8 +447,7 @@ class Broker:
             response.stale = True
             response.warning = warning
             return response
-        self.stats.shed += 1
-        self._m_shed.inc()
+        self._count["shed"].inc()
         # Post-mortem correlation needs the state *at shed time*: the
         # live occupancy (queue_size; queue_depth is the configured
         # capacity) and how much of the request's budget was left.
@@ -515,8 +471,7 @@ class Broker:
                 waiter, timeout
             )
         except asyncio.TimeoutError:
-            self.stats.deadline_misses += 1
-            self._m_deadline_miss.inc()
+            self._count["deadline_misses"].inc()
             self.emit_event("svc.deadline", cell=cell, deadline=deadline_s)
             raise DeadlineExceeded(cell, deadline_s) from None
         response = self._response(cell, key, result, source, admitted_at)
@@ -564,7 +519,6 @@ class Broker:
     async def _execute(self, entry: _Entry) -> None:
         if entry.queue_span is not None:
             wait_ms = entry.queue_span.end(queue_size=self._queue.qsize())
-            self._sample_span("svc.queue_wait", wait_ms)
             self._m_queue_wait.observe(wait_ms / 1000.0)
             entry.queue_span = None
         parent = entry.ctx
@@ -579,8 +533,7 @@ class Broker:
             remaining = (None if deadline is None
                          else deadline - self._clock())
             if remaining is not None and remaining <= 0:
-                self.stats.deadline_misses += 1
-                self._m_deadline_miss.inc()
+                self._count["deadline_misses"].inc()
                 self.emit_event("svc.deadline", cell=entry.cell,
                                 in_queue=True)
                 self._fail(entry, DeadlineExceeded(entry.cell, None))
@@ -596,11 +549,7 @@ class Broker:
                 self._m_attempts.inc(outcome="breaker-open")
                 await self._degrade_inproc(entry, attempt, "breaker-open")
                 return
-            self.stats.executions += 1
-            self._m_executions.inc()
-            self._executions_by_key[entry.key] = (
-                self._executions_by_key.get(entry.key, 0) + 1
-            )
+            self._count["executions"].inc()
             cell_future = None
             try:
                 # submit() itself can raise: a worker crash elsewhere
@@ -656,8 +605,7 @@ class Broker:
                 self._m_attempts.inc(outcome="ok")
                 self._complete(entry, result, "worker")
                 return
-            self.stats.failures += 1
-            self._m_failures.inc()
+            self._count["failures"].inc()
             attempt_span.end(outcome=outcome)
             self._m_attempts.inc(outcome=outcome)
             self.emit_event("svc.attempt", cell=entry.cell, attempt=attempt,
@@ -676,8 +624,7 @@ class Broker:
         """Serial in-process execution: the service's answer of last
         resort, mirroring the resilience layer's fallback (and the
         paper's own philosophy -- degrade, don't fail)."""
-        self.stats.degraded += 1
-        self._m_degraded.inc(reason=reason)
+        self._count["degraded"].inc(reason=reason)
         self.emit_event("svc.degrade", cell=entry.cell, reason=reason,
                         attempt=attempt)
         try:
@@ -687,8 +634,7 @@ class Broker:
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            self.stats.failures += 1
-            self._m_failures.inc()
+            self._count["failures"].inc()
             self._fail(entry, RequestFailed(entry.cell, exc))
             return
         self._complete(entry, result, "inproc")
@@ -711,8 +657,7 @@ class Broker:
         result = cache.load(entry.key)  # arclint: disable=ARC013
         if result is None:
             return False
-        self.stats.journal_recoveries += 1
-        self._m_recoveries.inc()
+        self._count["journal_recoveries"].inc()
         if attempt_span is not None:
             attempt_span.end(outcome="crash", recovered=True)
             self._m_attempts.inc(outcome="crash")
@@ -740,15 +685,13 @@ class Broker:
                 "strategy": entry.spec.strategy,
             })
             self._journalled.add(entry.key)
-        self.stats.completed += 1
-        self._m_completed.inc(source=source)
+        self._count["completed"].inc(source=source)
         exec_span_id = None
         if entry.exec_span is not None:
             exec_span_id = entry.exec_span.context.span_id
             exec_ms = entry.exec_span.end(
                 outcome="ok", source=source, fanout=len(entry.waiters)
             )
-            self._sample_span("svc.execute", exec_ms)
             self._m_execute.observe(exec_ms / 1000.0)
             entry.exec_span = None
         self._refresh_gauges()
@@ -781,9 +724,8 @@ class Broker:
     # Introspection
     # ----------------------------------------------------------------- #
 
-    def executions_for(self, key: str) -> int:
-        """Pool submissions recorded for *key* (test/diagnostic hook)."""
-        return self._executions_by_key.get(key, 0)
+    def _stats(self) -> dict:
+        return {key: counter.total() for key, counter in self._count.items()}
 
     def snapshot(self) -> dict:
         snap = {
@@ -795,7 +737,7 @@ class Broker:
             },
             "inflight": len(self._inflight),
             "memoized": len(self._results),
-            "stats": self.stats.as_dict(),
+            "stats": self._stats(),
         }
         if self._started:
             snap["supervisor"] = self._supervisor.snapshot()

@@ -34,7 +34,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro import obslog
 from repro.experiments.resilience import _abandon_pool
-from repro.obs import metrics as obsmetrics
 
 __all__ = ["CircuitBreaker", "PoolSupervisor"]
 
@@ -122,32 +121,29 @@ class PoolSupervisor:
     returns the live executor, or ``None`` while the breaker holds
     traffic off the pool (the caller then degrades).  Pool-level
     failures are reported through :meth:`fail`, successes through
-    :meth:`ok`.
+    :meth:`ok`.  Restarts and probes are counted only in the broker's
+    metrics registry, which :meth:`snapshot` reads back.
     """
 
     #: Breaker state encoded for the ``repro_service_breaker_state``
     #: gauge (Prometheus wants a number, not a string).
     _STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
 
-    def __init__(self, pool_factory, *, breaker: "CircuitBreaker | None" = None,
+    def __init__(self, pool_factory, *, metrics,
+                 breaker: "CircuitBreaker | None" = None,
                  probe_timeout: float = 10.0, clock=time.monotonic,
-                 emit=None, metrics=None):
+                 emit=None):
         self._pool_factory = pool_factory
         self.breaker = breaker if breaker is not None else (
             CircuitBreaker(clock=clock)
         )
         self.probe_timeout = probe_timeout
-        self.restarts = 0
-        self.probes = 0
-        self.probe_failures = 0
         self._pool = None
         self._probe_lock = asyncio.Lock()
         # The broker injects its elapsed_ms-stamping emitter so every
         # svc.* event shares one timing field; standalone supervisors
         # (unit tests) fall back to the raw obslog writer.
         self._emit = emit if emit is not None else obslog.emit
-        if metrics is None:
-            metrics = obsmetrics.registry()
         self._m_state = metrics.gauge(
             "repro_service_breaker_state",
             "Circuit breaker state (0 closed, 1 half-open, 2 open)")
@@ -185,9 +181,9 @@ class PoolSupervisor:
             return await self._probe()
 
     async def _probe(self):
-        self.probes += 1
         self._m_state.set(self._STATE_CODES["half-open"])
-        self._emit("svc.breaker", state="half-open", probes=self.probes)
+        self._emit("svc.breaker", state="half-open",
+                   probes=self._m_probes.total() + 1)
         if self._pool is None:
             self._pool = self._pool_factory()
         probe_future = self._pool.submit(_pool_probe)
@@ -210,7 +206,6 @@ class PoolSupervisor:
         return self._pool
 
     def _probe_failed(self, error: str) -> None:
-        self.probe_failures += 1
         self._abandon()
         self.breaker.record_failure()
         self._m_probes.inc(outcome="failed")
@@ -253,9 +248,8 @@ class PoolSupervisor:
             self._pool = None
 
     def _respawn(self) -> None:
-        self.restarts += 1
         self._m_restarts.inc()
-        self._emit("svc.pool.restart", restarts=self.restarts)
+        self._emit("svc.pool.restart", restarts=self._m_restarts.total())
         self._pool = self._pool_factory()
 
     def shutdown(self) -> None:
@@ -266,8 +260,8 @@ class PoolSupervisor:
     def snapshot(self) -> dict:
         return {
             "breaker": self.breaker.snapshot(),
-            "restarts": self.restarts,
-            "probes": self.probes,
-            "probe_failures": self.probe_failures,
+            "restarts": self._m_restarts.total(),
+            "probes": self._m_probes.total(),
+            "probe_failures": int(self._m_probes.value(outcome="failed")),
             "pool_live": self._pool is not None,
         }

@@ -42,7 +42,6 @@ def test_registry_has_the_documented_scenarios():
         "cache_warm_vs_cold",
         "engine_smoke",
         "parallel_scaling",
-        "service_load",
         "table2_sweep_small",
         "telemetry_on_off",
     ]

@@ -317,9 +317,7 @@ def test_bench_list_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert sorted(doc) == scenario_names()
     for entry in doc.values():
-        assert entry["mode"] in (
-            "engine", "telemetry", "cache", "parallel", "service",
-        )
+        assert entry["mode"] in ("engine", "telemetry", "cache", "parallel")
         assert isinstance(entry["cells"], int)
 
 

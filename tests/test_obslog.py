@@ -297,7 +297,10 @@ def _torn_corpus(draw):
         chunks.append(line)
     if draw(st.booleans()):  # torn tail: a suffix-less final write
         donor = _serialize(draw(_record_fields))
-        cut = draw(st.integers(min_value=1, max_value=len(donor) - 1))
+        # Strict prefix of the object itself: cutting only the newline
+        # leaves a complete record, which the reader rightly keeps (see
+        # test_reader_keeps_complete_final_line_without_newline).
+        cut = draw(st.integers(min_value=1, max_value=len(donor) - 2))
         chunks.append(donor[:cut])
     return "".join(chunks), good
 
@@ -316,6 +319,21 @@ def test_reader_survives_any_torn_interleaving(tmp_path_factory, corpus):
         {"writer": e["writer"], "seq": e["seq"], "payload": e["payload"]}
         for e in events
     ] == good
+
+
+def test_reader_keeps_complete_final_line_without_newline(tmp_path):
+    """A final write that lost only its newline is still a whole JSON
+    object: read_events returns it, unlike a tail cut inside the
+    object, which it drops."""
+    first = {"writer": 0, "seq": 0, "payload": "a"}
+    last = {"writer": 1, "seq": 1, "payload": "b"}
+    path = tmp_path / "obslog.jsonl"
+    path.write_text(_serialize(first) + _serialize(last)[:-1],
+                    encoding="utf-8")
+    assert [e["payload"] for e in obslog.read_events(path)] == ["a", "b"]
+    path.write_text(_serialize(first) + _serialize(last)[:-2],
+                    encoding="utf-8")
+    assert [e["payload"] for e in obslog.read_events(path)] == ["a"]
 
 
 def test_concurrent_writer_processes_never_tear_lines(tmp_path):

@@ -32,6 +32,7 @@ tests and the state-machine units stay in-process and cheap.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -119,6 +120,12 @@ def serial_truth(tmp_path, workloads, strategies):
     }
 
 
+def stats(broker):
+    """The broker's session counters, as ``repro serve --status`` shows
+    them (read back from its metrics registry)."""
+    return broker.snapshot()["stats"]
+
+
 def events_named(path, name):
     return [e for e in read_events(path) if e["event"] == name]
 
@@ -165,10 +172,9 @@ def test_coalescing_fans_out_single_execution(fake_registry, tmp_path,
     assert [r.result.to_dict() for r in responses] == [expected] * 6
     assert responses[0].coalesced is False
     assert all(r.coalesced for r in responses[1:])
-    assert broker.stats.admitted == 1
-    assert broker.stats.coalesced == 5
-    assert broker.stats.executions == 1
-    assert broker.executions_for(responses[0].key) == 1
+    assert stats(broker)["admitted"] == 1
+    assert stats(broker)["coalesced"] == 5
+    assert stats(broker)["executions"] == 1
     coalesce_events = events_named(obslog_sink, "svc.coalesce")
     assert len(coalesce_events) == 5
     [finish] = events_named(obslog_sink, "svc.finish")
@@ -195,8 +201,8 @@ def test_completed_request_answers_from_memo(fake_registry, tmp_path):
     assert first.source == "worker"
     assert second.source == "memo"
     assert second.result.to_dict() == first.result.to_dict()
-    assert broker.stats.memo_hits == 1
-    assert broker.stats.executions == 1
+    assert stats(broker)["memo_hits"] == 1
+    assert stats(broker)["executions"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -229,8 +235,8 @@ def test_queue_full_fault_sheds_typed_then_readmits(fake_registry,
     response = asyncio.run(scenario(broker))
     assert response.result.to_dict() == truth[("S1", "3060-Sim",
                                                "baseline")]
-    assert broker.stats.shed == 1
-    assert broker.stats.admitted == 1
+    assert stats(broker)["shed"] == 1
+    assert stats(broker)["admitted"] == 1
     [shed_event] = events_named(obslog_sink, "svc.shed")
     assert shed_event["cell"] == "S1|3060-Sim|baseline"
     # Post-mortem fields: configured capacity vs. live occupancy (the
@@ -281,7 +287,7 @@ def test_real_queue_saturation_sheds(fake_registry, tmp_path):
     ]))
     assert responses[0].source == "worker"
     assert isinstance(responses[1], RequestShed)
-    assert broker.stats.shed == 1
+    assert stats(broker)["shed"] == 1
 
 
 def test_saturated_queue_serves_stale_with_warning(fake_registry, tmp_path,
@@ -317,8 +323,8 @@ def test_saturated_queue_serves_stale_with_warning(fake_registry, tmp_path,
     assert stale.stale is True
     assert stale.warning and "stale" in stale.warning
     assert stale.result.to_dict() == fresh.result.to_dict()
-    assert broker.stats.degraded == 1
-    assert broker.stats.shed == 0
+    assert stats(broker)["degraded"] == 1
+    assert stats(broker)["shed"] == 0
     [degrade] = events_named(obslog_sink, "svc.degrade")
     assert degrade["reason"] == "queue-full"
 
@@ -349,8 +355,8 @@ def test_degradation_can_be_disabled(fake_registry, tmp_path, monkeypatch):
     broker = Broker(jobs=1, policy=fast_policy(), degrade=False,
                     session="nodegrade")
     asyncio.run(scenario(broker))
-    assert broker.stats.shed == 1
-    assert broker.stats.degraded == 0
+    assert stats(broker)["shed"] == 1
+    assert stats(broker)["degraded"] == 0
 
 
 def test_deadline_expires_typed_while_queued(fake_registry, tmp_path,
@@ -373,7 +379,7 @@ def test_deadline_expires_typed_while_queued(fake_registry, tmp_path,
     broker = Broker(jobs=1, paused=True, policy=fast_policy(),
                     session="deadline")
     asyncio.run(scenario(broker))
-    assert broker.stats.deadline_misses >= 1
+    assert stats(broker)["deadline_misses"] >= 1
     assert events_named(obslog_sink, "svc.deadline")
 
 
@@ -531,8 +537,8 @@ def test_crash_recovers_journaled_completion_without_reexecuting(
     response = asyncio.run(scenario(broker))
     assert response.source == "journal"
     assert response.result.to_dict() == persisted.to_dict()
-    assert broker.stats.journal_recoveries == 1
-    assert broker.executions_for(key) == 1, \
+    assert stats(broker)["journal_recoveries"] == 1
+    assert stats(broker)["executions"] == 1, \
         "recovery must happen on the first crash, not after retries"
     [recover] = events_named(obslog_sink, "svc.recover")
     assert recover["key"] == key
@@ -543,8 +549,8 @@ def test_crash_recovers_journaled_completion_without_reexecuting(
 # --------------------------------------------------------------------- #
 
 
-def test_service_load_is_bit_identical_under_chaos(fake_registry,
-                                                   tmp_path, obslog_sink):
+def test_thousand_request_chaos_is_bit_identical(fake_registry,
+                                                 tmp_path, obslog_sink):
     """>= 1000 requests, > 97% duplicates, while a worker crash, a hang
     past the cell timeout and queue saturation (planned and real) all
     fire: every response is bit-identical to clean serial, each unique
@@ -603,12 +609,12 @@ def test_service_load_is_bit_identical_under_chaos(fake_registry,
     ]
     assert not mismatched, f"non-bit-identical responses: {mismatched[:5]}"
 
-    stats = broker.stats
+    counts = stats(broker)
     # Duplicates collapse: every request beyond the eight unique cells
     # (plus shed retries) was answered by coalescing or the memo.
-    assert stats.coalesced + stats.memo_hits >= 990
-    assert stats.shed >= 1, "planned queue-full must shed at least once"
-    assert stats.failures >= 2, "crash and hang faults must be seen"
+    assert counts["coalesced"] + counts["memo_hits"] >= 990
+    assert counts["shed"] >= 1, "planned queue-full must shed at least once"
+    assert counts["failures"] >= 2, "crash and hang faults must be seen"
     # Exactly one completed execution per unique cell fans out to all
     # of its duplicates -- the coalescing invariant under chaos.
     finishes = events_named(obslog_sink, "svc.finish")
@@ -621,9 +627,136 @@ def test_service_load_is_bit_identical_under_chaos(fake_registry,
     # onto an in-flight execution, memo-answered, or shed (and later
     # retried).  In-process degradation is an *execution* outcome of an
     # admitted entry, so it does not appear in this sum.
-    assert stats.requests == (stats.admitted + stats.coalesced
-                              + stats.memo_hits + stats.shed)
-    assert stats.admitted == len(cells)
+    assert counts["requests"] == (counts["admitted"] + counts["coalesced"]
+                                  + counts["memo_hits"] + counts["shed"])
+    assert counts["admitted"] == len(cells)
+
+
+#: Result digests (``repro.bench.metrics.sim_digest``) and trace
+#: fingerprints of the four cells the retired in-process service bench
+#: recorded; the burst below replays its request protocol.
+PINNED_BURST_CELLS = {
+    "svc-coalesced|3060-Sim|baseline": ("e7d60c0d5f3cc002", "007044c96d6d"),
+    "svc-coalesced|3060-Sim|ARC-HW": ("b469bb2f53cc547d", "007044c96d6d"),
+    "svc-scattered|3060-Sim|baseline": ("841385f8e56346d4", "e8f9136d2b65"),
+    "svc-scattered|3060-Sim|ARC-HW": ("b92b9adc82a4227f", "e8f9136d2b65"),
+}
+
+
+def test_paused_duplicate_burst_counts_and_digests_are_pinned():
+    """Four rounds over four cells against a paused broker, the first
+    arrival shed by a planned queue-full fault: the admission counts and
+    every response's digest match what the retired service bench pinned,
+    and duplicates of a cell all carry the same bytes."""
+    from repro.bench.metrics import sim_digest
+
+    traces = {
+        "svc-coalesced": coalesced_trace(
+            n_batches=300, n_slots=256, num_params=4, seed=8,
+            name="bench-svc-coalesced"),
+        "svc-scattered": scattered_trace(
+            n_batches=200, n_slots=1024, num_params=1, seed=9,
+            name="bench-svc-scattered"),
+    }
+    for name, trace in traces.items():
+        runner.seed_trace(name, trace)
+    cells = [cell.split("|") for cell in PINNED_BURST_CELLS]
+    faults.configure(FaultPlan((
+        FaultSpec(cell="svc-coalesced|3060-Sim|baseline", kind="queue-full",
+                  times=1),
+    )))
+    broker = Broker(jobs=2, paused=True, policy=fast_policy(),
+                    session="pinned-burst")
+    requests = [SimRequest(workload=w, gpu=g, strategy=s)
+                for _ in range(4) for w, g, s in cells]
+    outcomes = asyncio.run(ordered_burst(broker, requests))
+
+    assert sum(isinstance(o, RequestShed) for o in outcomes) == 1
+    digests = {}
+    for outcome in outcomes:
+        if not isinstance(outcome, RequestShed):
+            digests.setdefault(outcome.cell, set()).add(
+                sim_digest(outcome.result))
+    assert digests == {cell: {digest} for cell, (digest, _)
+                       in PINNED_BURST_CELLS.items()}
+    for cell, (_, fingerprint) in PINNED_BURST_CELLS.items():
+        assert traces[cell.split("|")[0]].fingerprint.startswith(fingerprint)
+    counts = stats(broker)
+    assert (counts["requests"], counts["coalesced"], counts["shed"],
+            counts["degraded"], counts["executions"]) == (16, 11, 1, 0, 4)
+
+
+def test_soak_keeps_broker_state_bounded_by_cells_served(fake_registry,
+                                                        tmp_path):
+    """10,000 requests in 20 waves over the fake catalog: the broker's
+    per-key state never outgrows the distinct cells served, and after
+    warm-up the registry adds no family and no series.  The key
+    space a daemon can be asked for is the catalog (workloads x
+    strategies x GPUs), so this bound, not eviction, is what keeps a
+    long-lived daemon's memory flat."""
+    diskcache.configure(root=tmp_path / "soak-cache", enabled=True)
+    workloads = sorted(FAKES)
+    cells = [(w, g, s) for w in workloads for g in ("3060-Sim", "4090-Sim")
+             for s in ("baseline", "ARC-HW")]
+    waves, per_wave = 20, 500
+    broker = Broker(jobs=1, queue_depth=len(cells), policy=fast_policy(),
+                    session="soak")
+
+    def state_sizes():
+        return {
+            "results": len(broker._results),
+            "stale": len(broker._stale),
+            "arrivals": len(broker._arrivals),
+            "journalled": len(broker._journalled),
+            "spooled": len(broker._spooled),
+            "inflight": len(broker._inflight),
+        }
+
+    def registry_shape():
+        families = broker.metrics.snapshot()
+        return len(families), sum(len(f["series"])
+                                  for f in families.values())
+
+    async def scenario():
+        await broker.start()
+        sizes, shapes, answers = [], [], {}
+        try:
+            for wave in range(waves):
+                requests = [
+                    SimRequest(workload=w, gpu=g, strategy=s)
+                    for w, g, s in (cells[(wave + i) % len(cells)]
+                                    for i in range(per_wave))
+                ]
+                for response in await asyncio.gather(
+                        *(broker.submit(r) for r in requests)):
+                    answers.setdefault(response.cell, set()).add(
+                        json.dumps(response.result.to_dict(),
+                                   sort_keys=True))
+                sizes.append(state_sizes())
+                shapes.append(registry_shape())
+        finally:
+            await broker.stop()
+        return sizes, shapes, answers
+
+    sizes, shapes, answers = asyncio.run(scenario())
+
+    assert len(answers) == len(cells)
+    assert all(len(bodies) == 1 for bodies in answers.values()), \
+        "memo answers must stay identical to the executed result"
+    for wave_sizes in sizes:
+        assert max(wave_sizes.values()) <= len(cells), wave_sizes
+    assert sizes[-1]["results"] == sizes[-1]["journalled"] == len(cells)
+    assert sizes[-1]["inflight"] == 0
+    assert sizes[-1]["spooled"] == len(workloads)
+    # Warm-up: wave 1 executes every cell, wave 2 is the first answered
+    # from the memo; from then on only existing series count up.
+    assert shapes[2:] == [shapes[1]] * (waves - 2), \
+        "the registry must stop growing once every path has run"
+    counts = stats(broker)
+    assert counts["requests"] == waves * per_wave
+    assert counts["requests"] == (counts["admitted"] + counts["coalesced"]
+                                  + counts["memo_hits"] + counts["shed"])
+    assert counts["admitted"] == counts["completed"] == len(cells)
 
 
 # --------------------------------------------------------------------- #
@@ -666,11 +799,11 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
         # All five must be in flight (one admission, four coalesced)
         # before the signal lands, so the drain has real waiters.
         for _ in range(500):
-            if broker.stats.admitted + broker.stats.coalesced >= 5:
+            if stats(broker)["admitted"] + stats(broker)["coalesced"] >= 5:
                 break
             await asyncio.sleep(0.01)
-        assert broker.stats.admitted == 1
-        assert broker.stats.coalesced == 4
+        assert stats(broker)["admitted"] == 1
+        assert stats(broker)["coalesced"] == 4
         # run() must have hooked SIGTERM; the default action would kill
         # the test process instead of draining the daemon.
         assert signal.getsignal(signal.SIGTERM) not in (
@@ -697,7 +830,7 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
     assert all(reply["result"] == expected for reply in replies)
     assert sorted(reply["coalesced"] for reply in replies) \
         == [False, True, True, True, True]
-    assert broker.stats.executions == 1
+    assert stats(broker)["executions"] == 1
     assert not socket_path.exists(), "drained daemon removes its socket"
     assert events_named(obslog_sink, "svc.shutdown")
 
@@ -936,13 +1069,125 @@ def test_stitched_export_holds_full_request_path(fake_registry, tmp_path,
     assert all(e["name"] != "cell.execute" for e in service)
 
 
+#: Recorded while the broker still kept a second copy of its counters
+#: beside the registry, so the registry-backed snapshot must match.
+PINNED_STATUS_SHAPE = {
+    "status": "str",
+    "snapshot": {
+        "session": "str",
+        "jobs": "int",
+        "queue": {
+            "depth": "int",
+            "size": "int",
+        },
+        "inflight": "int",
+        "memoized": "int",
+        "stats": {
+            "requests": "int",
+            "admitted": "int",
+            "coalesced": "int",
+            "memo_hits": "int",
+            "shed": "int",
+            "degraded": "int",
+            "deadline_misses": "int",
+            "executions": "int",
+            "failures": "int",
+            "journal_recoveries": "int",
+            "completed": "int",
+        },
+        "supervisor": {
+            "breaker": {
+                "state": "str",
+                "consecutive_failures": "int",
+                "trips_total": "int",
+                "open_backoff": "float",
+            },
+            "restarts": "int",
+            "probes": "int",
+            "probe_failures": "int",
+            "pool_live": "bool",
+        },
+    },
+}
+PINNED_STATUS = {
+    "status": "ok",
+    "snapshot": {
+        "session": "metrics",
+        "jobs": 1,
+        "queue": {
+            "depth": 16,
+            "size": 0,
+        },
+        "inflight": 0,
+        "memoized": 1,
+        "stats": {
+            "requests": 6,
+            "admitted": 1,
+            "coalesced": 4,
+            "memo_hits": 0,
+            "shed": 1,
+            "degraded": 0,
+            "deadline_misses": 0,
+            "executions": 1,
+            "failures": 0,
+            "journal_recoveries": 0,
+            "completed": 1,
+        },
+        "supervisor": {
+            "breaker": {
+                "state": "closed",
+                "consecutive_failures": 0,
+                "trips_total": 0,
+                "open_backoff": 0.0,
+            },
+            "restarts": 0,
+            "probes": 0,
+            "probe_failures": 0,
+            "pool_live": True,
+        },
+    },
+}
+PINNED_SAMPLES = [
+    "repro_service_admitted_total 1",
+    'repro_service_attempts_total{outcome="ok"} 1',
+    "repro_service_breaker_state 0",
+    "repro_service_breaker_trips_total 0",
+    "repro_service_coalesced_total 4",
+    'repro_service_completed_total{source="worker"} 1',
+    "repro_service_deadline_misses_total 0",
+    "repro_service_execute_seconds_count 1",
+    "repro_service_executions_total 1",
+    "repro_service_failures_total 0",
+    "repro_service_inflight 0",
+    "repro_service_journal_recoveries_total 0",
+    "repro_service_memo_hits_total 0",
+    "repro_service_pool_restarts_total 0",
+    "repro_service_queue_depth 16",
+    "repro_service_queue_size 0",
+    "repro_service_queue_wait_seconds_count 1",
+    "repro_service_request_latency_seconds_count 5",
+    "repro_service_requests_total 6",
+    "repro_service_shed_total 1",
+]
+
+
+def _shape(value):
+    """Key set and nesting of a JSON document, leaves as type names."""
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()}
+    return type(value).__name__
+
+
 def test_metrics_registry_counts_admission_outcomes(fake_registry,
                                                     tmp_path, obslog_sink):
-    """One duplicate-heavy burst with a planned queue-full fault lands
-    in the injected registry: coalesce/shed/completed counters match
-    broker stats, and the exposition is valid deterministic 0.0.4 text
-    with the families CI's smoke job scrapes for."""
+    """Schema pin: six duplicate requests against a paused broker, one
+    shed by a planned queue-full fault.  On the live daemon, the
+    ``status`` reply (what ``repro serve --status`` prints: key set,
+    nesting, leaf types and values) and every timing-free exposition
+    line match the recording; the exposition is deterministic 0.0.4
+    text with the families CI's smoke job scrapes for."""
     from repro.obs.metrics import MetricsRegistry
+    from repro.service.daemon import ServiceDaemon
 
     serial_truth(tmp_path, ["S1"], ["baseline"])
     faults.configure(FaultPlan((
@@ -951,22 +1196,38 @@ def test_metrics_registry_counts_admission_outcomes(fake_registry,
     registry = MetricsRegistry()
     broker = Broker(jobs=1, paused=True, policy=fast_policy(),
                     session="metrics", metrics=registry)
+    daemon = ServiceDaemon(broker)
     requests = [SimRequest(workload="S1", gpu="3060-Sim",
                            strategy="baseline") for _ in range(6)]
-    outcomes = asyncio.run(ordered_burst(broker, requests))
-    shed = [o for o in outcomes if isinstance(o, RequestShed)]
-    assert len(shed) == 1
 
-    stats = broker.stats
-    counter = lambda name, **labels: registry.get(name).value(**labels)
-    assert counter("repro_service_requests_total") == stats.requests == 6
-    assert counter("repro_service_shed_total") == stats.shed == 1
-    assert counter("repro_service_coalesced_total") == stats.coalesced
-    assert counter("repro_service_admitted_total") == stats.admitted == 1
-    assert counter("repro_service_completed_total",
-                   source="worker") == 1
-    assert counter("repro_service_attempts_total", outcome="ok") == 1
-    assert registry.get("repro_service_breaker_state").value() == 0
+    async def scenario():
+        await broker.start()
+        try:
+            tasks = [asyncio.ensure_future(broker.submit(request))
+                     for request in requests]
+            await asyncio.sleep(0)
+            broker.resume()
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            status = await daemon._dispatch({"op": "status"})
+            metrics = await daemon._dispatch({"op": "metrics"})
+            return outcomes, status, metrics["exposition"]
+        finally:
+            await broker.stop()
+
+    outcomes, status, exposition = asyncio.run(scenario())
+    assert sum(isinstance(o, RequestShed) for o in outcomes) == 1
+    status = json.loads(json.dumps(status))  # as it crosses the socket
+    assert _shape(status) == PINNED_STATUS_SHAPE
+    assert status == PINNED_STATUS
+    # Counter and gauge samples plus histogram _count lines: every line
+    # that does not depend on wall-clock timing.
+    samples = [
+        line for line in exposition.splitlines()
+        if not line.startswith("#")
+        and not line.split("{")[0].split(" ")[0].endswith(("_bucket",
+                                                           "_sum"))
+    ]
+    assert samples == PINNED_SAMPLES
     latency = registry.get("repro_service_request_latency_seconds")
     _, lat_sum = latency.counts()
     assert lat_sum > 0
@@ -976,7 +1237,6 @@ def test_metrics_registry_counts_admission_outcomes(fake_registry,
                    "repro_service_shed_total",
                    "repro_service_breaker_state"):
         assert f"# TYPE {family} " in text
-    assert "repro_service_shed_total 1" in text.splitlines()
     assert registry.render_prometheus() == text
 
 
