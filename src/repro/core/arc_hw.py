@@ -10,13 +10,14 @@ each coalesced transaction the ARC scheduler consults the LSU stall state:
   unit*, a serial FPU that sums the lanes' register values and emits a
   single aggregated atomic.
 
-Because the decision happens per transaction and reads live queue
-occupancy, this strategy is *dynamic*: it needs the engine view.
+The decision reads live queue occupancy, so it is this strategy's
+:meth:`~ArcHW.plan_mode`: the greedy policy reads the engine view once
+per batch, and the plan for either verdict is a shape template.
 """
 
 from __future__ import annotations
 
-from repro.core.base import AtomicStrategy, BatchPlan, BatchView, EngineView, MemRequest
+from repro.core.base import AtomicStrategy, BatchPlan, EngineView, MemRequest
 
 from typing import TYPE_CHECKING
 
@@ -67,43 +68,42 @@ class ArcHW(AtomicStrategy):
         """Capture the GPU cost model for this launch."""
         self._cost = config.cost
 
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """Schedule each coalesced transaction: ROP path or reduction unit."""
-        n_groups = batch.n_groups
-        if n_groups == 0:
-            return self.idle_plan()
-        cost = self._cost
-        num_params = batch.num_params
+    def plan_mode(self, sm: int, subcore: int, engine: EngineView) -> bool:
+        """Whether the ROP path counts as stalled for this batch."""
+        if self.policy == "always":
+            return True
+        if self.policy == "never":
+            return False
+        # Greedy (§4.3): divert to the reduction unit only while the
+        # ROP path is backed up AND the FPU queue is keeping up --
+        # "whichever queue is free".
+        return (
+            engine.lsu_pressure(sm) >= self.stall_threshold
+            and engine.ru_backlog(subcore) < self.ru_backlog_limit
+        )
+
+    def plan_shape(self, sizes, num_params, mode) -> BatchPlan:
+        """Schedule each coalesced transaction: ROP path or reduction unit.
+
+        *mode* is :meth:`plan_mode`'s stall verdict.
+        """
         # atomred issues exactly like an atomic: one instruction per
         # parameter, replayed per coalesced transaction.  No software
         # prologue -- this is ARC-HW's key efficiency edge over ARC-SW.
-        issue = num_params * n_groups * cost.atomic_issue
-
-        if self.policy == "always":
-            rop_stalled = True
-        elif self.policy == "never":
-            rop_stalled = False
-        else:
-            # Greedy (§4.3): divert to the reduction unit only while the
-            # ROP path is backed up AND the FPU queue is keeping up --
-            # "whichever queue is free".
-            rop_stalled = (
-                engine.lsu_pressure(batch.sm) >= self.stall_threshold
-                and engine.ru_backlog(batch.subcore) < self.ru_backlog_limit
-            )
+        issue = num_params * len(sizes) * self._cost.atomic_issue
         ru_values = 0
         requests = []
-        for slot, size in zip(batch.slots, batch.sizes):
-            if rop_stalled and size > 1:
+        for group, size in enumerate(sizes):
+            if mode and size > 1:
                 # Warp-level reduction at the sub-core: the serial FPU sums
                 # `size` lane values for each parameter, then one aggregated
                 # atomic per parameter continues to the L2.
                 ru_values += size * num_params
                 requests.append(
-                    MemRequest(slot=slot, rop_ops=num_params, addresses=num_params, after_ru=True)
+                    MemRequest(slot=group, rop_ops=num_params, addresses=num_params, after_ru=True)
                 )
             else:
                 requests.append(
-                    MemRequest(slot=slot, rop_ops=size * num_params, addresses=num_params)
+                    MemRequest(slot=group, rop_ops=size * num_params, addresses=num_params)
                 )
         return BatchPlan(issue_cycles=issue, ru_values=ru_values, requests=requests)

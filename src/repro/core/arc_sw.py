@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import AtomicStrategy, BatchPlan, BatchView, EngineView, MemRequest
+from repro.core.base import AtomicStrategy, BatchPlan, MemRequest
 from repro.gpu.warp import WARP_SIZE
 
 from typing import TYPE_CHECKING
@@ -64,19 +64,16 @@ class ArcSWSerialized(_ArcSWBase):
         super().__init__(balance_threshold)
         self.name = f"ARC-SW-S-{balance_threshold}"
 
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
+    def plan_shape(self, sizes, num_params, mode) -> BatchPlan:
         """Serialized leader-lane reduction per group above the threshold."""
-        if batch.n_groups == 0:
-            return self.idle_plan()
         cost = self._cost
-        num_params = batch.num_params
         threshold = self.balance_threshold
 
         issue = self._prologue_cycles()
         shuffle_ops = 0
         requests = []
         max_reduced_lanes = 0
-        for slot, size in zip(batch.slots, batch.sizes):
+        for group, size in enumerate(sizes):
             if size >= threshold and size > 1:
                 # Groups reduce concurrently in SIMT: different leaders walk
                 # their groups in lock-step, so the loop trip count is the
@@ -84,10 +81,10 @@ class ArcSWSerialized(_ArcSWBase):
                 max_reduced_lanes = max(max_reduced_lanes, size)
                 shuffle_ops += size * num_params
                 issue += num_params * cost.atomic_issue
-                requests.append(MemRequest(slot=slot, rop_ops=num_params, addresses=num_params))
+                requests.append(MemRequest(slot=group, rop_ops=num_params, addresses=num_params))
             else:
                 issue += num_params * cost.atomic_issue
-                requests.append(MemRequest(slot=slot, rop_ops=size * num_params, addresses=num_params))
+                requests.append(MemRequest(slot=group, rop_ops=size * num_params, addresses=num_params))
         if max_reduced_lanes:
             issue += (
                 max_reduced_lanes * num_params * cost.shuffle
@@ -127,18 +124,14 @@ class ArcSWButterfly(_ArcSWBase):
         the full 32-lane tree.)"""
         return BatchPlan(issue_cycles=self._cost.match_op + self._cost.branch)
 
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
+    def plan_shape(self, sizes, num_params, mode) -> BatchPlan:
         """Full-warp butterfly when all lanes share a slot, else fallback."""
-        if batch.n_groups == 0:
-            return self.idle_plan()
         cost = self._cost
-        num_params = batch.num_params
 
-        if batch.all_same_slot and batch.active_lanes >= self.balance_threshold:
+        if len(sizes) == 1 and sizes[0] >= self.balance_threshold:
             # Full-warp reduction tree: 5 shuffle steps per parameter, all
             # 32 lanes participating (inactive ones add zeros), then lane 0
             # issues one atomicAdd per parameter.
-            slot = batch.slots[0]
             issue = (
                 self._prologue_cycles()
                 + BUTTERFLY_STEPS * num_params * cost.shuffle
@@ -147,16 +140,16 @@ class ArcSWButterfly(_ArcSWBase):
             return BatchPlan(
                 issue_cycles=issue,
                 shuffle_ops=BUTTERFLY_STEPS * num_params * WARP_SIZE,
-                requests=[MemRequest(slot=slot, rop_ops=num_params, addresses=num_params)],
+                requests=[MemRequest(slot=0, rop_ops=num_params, addresses=num_params)],
             )
 
         # Fallback (Figure 16 lines 12-17): active lanes use plain atomics.
         issue = self._prologue_cycles()
         requests = []
-        for slot, size in zip(batch.slots, batch.sizes):
+        for group, size in enumerate(sizes):
             issue += num_params * cost.atomic_issue
             requests.append(
-                MemRequest(slot=slot, rop_ops=size * num_params,
+                MemRequest(slot=group, rop_ops=size * num_params,
                            addresses=num_params)
             )
         return BatchPlan(issue_cycles=issue, requests=requests)

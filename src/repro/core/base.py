@@ -8,9 +8,28 @@ the sub-core spends issuing extra instructions, how much work lands on
 SM-local units (ARC-HW reduction FPU, LAB SRAM buffer, PHI L1 tags), and
 which memory transactions travel to the L2 ROP units.
 
-Static strategies derive their plan purely from the batch's coalesced
-groups.  Dynamic ones (ARC-HW's greedy scheduler, LAB's finite buffer) also
-read live engine state through :class:`EngineView`.
+Shape-static strategies (baseline, ARC-SW, CCCL, ARC-HW) plan from the
+batch's *shape* alone -- the tuple of its coalesced group sizes -- through
+:meth:`AtomicStrategy.plan_shape`.  The returned plan is a template: each
+:attr:`MemRequest.slot` holds a group index into that tuple, and the
+engine binds it to the batch's group slot when it issues the request.
+``plan_shape`` is a pure function of ``(sizes, num_params, mode)`` and
+state fixed by :meth:`~AtomicStrategy.begin_kernel`: it assigns no
+attribute and reads no engine state, so the engine plans each distinct
+shape once per kernel call and reuses the template (arclint ARC004
+checks the assignment half statically).  The one live input a template
+may depend on is :meth:`AtomicStrategy.plan_mode`, which the engine calls
+for every batch with active lanes and folds into the template key:
+ARC-HW's greedy scheduler returns its stall test there.  The default
+:meth:`AtomicStrategy.plan_batch` binds a template to one batch, for
+callers that plan a single batch directly.
+
+Dynamic strategies (LAB, LAB-ideal, PHI, DAB) keep per-kernel state that
+each batch mutates; they override :meth:`AtomicStrategy.plan_batch` and
+the engine calls it once per batch with active lanes.  Which path the
+engine takes is decided from the class (:func:`plans_by_shape`): a class
+that defines ``plan_shape`` is planned from templates, and a subclass of
+it that overrides ``plan_batch`` is planned per batch again.
 
 Batches with no active lane are planned once per kernel, not once per
 batch: see :meth:`AtomicStrategy.idle_plan`.
@@ -19,18 +38,21 @@ batch: see :meth:`AtomicStrategy.idle_plan`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from collections.abc import Hashable
+
     from repro.gpu.config import GPUConfig
     from repro.trace.events import KernelTrace
 
 
-__all__ = ["MemRequest", "BatchPlan", "BatchView", "EngineView", "AtomicStrategy"]
+__all__ = ["MemRequest", "BatchPlan", "BatchView", "EngineView", "AtomicStrategy",
+           "plans_by_shape"]
 
 
 class MemRequest(NamedTuple):
@@ -69,11 +91,14 @@ class BatchPlan:
     ru_values: int = 0
     #: Lane values applied at the SM-level LAB SRAM atomic buffer.
     sm_buffer_ops: int = 0
-    #: Lane values applied at the SM's L1 tags (PHI).
+    #: Lane values applied at the SM's L1 tags (PHI).  A plan uses at
+    #: most one SM-local unit: ``sm_buffer_ops`` or ``l1_tag_ops``.
     l1_tag_ops: int = 0
     #: Warp-wide shuffle instructions executed (for energy accounting).
     shuffle_ops: int = 0
-    #: Transactions sent toward L2 (or absorbed by a local buffer).
+    #: Transactions sent toward L2 (or absorbed by a local buffer).  In
+    #: a :meth:`AtomicStrategy.plan_shape` template each ``slot`` is a
+    #: group index, and the plan is shared by every batch of its shape.
     requests: list[MemRequest] = field(default_factory=list)
     #: LAB/PHI only: requests are absorbed by the local buffer; the listed
     #: requests below are evictions that do continue to the ROPs.
@@ -104,15 +129,6 @@ class BatchView:
     @property
     def n_groups(self) -> int:
         return len(self.slots)
-
-    @property
-    def active_lanes(self) -> int:
-        return int(sum(self.sizes))
-
-    @property
-    def all_same_slot(self) -> bool:
-        """True when every *active* lane updates one common slot."""
-        return len(self.slots) == 1
 
 
 class EngineView(ABC):
@@ -149,14 +165,43 @@ class AtomicStrategy(ABC):
     def begin_kernel(self, trace: KernelTrace, config: GPUConfig) -> None:
         """Reset per-launch state.  Called once before simulation."""
 
-    @abstractmethod
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
         """Decide how *batch*'s atomic updates are carried out.
 
-        The engine calls this only for batches with at least one active
-        lane.  An empty *batch* must still be accepted and planned as
-        :meth:`idle_plan`.
+        Dynamic strategies override this, and the engine then calls it
+        for every batch with at least one active lane.  An empty *batch*
+        must still be accepted and planned as :meth:`idle_plan`.  The
+        default binds :meth:`plan_shape`'s template to *batch*'s slots.
         """
+        if not batch.n_groups:
+            return self.idle_plan()
+        mode = self.plan_mode(batch.sm, batch.subcore, engine)
+        template = self.plan_shape(tuple(batch.sizes), batch.num_params, mode)
+        slots = batch.slots
+        return replace(template, requests=[
+            request._replace(slot=slots[request.slot])
+            for request in template.requests
+        ])
+
+    def plan_shape(self, sizes: tuple[int, ...], num_params: int,
+                   mode: Hashable) -> BatchPlan:
+        """The plan template for a batch whose groups have *sizes*.
+
+        Each request's ``slot`` is an index into *sizes*.  Must not assign
+        attributes or read the engine: the engine calls it once per
+        distinct ``(mode, sizes)`` per kernel and reuses the result.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither plan_shape nor plan_batch"
+        )
+
+    def plan_mode(self, sm: int, subcore: int, engine: EngineView) -> Hashable:
+        """The live input of this batch's template, if any.
+
+        Called for every batch with active lanes, before the template is
+        looked up; the default has none.
+        """
+        return None
 
     def idle_plan(self) -> BatchPlan:
         """The plan for a batch with no active lane.
@@ -197,3 +242,15 @@ class AtomicStrategy(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def plans_by_shape(cls: type) -> bool:
+    """Whether the engine plans *cls* from :meth:`~AtomicStrategy.plan_shape`
+    templates: the first class in its MRO that defines either method
+    defines ``plan_shape``."""
+    for klass in cls.__mro__:
+        if "plan_shape" in vars(klass):
+            return True
+        if "plan_batch" in vars(klass):
+            return False
+    return False

@@ -8,7 +8,7 @@ No warp-level reduction happens in the SM.
 
 from __future__ import annotations
 
-from repro.core.base import AtomicStrategy, BatchPlan, BatchView, EngineView, MemRequest
+from repro.core.base import AtomicStrategy, BatchPlan, MemRequest
 
 from typing import TYPE_CHECKING
 
@@ -28,18 +28,14 @@ class BaselineAtomic(AtomicStrategy):
         """Reset per-launch state and capture the cost model."""
         self._cost = config.cost
 
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """Decide how this batch's atomics are carried out."""
-        n_groups = batch.n_groups
-        if n_groups == 0:
-            return self.idle_plan()
-        num_params = batch.num_params
+    def plan_shape(self, sizes, num_params, mode) -> BatchPlan:
+        """Every group is one transaction of all its lane operations."""
         # One atomic instruction per parameter; the LDST port replays it
         # once per coalesced transaction (group).
-        issue = num_params * n_groups * self._cost.atomic_issue
+        issue = num_params * len(sizes) * self._cost.atomic_issue
         requests = [
-            MemRequest(slot=slot, rop_ops=size * num_params,
+            MemRequest(slot=group, rop_ops=size * num_params,
                        addresses=num_params)
-            for slot, size in zip(batch.slots, batch.sizes)
+            for group, size in enumerate(sizes)
         ]
         return BatchPlan(issue_cycles=issue, requests=requests)

@@ -15,7 +15,7 @@ still underperforms ARC-SW for two reasons this model reproduces:
 from __future__ import annotations
 
 from repro.core.arc_sw import BUTTERFLY_STEPS
-from repro.core.base import AtomicStrategy, BatchPlan, BatchView, EngineView, MemRequest
+from repro.core.base import AtomicStrategy, BatchPlan, MemRequest
 from repro.gpu.warp import WARP_SIZE
 
 from typing import TYPE_CHECKING
@@ -44,14 +44,11 @@ class CCCLReduce(AtomicStrategy):
         """Whole warp inactive: ballot early-out before the library call."""
         return BatchPlan(issue_cycles=self._cost.match_op + self._cost.branch)
 
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """Decide how this batch's atomics are carried out."""
-        if batch.n_groups == 0:
-            return self.idle_plan()
+    def plan_shape(self, sizes, num_params, mode) -> BatchPlan:
+        """Library tree on a one-destination warp, else plain atomics."""
         cost = self._cost
-        num_params = batch.num_params
 
-        eligible = self._transform_possible and batch.n_groups == 1
+        eligible = self._transform_possible and len(sizes) == 1
         if eligible:
             # Generic library entry + full 32-lane reduction tree for every
             # parameter, regardless of how few lanes carry real values.
@@ -64,17 +61,17 @@ class CCCLReduce(AtomicStrategy):
                 issue_cycles=issue,
                 shuffle_ops=BUTTERFLY_STEPS * num_params * WARP_SIZE,
                 requests=[
-                    MemRequest(slot=batch.slots[0], rop_ops=num_params, addresses=num_params)
+                    MemRequest(slot=0, rop_ops=num_params, addresses=num_params)
                 ],
             )
 
         # Divergent warp: the library cannot be used; plain atomics remain.
         issue = cost.branch
         requests = []
-        for slot, size in zip(batch.slots, batch.sizes):
+        for group, size in enumerate(sizes):
             issue += num_params * cost.atomic_issue
             requests.append(
-                MemRequest(slot=slot, rop_ops=size * num_params,
+                MemRequest(slot=group, rop_ops=size * num_params,
                            addresses=num_params)
             )
         return BatchPlan(issue_cycles=issue, requests=requests)

@@ -25,7 +25,7 @@ import os
 from collections import deque
 from heapq import heapify, heappop, heappush, heapreplace
 
-from repro.core.base import AtomicStrategy, BatchView, EngineView
+from repro.core.base import AtomicStrategy, BatchView, EngineView, plans_by_shape
 from repro.gpu.config import GPUConfig
 from repro.gpu.stats import SimResult
 
@@ -139,6 +139,16 @@ def simulate_kernel(
     compute_per_batch = trace.compute_cycles_per_batch.tolist()
     view = BatchView(0, 0, 0, None, None, trace.num_params, trace.bfly_eligible)
     plan_batch = strategy.plan_batch
+    # Shape-static strategies: one template per distinct (mode, sizes),
+    # kept for this call only (cost, num_params and bfly_eligible are
+    # fixed here), so nothing needs invalidating.
+    templates = {} if plans_by_shape(type(strategy)) else None
+    bind = templates is not None
+    plan_shape = strategy.plan_shape
+    plan_mode = strategy.plan_mode
+    num_params = trace.num_params
+    idle_issue = idle.issue_cycles
+    idle_shuffles = idle.shuffle_ops
     n_subcores = config.num_subcores
     sm_of = [subcore // config.subcores_per_sm for subcore in range(n_subcores)]
     sm_last_time = [0.0] * config.num_sms
@@ -203,193 +213,192 @@ def simulate_kernel(
         state.now = t
         sm = sm_of[subcore]
         batches = current_batches[subcore]
-        cursor = cursors[subcore]
-        while True:
-            index = batches[cursor]
-            cursor += 1
-            lo = offsets[index]
-            hi = offsets[index + 1]
-            if lo == hi:
-                plan = idle
-            else:
-                view.index = index
-                view.sm = sm
-                view.subcore = subcore
-                view.slots = group_slots[lo:hi]
-                view.sizes = group_sizes[lo:hi]
-                plan = plan_batch(view, state)
+        index = batches[cursors[subcore]]
+        cursor = cursors[subcore] + 1
+        lo = offsets[index]
+        hi = offsets[index + 1]
+        if lo == hi:
+            plan = idle
+        elif templates is not None:
+            shape = group_sizes[lo] if hi - lo == 1 else tuple(group_sizes[lo:hi])
+            key = (plan_mode(sm, subcore, state), shape)
+            plan = templates.get(key)
+            if plan is None:
+                plan = templates[key] = plan_shape(
+                    shape if hi - lo > 1 else (shape,), num_params, key[0])
+        else:
+            view.index = index
+            view.sm = sm
+            view.subcore = subcore
+            view.slots = group_slots[lo:hi]
+            view.sizes = group_sizes[lo:hi]
+            plan = plan_batch(view, state)
 
+        t0 = t
+        compute = compute_per_batch[index]
+        issue = plan.issue_cycles
+        t = t0 + compute + issue
+        acc_compute += compute
+        acc_issue += issue
+        acc_shuffles += plan.shuffle_ops
+        if tel is not None:
+            warp = warp_ids[index]
+            if compute:
+                tel.spans.append((subcore, warp, index, "compute", t0, t0 + compute))
+            if issue:
+                tel.spans.append((subcore, warp, index, "issue", t0 + compute, t))
+
+        # SM-local buffering (LAB SRAM buffer / PHI L1 tags): the sub-core
+        # streams lane values into a shared per-SM unit and is blocked
+        # until it finishes accepting them.  When the traffic traverses
+        # the MIO/LSU path (local_absorb), it first takes an LSU queue
+        # entry.  LAB's bundle only transits the LSU briefly (the buffer
+        # has its own downstream queue); PHI's entry is held until the L1
+        # pipeline finishes the per-lane tag lookups -- this is how the
+        # flood of atomic requests overwhelms the LSU *before*
+        # aggregation (§7.1).  A plan uses at most one of the two units.
+        local_ops = plan.sm_buffer_ops or plan.l1_tag_ops
+        if local_ops:
+            if plan.local_absorb:
+                heap = lsu[sm]
+                while heap and heap[0] <= t:
+                    heappop(heap)
+                if len(heap) < lsu_depth:
+                    admission = t
+                else:
+                    lsu_full_events += 1
+                    admission = heappop(heap)
+                acc_lsu_stall += admission - t
+                if tel is not None and admission > t:
+                    tel.spans.append((subcore, warp, index, "lsu_wait", t, admission))
+                t = admission
+            if plan.sm_buffer_ops:
+                unit_free, op_cycles = buf_free, cost.lab_buffer_op
+            else:
+                unit_free, op_cycles = l1_free, cost.phi_tag_op
+            start = max(t, unit_free[sm])
+            end = start + local_ops * op_cycles
+            unit_free[sm] = end
+            if plan.local_absorb:
+                held = t + transit if plan.sm_buffer_ops else end
+                heappush(lsu[sm], held)
+                if tel is not None:
+                    tel.lsu_intervals.append((sm, t, held))
+            acc_local_stall += end - t
+            acc_buffer_ops += plan.sm_buffer_ops
+            acc_tag_ops += plan.l1_tag_ops
+            if tel is not None:
+                tel.spans.append((subcore, warp, index, "local_unit", t, end))
+            t = end
+
+        # ARC-HW reduction unit: dedicated serial FPU per sub-core.  The
+        # sub-core hands over the transaction and moves on; only the
+        # reduced request waits for the FPU.
+        ru_done = t
+        if plan.ru_values:
+            ru_start = max(t, ru_free[subcore])
+            ru_done = ru_start + plan.ru_values * cost.reduction_unit_op
+            ru_free[subcore] = ru_done
+            acc_ru_busy += ru_done - ru_start
+            acc_ru_values += plan.ru_values
+            if tel is not None:
+                tel.ru_intervals.append((subcore, ru_start, ru_done))
+
+        # Each transaction takes an LSU queue entry (unless it bypasses
+        # the LSU), crosses the interconnect and occupies one ROP unit of
+        # its slot's partition for its total service time (aggregate
+        # throughput), while the *per-address* dependency chain -- the
+        # paper's same-address serialization -- only advances by
+        # ``rop_ops / addresses`` operations, because operations to a
+        # primitive's different parameters hit different addresses and
+        # can overlap.  A template's slot is a group index of this batch.
+        heap = lsu[sm]
+        for slot, rop_ops, addresses, after_ru, bypass_lsu in plan.requests:
+            if bind:
+                slot = group_slots[lo + slot]
+            ready = ru_done if after_ru else t
+            if bypass_lsu:
+                admission = ready
+            else:
+                while heap and heap[0] <= ready:
+                    heappop(heap)
+                if len(heap) < lsu_depth:
+                    admission = ready
+                else:
+                    lsu_full_events += 1
+                    admission = heappop(heap)
+            ic_start = admission if admission >= ic_free else ic_free
+            ic_free = ic_start + addresses * ic_step
+            arrive = ic_start + ic_latency
+            rops = partitions[slot % num_partitions]
+            start = arrive if arrive >= rops[0] else rops[0]
+            prior = slot_free.get(slot, 0.0)
+            if prior > start:
+                start = prior
+            service = rop_ops * atomic_service
+            end = start + service
+            heapreplace(rops, end)
+            slot_free[slot] = start + service / addresses
+            if end > last_completion:
+                last_completion = end
+            transactions += addresses
+            rop_ops_total += rop_ops
+            acc_rop_busy += service
+            if not bypass_lsu:
+                # The queue entry frees when the ROP retires the
+                # transaction; that coupling is what backs atomic
+                # pressure up into the SMs.
+                heappush(heap, end)
+            if tel is not None:
+                tel.rop_intervals.append(
+                    (slot % num_partitions, slot, rop_ops, start, end))
+                tel.ic_intervals.append((ic_start, ic_free))
+                if not bypass_lsu:
+                    tel.lsu_intervals.append((sm, admission, end))
+            wait = admission - ready
+            if wait > 0:
+                if after_ru:
+                    # The reduction unit holds its result until the LSU
+                    # accepts it; the sub-core itself is not blocked.
+                    if admission > ru_free[subcore]:
+                        ru_free[subcore] = admission
+                else:
+                    acc_lsu_stall += wait
+                    if tel is not None:
+                        tel.spans.append(
+                            (subcore, warp, index, "lsu_wait", ready, admission))
+                    if admission > t:
+                        t = admission
+
+        if cursor == len(batches):
+            # Warp drained: pull the next pending warp, if any.
+            cursor = 0
+            batches = pending_warps.popleft() if pending_warps else []
+        # The warp's following idle batches run in this event too, one at
+        # a time in program order; its last batch keeps its own event
+        # because the next pending warp is pulled when that event pops,
+        # in order across sub-cores.  Idle batches touch no shared state.
+        while cursor + 1 < len(batches):
+            index = batches[cursor]
+            if offsets[index] != offsets[index + 1]:
+                break
+            cursor += 1
             t0 = t
             compute = compute_per_batch[index]
-            issue = plan.issue_cycles
-            t = t0 + compute + issue
+            t = t0 + compute + idle_issue
             acc_compute += compute
-            acc_issue += issue
-            acc_shuffles += plan.shuffle_ops
+            acc_issue += idle_issue
+            acc_shuffles += idle_shuffles
             if tel is not None:
                 warp = warp_ids[index]
                 if compute:
-                    tel.spans.append(
-                        (subcore, warp, index, "compute", t0, t0 + compute))
-                if issue:
+                    tel.spans.append((subcore, warp, index, "compute", t0, t0 + compute))
+                if idle_issue:
                     tel.spans.append((subcore, warp, index, "issue", t0 + compute, t))
-
-            # SM-local buffering (LAB / PHI): the sub-core streams lane values
-            # into a shared per-SM unit and is blocked until it finishes
-            # accepting them.  When the traffic traverses the MIO/LSU path
-            # (local_absorb), a queue entry is held until the local unit starts
-            # servicing the bundle.
-            # LAB SRAM buffer: traffic transits the LSU briefly (the buffer has
-            # its own downstream queue), then serializes at the per-SM buffer.
-            if plan.sm_buffer_ops:
-                if plan.local_absorb:
-                    heap = lsu[sm]
-                    while heap and heap[0] <= t:
-                        heappop(heap)
-                    if len(heap) < lsu_depth:
-                        admission = t
-                    else:
-                        lsu_full_events += 1
-                        admission = heappop(heap)
-                    acc_lsu_stall += admission - t
-                    if tel is not None:
-                        if admission > t:
-                            tel.spans.append(
-                                (subcore, warp, index, "lsu_wait", t, admission))
-                        tel.lsu_intervals.append((sm, admission, admission + transit))
-                    t = admission
-                    heappush(heap, admission + transit)
-                start = max(t, buf_free[sm])
-                end = start + plan.sm_buffer_ops * cost.lab_buffer_op
-                buf_free[sm] = end
-                acc_local_stall += end - t
-                acc_buffer_ops += plan.sm_buffer_ops
-                if tel is not None:
-                    tel.spans.append((subcore, warp, index, "local_unit", t, end))
-                t = end
-            # PHI L1 tags: the queue entry is held until the L1 pipeline
-            # finishes the per-lane lookups -- this is how the flood of atomic
-            # requests overwhelms the LSU *before* aggregation (§7.1).
-            if plan.l1_tag_ops:
-                if plan.local_absorb:
-                    heap = lsu[sm]
-                    while heap and heap[0] <= t:
-                        heappop(heap)
-                    if len(heap) < lsu_depth:
-                        admission = t
-                    else:
-                        lsu_full_events += 1
-                        admission = heappop(heap)
-                    acc_lsu_stall += admission - t
-                    if tel is not None and admission > t:
-                        tel.spans.append(
-                            (subcore, warp, index, "lsu_wait", t, admission))
-                    t = admission
-                start = max(t, l1_free[sm])
-                end = start + plan.l1_tag_ops * cost.phi_tag_op
-                l1_free[sm] = end
-                if plan.local_absorb:
-                    heappush(lsu[sm], end)
-                    if tel is not None:
-                        tel.lsu_intervals.append((sm, t, end))
-                acc_local_stall += end - t
-                acc_tag_ops += plan.l1_tag_ops
-                if tel is not None:
-                    tel.spans.append((subcore, warp, index, "local_unit", t, end))
-                t = end
-
-            # ARC-HW reduction unit: dedicated serial FPU per sub-core.  The
-            # sub-core hands over the transaction and moves on; only the
-            # reduced request waits for the FPU.
-            ru_done = t
-            if plan.ru_values:
-                ru_start = max(t, ru_free[subcore])
-                ru_done = ru_start + plan.ru_values * cost.reduction_unit_op
-                ru_free[subcore] = ru_done
-                acc_ru_busy += ru_done - ru_start
-                acc_ru_values += plan.ru_values
-                if tel is not None:
-                    tel.ru_intervals.append((subcore, ru_start, ru_done))
-
-            # Each transaction takes an LSU queue entry (unless it bypasses
-            # the LSU), crosses the interconnect and occupies one ROP unit of
-            # its slot's partition for its total service time (aggregate
-            # throughput), while the *per-address* dependency chain -- the
-            # paper's same-address serialization -- only advances by
-            # ``rop_ops / addresses`` operations, because operations to a
-            # primitive's different parameters hit different addresses and
-            # can overlap.
-            heap = lsu[sm]
-            for slot, rop_ops, addresses, after_ru, bypass_lsu in plan.requests:
-                ready = ru_done if after_ru else t
-                if bypass_lsu:
-                    admission = ready
-                else:
-                    while heap and heap[0] <= ready:
-                        heappop(heap)
-                    if len(heap) < lsu_depth:
-                        admission = ready
-                    else:
-                        lsu_full_events += 1
-                        admission = heappop(heap)
-                ic_start = admission if admission >= ic_free else ic_free
-                ic_free = ic_start + addresses * ic_step
-                arrive = ic_start + ic_latency
-                rops = partitions[slot % num_partitions]
-                start = arrive if arrive >= rops[0] else rops[0]
-                prior = slot_free.get(slot, 0.0)
-                if prior > start:
-                    start = prior
-                service = rop_ops * atomic_service
-                end = start + service
-                heapreplace(rops, end)
-                slot_free[slot] = start + service / addresses
-                if end > last_completion:
-                    last_completion = end
-                transactions += addresses
-                rop_ops_total += rop_ops
-                acc_rop_busy += service
-                if not bypass_lsu:
-                    # The queue entry frees when the ROP retires the
-                    # transaction; that coupling is what backs atomic
-                    # pressure up into the SMs.
-                    heappush(heap, end)
-                if tel is not None:
-                    tel.rop_intervals.append(
-                        (slot % num_partitions, slot, rop_ops, start, end))
-                    tel.ic_intervals.append((ic_start, ic_free))
-                    if not bypass_lsu:
-                        tel.lsu_intervals.append((sm, admission, end))
-                wait = admission - ready
-                if wait > 0:
-                    if after_ru:
-                        # The reduction unit holds its result until the LSU
-                        # accepts it; the sub-core itself is not blocked.
-                        if admission > ru_free[subcore]:
-                            ru_free[subcore] = admission
-                    else:
-                        acc_lsu_stall += wait
-                        if tel is not None:
-                            tel.spans.append(
-                                (subcore, warp, index, "lsu_wait", ready, admission))
-                        if admission > t:
-                            t = admission
-
-            if t > sm_last_time[sm]:
-                sm_last_time[sm] = t
-            if cursor == len(batches):
-                # Warp drained: pull the next pending warp, if any.
-                cursor = 0
-                batches = pending_warps.popleft() if pending_warps else []
-            # Run the following batch in this event too when it is idle and
-            # not its warp's last.  Idle batches touch no shared state; a
-            # warp's last batch keeps its own event because the next pending
-            # warp is pulled when that event pops, in order across sub-cores.
-            if cursor + 1 < len(batches):
-                following = batches[cursor]
-                if offsets[following] == offsets[following + 1]:
-                    continue
-            break
+        # No batch moves time backwards, so the event's final time is the
+        # SM's latest.
+        if t > sm_last_time[sm]:
+            sm_last_time[sm] = t
         current_batches[subcore] = batches
         cursors[subcore] = cursor
         if batches:

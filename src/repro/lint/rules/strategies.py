@@ -9,7 +9,15 @@ which reads the instance's public attributes and rejects non-scalars at
 *runtime*.  This rule moves those contracts to lint time.  For every
 concrete subclass of ``AtomicStrategy`` (transitively, across modules):
 
-* it must implement or inherit ``plan_batch`` (below the abstract root);
+* it must implement or inherit ``plan_batch`` or ``plan_shape`` (below
+  the abstract root);
+* an ``idle_plan`` override may spend only sub-core cycles: a
+  ``BatchPlan(...)`` in it must not pass ``requests``, ``ru_values``,
+  ``sm_buffer_ops`` or ``l1_tag_ops`` (the engine applies it to every
+  idle batch unseen, and raises at run time if it carries traffic);
+* a ``plan_shape`` must not assign any ``self.*`` attribute: the engine
+  plans each batch shape once per kernel and reuses the template, so a
+  write there would be skipped for every later batch of that shape;
 * it must bind a report ``name`` (class attribute or ``self.name`` in
   ``__init__``) -- the runner and report tables key on it;
 * its ``__init__`` parameters must be scalars: no container/array
@@ -40,6 +48,11 @@ __all__ = ["StrategyConformance"]
 
 _ROOT_CLASS = "AtomicStrategy"
 
+#: ``BatchPlan`` fields an ``idle_plan`` must leave at their defaults,
+#: with their positional index in the constructor.
+_IDLE_TRAFFIC_FIELDS = {"ru_values": 1, "sm_buffer_ops": 2,
+                        "l1_tag_ops": 3, "requests": 5}
+
 #: Annotation identifiers marking a non-scalar constructor parameter.
 _NON_SCALAR_ANNOTATIONS = {
     "list", "dict", "set", "tuple", "frozenset",
@@ -56,7 +69,7 @@ class _ClassInfo:
     module: "ModuleInfo"
     lineno: int
     bases: list[str]
-    methods: set[str]
+    methods: dict[str, ast.FunctionDef]
     class_attrs: set[str]
     init_self_attrs: set[str]
     init_node: "ast.FunctionDef | None"
@@ -81,7 +94,7 @@ def _base_names(node: ast.ClassDef) -> list[str]:
 
 
 def _collect_class(module: "ModuleInfo", node: ast.ClassDef) -> _ClassInfo:
-    methods: set[str] = set()
+    methods: dict[str, ast.FunctionDef] = {}
     class_attrs: set[str] = set()
     init_self_attrs: set[str] = set()
     init_node = None
@@ -90,7 +103,7 @@ def _collect_class(module: "ModuleInfo", node: ast.ClassDef) -> _ClassInfo:
     )
     for stmt in node.body:
         if isinstance(stmt, ast.FunctionDef):
-            methods.add(stmt.name)
+            methods[stmt.name] = stmt
             for decorator in stmt.decorator_list:
                 dotted = astutil.dotted_name(decorator) or ""
                 if dotted.rpartition(".")[2] == "abstractmethod":
@@ -117,6 +130,36 @@ def _collect_class(module: "ModuleInfo", node: ast.ClassDef) -> _ClassInfo:
         init_self_attrs=init_self_attrs, init_node=init_node,
         is_abstract=is_abstract,
     )
+
+
+def _idle_traffic(method: ast.FunctionDef) -> Iterable[tuple[int, str]]:
+    """``(line, field)`` of each traffic field a ``BatchPlan(...)`` call
+    in *method* passes."""
+    for node in ast.walk(method):
+        if not (isinstance(node, ast.Call)
+                and astutil.called_name(node) == "BatchPlan"):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg in _IDLE_TRAFFIC_FIELDS:
+                yield node.lineno, keyword.arg
+        for name, position in _IDLE_TRAFFIC_FIELDS.items():
+            if position < len(node.args):
+                yield node.lineno, name
+
+
+def _self_writes(method: ast.FunctionDef) -> Iterable[tuple[int, str]]:
+    """``(line, source)`` of each store into ``self`` state in *method*:
+    attribute assignment or deletion, and item or attribute stores
+    through a ``self.*`` attribute."""
+    for node in ast.walk(method):
+        if not (isinstance(node, (ast.Attribute, ast.Subscript))
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            continue
+        root = node.value
+        while isinstance(root, (ast.Attribute, ast.Subscript)):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id == "self":
+            yield node.lineno, ast.unparse(node)
 
 
 def _exported_names(tree: ast.Module) -> set[str]:
@@ -157,9 +200,10 @@ class StrategyConformance(Rule):
     category = "api-conformance"
     needs_all_modules = True  # finalize() walks inheritance + exports
     invariant = (
-        "every concrete AtomicStrategy is exported, implements plan_batch, "
-        "binds a report name, and takes scalar-only constructor parameters "
-        "so strategy_fingerprint can always key it"
+        "every concrete AtomicStrategy is exported, implements plan_batch "
+        "or plan_shape, binds a report name, and takes scalar-only "
+        "constructor parameters so strategy_fingerprint can always key it; "
+        "idle_plan carries no traffic and plan_shape writes no self state"
     )
 
     def check_module(
@@ -192,10 +236,15 @@ class StrategyConformance(Rule):
         )
         for name in sorted(classes):
             info = classes[name]
-            if name == _ROOT_CLASS or name.startswith("_"):
+            if name == _ROOT_CLASS:
                 continue
             chain = self._chain(info, classes)
-            if chain is None or info.is_abstract:
+            if chain is None:
+                continue
+            # Method bodies are checked where they are defined, internal
+            # and abstract bases included.
+            yield from self._check_methods(info)
+            if name.startswith("_") or info.is_abstract:
                 continue
             yield from self._check_interface(info, chain)
             yield from self._check_ctor(info)
@@ -225,11 +274,12 @@ class StrategyConformance(Rule):
     def _check_interface(
         self, info: _ClassInfo, chain: list[_ClassInfo]
     ) -> Iterable[Finding]:
-        if not any("plan_batch" in cls.methods for cls in chain):
+        if not any("plan_batch" in cls.methods or "plan_shape" in cls.methods
+                   for cls in chain):
             yield self.finding(
                 info.module, info.lineno,
-                f"strategy {info.name} never implements plan_batch; the "
-                "engine cannot simulate it",
+                f"strategy {info.name} never implements plan_batch or "
+                "plan_shape; the engine cannot simulate it",
             )
         has_name = any(
             "name" in cls.class_attrs or "name" in cls.init_self_attrs
@@ -241,6 +291,26 @@ class StrategyConformance(Rule):
                 f"strategy {info.name} never binds a report `name`; the "
                 "runner, report tables and cache keys all key on it",
             )
+
+    def _check_methods(self, info: _ClassInfo) -> Iterable[Finding]:
+        idle = info.methods.get("idle_plan")
+        if idle is not None:
+            for line, name in _idle_traffic(idle):
+                yield self.finding(
+                    info.module, line,
+                    f"{info.name}.idle_plan builds a BatchPlan with "
+                    f"`{name}`; an idle plan may spend only sub-core "
+                    "cycles, and the engine rejects it at run time",
+                )
+        shape = info.methods.get("plan_shape")
+        if shape is not None:
+            for line, target in _self_writes(shape):
+                yield self.finding(
+                    info.module, line,
+                    f"{info.name}.plan_shape writes `{target}`; the "
+                    "engine reuses one template per batch shape, so the "
+                    "write would be skipped for every later batch of it",
+                )
 
     def _check_ctor(self, info: _ClassInfo) -> Iterable[Finding]:
         init = info.init_node

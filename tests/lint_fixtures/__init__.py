@@ -199,6 +199,48 @@ _ARC004 = [
             "        return None\n"
         ),
     }),
+    FixtureCase("ARC004", "positive", "idle-plan-carries-traffic", {
+        "core/__init__.py": "from core.mod import Noisy\n",
+        "core/mod.py": _STRATEGY_BASE + (
+            "class Noisy(AtomicStrategy):\n"
+            "    name = 'noisy'\n"
+            "    def idle_plan(self):\n"
+            "        return BatchPlan(issue_cycles=2.0, ru_values=32)\n"
+            "    def plan_batch(self, batch, engine):\n"
+            "        return None\n"
+        ),
+    }, expect="idle_plan"),
+    FixtureCase("ARC004", "negative", "idle-plan-spends-cycles-only", {
+        "core/__init__.py": "from core.mod import Quiet\n",
+        "core/mod.py": _STRATEGY_BASE + (
+            "class Quiet(AtomicStrategy):\n"
+            "    name = 'quiet'\n"
+            "    def idle_plan(self):\n"
+            "        return BatchPlan(issue_cycles=2.0, shuffle_ops=4)\n"
+            "    def plan_batch(self, batch, engine):\n"
+            "        return None\n"
+        ),
+    }),
+    FixtureCase("ARC004", "positive", "plan-shape-writes-self", {
+        "core/__init__.py": "from core.mod import Counting\n",
+        "core/mod.py": _STRATEGY_BASE + (
+            "class Counting(AtomicStrategy):\n"
+            "    name = 'counting'\n"
+            "    def plan_shape(self, sizes, num_params, mode):\n"
+            "        self.shapes_seen += 1\n"
+            "        return BatchPlan(issue_cycles=len(sizes) * self.cost)\n"
+        ),
+    }, expect="plan_shape"),
+    FixtureCase("ARC004", "negative", "pure-plan-shape-implements-planning", {
+        "core/__init__.py": "from core.mod import Shaped\n",
+        "core/mod.py": _STRATEGY_BASE + (
+            "class Shaped(AtomicStrategy):\n"
+            "    name = 'shaped'\n"
+            "    def plan_shape(self, sizes, num_params, mode):\n"
+            "        issue = len(sizes) * self.cost\n"
+            "        return BatchPlan(issue_cycles=issue)\n"
+        ),
+    }),
 ]
 
 

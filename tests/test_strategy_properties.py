@@ -15,7 +15,11 @@ contract:
   equality for whole-kernel simulation;
 * ``plan_batch`` on a batch with no active lane must return exactly
   ``idle_plan()``, carry no memory traffic and never read the engine
-  (the engine applies ``idle_plan()`` to idle batches unseen).
+  (the engine applies ``idle_plan()`` to idle batches unseen);
+* a shape-static strategy's ``plan_shape`` must be pure: it leaves the
+  instance unchanged and returns equal plans for equal arguments (the
+  engine plans each batch shape once per kernel and reuses the result;
+  arclint ARC004 checks the same statically).
 
 These invariants are what the bench comparator's exact-equality policy
 for deterministic metrics stands on.
@@ -28,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import BatchView, EngineView
+from repro.core.base import BatchView, EngineView, plans_by_shape
 from repro.experiments.runner import STRATEGY_FACTORIES, make_strategy
 from repro.gpu import RTX3060_SIM, simulate_kernel
 from repro.gpu.warp import WARP_SIZE
@@ -196,6 +200,56 @@ def test_empty_batch_plans_as_idle_plan_without_traffic(name):
     assert plan == idle, name
     assert not (idle.requests or idle.ru_values or idle.sm_buffer_ops
                 or idle.l1_tag_ops), name
+
+
+SHAPE_STATIC = [name for name in ALL_STRATEGIES
+                if plans_by_shape(type(make_strategy(name)))]
+
+
+def _group_sizes(draws):
+    """The longest prefix of *draws* that fits in one warp."""
+    sizes = []
+    for size in draws:
+        if sum(sizes) + size > WARP_SIZE:
+            break
+        sizes.append(size)
+    return tuple(sizes)
+
+
+shape_params = st.fixed_dictionaries(
+    {
+        "sizes": st.lists(st.integers(min_value=1, max_value=WARP_SIZE),
+                          min_size=1, max_size=8).map(_group_sizes),
+        "num_params": st.integers(min_value=1, max_value=6),
+        "mode": st.sampled_from([None, False, True]),
+    }
+)
+
+
+def test_shape_static_set_is_the_five_template_strategies():
+    assert {make_strategy(name).__class__.__name__ for name in SHAPE_STATIC} == {
+        "BaselineAtomic", "ArcSWSerialized", "ArcSWButterfly",
+        "CCCLReduce", "ArcHW"}
+
+
+@pytest.mark.parametrize("name", SHAPE_STATIC)
+@given(shape_params)
+@settings(max_examples=25, deadline=None)
+def test_plan_shape_is_pure(name, params):
+    """Runtime counterpart of ARC004's plan_shape check: no instance
+    state changes, and a repeated call returns an equal plan."""
+    strategy = make_strategy(name)
+    trace = build_trace({"n_batches": 1, "n_slots": 4, "num_params": 3,
+                         "density": 1.0, "seed": 0})
+    strategy.begin_kernel(trace, RTX3060_SIM)
+    before = dict(vars(strategy))
+    args = (params["sizes"], params["num_params"], params["mode"])
+    first = strategy.plan_shape(*args)
+    assert vars(strategy) == before, name
+    assert strategy.plan_shape(*args) == first, name
+    assert vars(strategy) == before, name
+    assert sorted(request.slot for request in first.requests) == list(
+        range(len(params["sizes"]))), name
 
 
 def test_registry_names_are_stable():
