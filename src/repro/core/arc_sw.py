@@ -49,7 +49,6 @@ class _ArcSWBase(AtomicStrategy):
 
     def begin_kernel(self, trace: KernelTrace, config: GPUConfig) -> None:
         self._cost = config.cost
-        self._trace_bfly_eligible = trace.bfly_eligible
 
     def _prologue_cycles(self) -> float:
         """``__match`` + ``__popc`` + branch + call overhead (Figure 14)."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.experiments import diskcache
 from repro.core import (
@@ -33,7 +34,9 @@ from repro.core import (
 )
 from repro.gpu import SIMULATED_GPUS, GPUConfig, SimResult, simulate_kernel
 from repro.trace.events import KernelTrace
-from repro.workloads import Workload, load_workload
+
+if TYPE_CHECKING:
+    from repro.workloads import Workload
 
 __all__ = [
     "STRATEGY_FACTORIES",
@@ -95,6 +98,14 @@ def clear_caches(disk: bool = False) -> None:
         cache = diskcache.active_cache()
         if cache is not None:
             cache.clear()
+
+
+def load_workload(key: str) -> Workload:
+    """Late-bound :func:`repro.workloads.load_workload` (tests patch this
+    name); trace replay never renders, so it never loads the renderer."""
+    from repro.workloads import load_workload as _load_workload
+
+    return _load_workload(key)
 
 
 def get_workload(key: str) -> Workload:

@@ -8,7 +8,6 @@ reports (PSNR up, L1 down).
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 __all__ = ["l1_loss", "l1_loss_grad", "mse", "psnr", "ssim"]
 
@@ -57,6 +56,8 @@ def ssim(
     A simplified (box-window) SSIM: enough to track reconstruction quality,
     not used as a training loss.
     """
+    from scipy.ndimage import uniform_filter
+
     _check_pair(rendered, target)
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be an odd integer >= 3")

@@ -83,6 +83,10 @@ class ServiceDaemon:
         if loopsan.maybe_install():
             loopsan.arm_loop(asyncio.get_running_loop())
         await self.broker.start()
+        # asyncio reads each socket into a fresh 256 KiB buffer, which
+        # glibc's initial 128 KiB mmap threshold maps and unmaps per read.
+        # Freeing one larger block raises that (dynamic) threshold.
+        bytearray(1 << 20)
         self._stopping = asyncio.Event()
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
         self.socket_path.unlink(missing_ok=True)

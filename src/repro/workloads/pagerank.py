@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.gpu.warp import WARP_SIZE
@@ -41,6 +40,8 @@ class PagerankWorkload:
     def __post_init__(self) -> None:
         if self.n_nodes <= self.attachments:
             raise ValueError("n_nodes must exceed the attachment count")
+        import networkx as nx
+
         graph = nx.barabasi_albert_graph(
             self.n_nodes, self.attachments, seed=self.seed
         )
