@@ -29,7 +29,12 @@ each batch mutates; they override :meth:`AtomicStrategy.plan_batch` and
 the engine calls it once per batch with active lanes.  Which path the
 engine takes is decided from the class (:func:`plans_by_shape`): a class
 that defines ``plan_shape`` is planned from templates, and a subclass of
-it that overrides ``plan_batch`` is planned per batch again.
+it that overrides ``plan_batch`` is planned per batch again.  The
+SM-buffer strategies (:mod:`repro.core.smbuffer`) still cost each batch
+*shape* once per kernel call: per batch they only touch the batch's
+slots in their per-SM LRU buffer, and they return the shape's shared
+plan unless the touch evicted a slot.  A plan returned to the engine is
+never mutated afterwards, shared or not.
 
 Batches with no active lane are planned once per kernel, not once per
 batch: see :meth:`AtomicStrategy.idle_plan`.
@@ -113,18 +118,15 @@ class BatchView:
     batch).
     """
 
-    __slots__ = ("index", "sm", "subcore", "slots", "sizes", "num_params",
-                 "bfly_eligible")
+    __slots__ = ("index", "sm", "subcore", "slots", "sizes", "num_params")
 
-    def __init__(self, index, sm, subcore, slots, sizes, num_params,
-                 bfly_eligible):
+    def __init__(self, index, sm, subcore, slots, sizes, num_params):
         self.index = index
         self.sm = sm
         self.subcore = subcore
         self.slots = slots
         self.sizes = sizes
         self.num_params = num_params
-        self.bfly_eligible = bfly_eligible
 
     @property
     def n_groups(self) -> int:
@@ -216,8 +218,15 @@ class AtomicStrategy(ABC):
         """
         return BatchPlan()
 
-    def end_kernel(self, engine: EngineView) -> list[tuple[int, MemRequest]]:
-        """Flush residual buffered state; returns ``(sm, request)`` pairs."""
+    def end_kernel(
+        self, engine: EngineView
+    ) -> list[tuple[int, list[MemRequest]]]:
+        """Flush residual buffered state.
+
+        Returns ``(sm, requests)`` groups, at most one per SM.  The engine
+        drains the groups in the order their SMs finished, in list order
+        between SMs that finished together.
+        """
         return []
 
     def reduce_batch_values(

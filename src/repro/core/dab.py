@@ -20,7 +20,9 @@ related-work ablation benchmark.
 
 from __future__ import annotations
 
-from repro.core.base import BatchPlan, BatchView, EngineView, MemRequest
+from dataclasses import replace
+
+from repro.core.base import BatchPlan, BatchView, EngineView
 from repro.core.lab import LAB
 
 from typing import TYPE_CHECKING
@@ -50,28 +52,28 @@ class DAB(LAB):
         super().begin_kernel(trace, config)
         self._batches_since_flush: dict[int, int] = {}
 
+    def shape_costs(self, sizes: tuple[int, ...]) -> BatchPlan:
+        """LAB's costs plus the ordering logic every batch pays."""
+        plan = super().shape_costs(sizes)
+        plan.issue_cycles += self._cost.branch * 2
+        return plan
+
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """LAB's plan plus ordering costs and epoch-boundary flushes."""
+        """LAB's plan plus epoch-boundary flushes."""
         plan = super().plan_batch(batch, engine)
         if batch.n_groups == 0:
             return plan
-        # Determinism-aware scheduling: every batch pays ordering logic.
-        plan.issue_cycles += self._cost.branch * 2
-
-        count = self._batches_since_flush.get(batch.sm, 0) + 1
+        sm = batch.sm
+        count = self._batches_since_flush.get(sm, 0) + 1
         if count >= self.epoch_batches:
             # Epoch boundary: drain this SM's buffer deterministically.
-            buffer = self._buffers.get(batch.sm)
+            # The plan may be shared by other batches: extend a copy.
+            buffer = self._buffers[sm]
             if buffer:
-                plan.requests = list(plan.requests) + [
-                    MemRequest(
-                        slot=slot,
-                        rop_ops=self._num_params,
-                        addresses=self._num_params,
-                    )
-                    for slot in buffer
-                ]
+                writebacks = self._writebacks
+                plan = replace(plan, requests=plan.requests + [
+                    writebacks[slot] for slot in buffer])
                 buffer.clear()
             count = 0
-        self._batches_since_flush[batch.sm] = count
+        self._batches_since_flush[sm] = count
         return plan

@@ -17,9 +17,8 @@ in registers inside each sub-core.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from repro.core.base import AtomicStrategy, BatchPlan, BatchView, EngineView, MemRequest
+from repro.core.base import BatchPlan
+from repro.core.smbuffer import SMBufferStrategy
 
 from typing import TYPE_CHECKING
 
@@ -30,7 +29,7 @@ if TYPE_CHECKING:
 __all__ = ["LAB", "LABIdeal"]
 
 
-class LAB(AtomicStrategy):
+class LAB(SMBufferStrategy):
     """Reconfigurable local atomic buffer in the L1/shared SRAM.
 
     Parameters
@@ -56,68 +55,22 @@ class LAB(AtomicStrategy):
         self.capacity_fraction = capacity_fraction
         self.bypass_lsu = bypass_lsu
 
-    def begin_kernel(self, trace: KernelTrace, config: GPUConfig) -> None:
-        """Reset per-launch state and capture the cost model."""
-        self._cost = config.cost
-        self._num_params = trace.num_params
+    def buffer_capacity(self, trace: KernelTrace, config: GPUConfig) -> int:
+        """Tag plus one value per parameter per slot, in the SRAM share."""
         entry_bytes = self._tag_bytes + self._value_bytes * trace.num_params
         sram_bytes = config.l1_kib_per_sm * 1024 * self.capacity_fraction
-        self._capacity = max(1, int(sram_bytes // entry_bytes))
-        self._buffers: dict[int, OrderedDict[int, None]] = {}
+        return max(1, int(sram_bytes // entry_bytes))
 
-    @property
-    def capacity_slots(self) -> int:
-        """Buffered primitive slots each SM can hold."""
-        return self._capacity
-
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """Decide how this batch's atomics are carried out."""
-        if batch.n_groups == 0:
-            return self.idle_plan()
-        cost = self._cost
-        num_params = batch.num_params
-        issue = num_params * batch.n_groups * cost.atomic_issue
-
-        buffer = self._buffers.setdefault(batch.sm, OrderedDict())
-        buffer_ops = 0
-        evictions = []
-        for slot, size in zip(batch.slots, batch.sizes):
-            # Every lane's value is applied serially at the SM-wide buffer.
-            buffer_ops += int(size * num_params * self.op_overhead)
-            if slot in buffer:
-                buffer.move_to_end(slot)
-                continue
-            buffer[slot] = None
-            if len(buffer) > self._capacity:
-                victim, _ = buffer.popitem(last=False)
-                evictions.append(
-                    MemRequest(slot=victim, rop_ops=num_params, addresses=num_params,
-                        bypass_lsu=self.bypass_lsu,
-                    )
-                )
+    def shape_costs(self, sizes: tuple[int, ...]) -> BatchPlan:
+        """Issue per group; every lane's value is applied serially at the
+        SM-wide buffer."""
+        num_params = self._num_params
         return BatchPlan(
-            issue_cycles=issue,
-            sm_buffer_ops=buffer_ops,
-            requests=evictions,
+            issue_cycles=num_params * len(sizes) * self._cost.atomic_issue,
+            sm_buffer_ops=sum(int(size * num_params * self.op_overhead)
+                              for size in sizes),
             local_absorb=not self.bypass_lsu,
         )
-
-    def end_kernel(self, engine: EngineView) -> list[tuple[int, MemRequest]]:
-        """Flush every SM's residual buffered partial sums to the L2."""
-        flushes = []
-        for sm, buffer in self._buffers.items():
-            for slot in buffer:
-                flushes.append(
-                    (
-                        sm,
-                        MemRequest(slot=slot, rop_ops=self._num_params,
-                            addresses=self._num_params,
-                            bypass_lsu=self.bypass_lsu,
-                        ),
-                    )
-                )
-        self._buffers = {}
-        return flushes
 
 
 class LABIdeal(LAB):

@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.gpu.warp import WARP_SIZE
 
-__all__ = ["INACTIVE", "KernelTrace", "CoalescedTrace", "coalesce_trace"]
+__all__ = ["INACTIVE", "KernelTrace", "CoalescedTrace", "EngineInputs",
+           "coalesce_trace"]
 
 #: Lane-slot value marking a lane that does not issue atomics this iteration.
 INACTIVE = -1
@@ -53,6 +54,30 @@ class CoalescedTrace:
     def groups_of(self, batch: int) -> slice:
         """Index range of *batch*'s groups in the flat group arrays."""
         return slice(int(self.offsets[batch]), int(self.offsets[batch + 1]))
+
+
+@dataclass(frozen=True, slots=True)
+class EngineInputs:
+    """A trace's read-only inputs to the timing engine, as plain tuples.
+
+    One plain sequence access per batch or group beats numpy scalars on
+    the engine's hot path; building these once per trace instead of once
+    per simulated kernel is what :attr:`KernelTrace.engine_inputs` is for.
+    Tuples, so no simulation can change what the next one reads.
+    """
+
+    #: Batch indices grouped by warp: one run per warp, warps in
+    #: first-appearance order (the block scheduler's dispatch order),
+    #: each run in program order.
+    order: tuple[int, ...]
+    #: Where each warp's run starts in :attr:`order`, then ``len(order)``.
+    run_starts: tuple[int, ...]
+    #: :attr:`CoalescedTrace.offsets`, ``.slots`` and ``.sizes``.
+    offsets: tuple[int, ...]
+    group_slots: tuple[int, ...]
+    group_sizes: tuple[int, ...]
+    #: :attr:`KernelTrace.compute_cycles_per_batch`.
+    compute: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -170,6 +195,44 @@ class KernelTrace:
     def coalesced(self) -> CoalescedTrace:
         """Cached address-coalescing of every batch (see module docs)."""
         return coalesce_trace(self.lane_slots)
+
+    @cached_property
+    def engine_inputs(self) -> EngineInputs:
+        """Cached plain-tuple view of what the engine reads per batch.
+
+        Lives on this object, so whatever bounds the trace bounds it; a
+        :func:`dataclasses.replace` copy builds its own on first use.
+        """
+        # Equal values share one object: an int or float object costs
+        # 24-32 bytes and a tuple entry 8, and batch indices, offsets and
+        # slots draw on one range of ints, compute on a few floats.
+        ints: dict[int, int] = {}
+        floats: dict[float, float] = {}
+
+        def shared(table: dict, values: list) -> tuple:
+            return tuple(map(table.setdefault, values, values))
+
+        # Sorting batches stably by their warp's first batch groups them
+        # by warp, warps in first-appearance order, each in program order.
+        _, first, warp_of = np.unique(
+            self.warp_id, return_index=True, return_inverse=True)
+        order = np.argsort(first[warp_of], kind="stable")
+        run_starts = np.zeros(len(first) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(warp_of, minlength=len(first))[np.argsort(first)],
+                  out=run_starts[1:])
+        # The view holds everything the engine reads of the coalescing:
+        # reuse a cached one, but do not keep its arrays alive for it.
+        coalesced = vars(self).get("coalesced")
+        if coalesced is None:
+            coalesced = coalesce_trace(self.lane_slots)
+        return EngineInputs(
+            order=shared(ints, order.tolist()),
+            run_starts=shared(ints, run_starts.tolist()),
+            offsets=shared(ints, coalesced.offsets.tolist()),
+            group_slots=shared(ints, coalesced.slots.tolist()),
+            group_sizes=shared(ints, coalesced.sizes.tolist()),
+            compute=shared(floats, self.compute_cycles_per_batch.tolist()),
+        )
 
     @cached_property
     def fingerprint(self) -> str:  # arclint: disable=ARC001 (name is cosmetic, see below)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    DAB,
     LAB,
     PHI,
     ArcHW,
@@ -41,7 +42,7 @@ def make_view(groups, num_params=NUM_PARAMS, sm=0):
     """groups: list of (slot, size) pairs."""
     slots = np.array([g[0] for g in groups], dtype=np.int64)
     sizes = np.array([g[1] for g in groups], dtype=np.int64)
-    return BatchView(0, sm, sm * 4, slots, sizes, num_params, True)
+    return BatchView(0, sm, sm * 4, slots, sizes, num_params)
 
 
 def make_trace(bfly_eligible=True, num_params=NUM_PARAMS):
@@ -314,7 +315,8 @@ class TestLAB:
         strat.plan_batch(make_view([(1, 4), (2, 4)], sm=0), engine)
         strat.plan_batch(make_view([(9, 4)], sm=3), engine)
         flushes = strat.end_kernel(engine)
-        assert {(sm, r.slot) for sm, r in flushes} == {(0, 1), (0, 2), (3, 9)}
+        assert [(sm, [r.slot for r in requests]) for sm, requests in flushes] \
+            == [(0, [1, 2]), (3, [9])]
         assert strat.end_kernel(engine) == []  # idempotent
 
 
@@ -329,4 +331,34 @@ class TestPHI:
         strat = begin(PHI())
         strat.plan_batch(make_view([(1, 4)], sm=2), FakeEngine())
         flushes = strat.end_kernel(FakeEngine())
-        assert [(sm, r.slot) for sm, r in flushes] == [(2, 1)]
+        assert [(sm, [r.slot for r in requests]) for sm, requests in flushes] \
+            == [(2, [1])]
+
+
+def snapshot(plan):
+    """A deep copy of *plan*'s fields, requests included."""
+    return (plan.issue_cycles, plan.ru_values, plan.sm_buffer_ops,
+            plan.l1_tag_ops, plan.shuffle_ops, list(plan.requests),
+            plan.local_absorb)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: LAB(capacity_fraction=0.001),
+    PHI,
+    lambda: DAB(epoch_batches=2),
+], ids=["LAB", "PHI", "DAB"])
+def test_buffered_plans_are_never_changed_after_return(factory):
+    """A plan handed out for one batch may be shared with later batches
+    of its shape: no later batch, eviction or epoch drain may alter it."""
+    strat = begin(factory())
+    engine = FakeEngine()
+    first = strat.plan_batch(make_view([(1, 4), (2, 4)]), engine)
+    recorded = snapshot(first)
+    for slot in range(3, 200):
+        plan = strat.plan_batch(make_view([(slot, 4), (slot + 200, 4)]), engine)
+        if not plan.requests:
+            # Eviction-free batches of one shape share one plan.
+            assert plan is first
+    assert snapshot(first) == recorded
+    assert first.requests == []
+

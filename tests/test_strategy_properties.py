@@ -194,7 +194,7 @@ def test_empty_batch_plans_as_idle_plan_without_traffic(name):
     trace = build_trace({"n_batches": 1, "n_slots": 4, "num_params": 3,
                          "density": 0.0, "seed": 0})
     strategy.begin_kernel(trace, RTX3060_SIM)
-    empty = BatchView(0, 1, 5, [], [], trace.num_params, True)
+    empty = BatchView(0, 1, 5, [], [], trace.num_params)
     plan = strategy.plan_batch(empty, UnreadableEngine())
     idle = strategy.idle_plan()
     assert plan == idle, name

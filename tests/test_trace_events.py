@@ -1,5 +1,7 @@
 """Tests for KernelTrace and the vectorized address coalescer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,88 @@ class TestDerived:
     def test_subsample_noop_when_larger(self):
         trace = coalesced_trace(n_batches=10)
         assert trace.subsample(100) is trace
+
+
+class TestEngineInputs:
+    """The engine's per-trace inputs: built once, owned by the trace."""
+
+    @staticmethod
+    def counting_builds(monkeypatch):
+        from repro.trace import events
+
+        builds = []
+        real = events.EngineInputs
+
+        def build(**fields):
+            builds.append(fields)
+            return real(**fields)
+
+        monkeypatch.setattr(events, "EngineInputs", build)
+        return builds
+
+    def test_matches_trace_arrays(self):
+        lanes = np.full((4, 32), INACTIVE)
+        lanes[0, :3] = [1, 1, 2]
+        lanes[2, :2] = [0, 3]
+        trace = make_trace(lanes, warp_id=[5, 2, 5, 2],
+                           compute_cycles=np.array([1.0, 2.0, 3.0, 4.0]))
+        inputs = trace.engine_inputs
+        coalesced = trace.coalesced
+        assert inputs.order == (0, 2, 1, 3)
+        assert inputs.run_starts == (0, 2, 4)
+        assert inputs.offsets == tuple(coalesced.offsets.tolist())
+        assert inputs.group_slots == (1, 2, 0, 3)
+        assert inputs.group_sizes == (2, 1, 1, 1)
+        assert inputs.compute == (1.0, 2.0, 3.0, 4.0)
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_warp_runs_follow_first_appearance(self, warps):
+        trace = make_trace(np.zeros((len(warps), 32), dtype=int),
+                           warp_id=warps)
+        runs: dict[int, list[int]] = {}
+        for index, warp in enumerate(warps):
+            runs.setdefault(warp, []).append(index)
+        inputs = trace.engine_inputs
+        starts = inputs.run_starts
+        assert [list(inputs.order[a:b]) for a, b in zip(starts, starts[1:])] \
+            == list(runs.values())
+
+    def test_does_not_keep_the_coalescing_alive(self):
+        trace = coalesced_trace(n_batches=40, seed=3)
+        inputs = trace.engine_inputs
+        assert "coalesced" not in vars(trace)
+        assert inputs.group_slots == tuple(trace.coalesced.slots.tolist())
+
+    def test_built_once_per_trace_and_per_copy(self, monkeypatch):
+        from repro.core import LAB
+        from repro.gpu import RTX3060_SIM, simulate_kernel
+
+        builds = self.counting_builds(monkeypatch)
+        trace = coalesced_trace(n_batches=40, seed=3)
+        first = simulate_kernel(trace, RTX3060_SIM, LAB())
+        again = simulate_kernel(trace, RTX3060_SIM, LAB())
+        assert len(builds) == 1
+        assert again.to_dict() == first.to_dict()
+        copy = dataclasses.replace(trace)
+        assert simulate_kernel(copy, RTX3060_SIM, LAB()).to_dict() \
+            == first.to_dict()
+        assert len(builds) == 2
+        assert copy.engine_inputs is not trace.engine_inputs
+
+    def test_engine_leaves_inputs_unchanged(self):
+        from repro.core import DAB, LAB, ArcHW
+        from repro.gpu import RTX3060_SIM, Telemetry, simulate_kernel
+
+        trace = scattered_trace(n_batches=200, n_slots=4000, num_params=9,
+                                seed=5)
+        inputs = trace.engine_inputs
+        for strategy, telemetry in ((LAB(capacity_fraction=0.02), None),
+                                    (DAB(epoch_batches=4), None),
+                                    (ArcHW(), Telemetry())):
+            simulate_kernel(trace, RTX3060_SIM, strategy, telemetry=telemetry)
+        assert trace.engine_inputs is inputs
+        assert inputs == dataclasses.replace(trace).engine_inputs
 
 
 class TestCoalescer:
