@@ -129,7 +129,8 @@ def plan_cells(
 # --------------------------------------------------------------------- #
 # Worker side.  Module-level state survives across tasks within one
 # worker process (spawn re-imports this module there); traces are loaded
-# from the parent's spool at most once per (worker, workload).
+# from the parent's spool and kept, least recently used evicted first,
+# up to _WORKER_TRACE_SLOTS per worker.
 #
 # The service broker (repro.service.broker) reuses this exact worker
 # surface -- _worker_init as its pool initializer, _run_spec as its task,
@@ -138,7 +139,12 @@ def plan_cells(
 # --------------------------------------------------------------------- #
 
 _worker_trace_dir: "Path | None" = None
+#: Loaded traces in least- to most-recently-used order.
 _worker_traces: dict[str, KernelTrace] = {}
+#: Traces one worker keeps loaded.  At least the 12 Table-2 workloads,
+#: so a figure matrix never reloads; a long-lived service worker stays
+#: bounded however many workloads it serves.
+_WORKER_TRACE_SLOTS = 16
 
 
 def _worker_init(trace_dir: str, cache_root: "str | None",
@@ -155,7 +161,8 @@ def _worker_init(trace_dir: str, cache_root: "str | None",
 
 
 def _worker_trace(workload: str) -> KernelTrace:
-    if workload not in _worker_traces:
+    trace = _worker_traces.pop(workload, None)
+    if trace is None:
         if _worker_trace_dir is None:
             raise RuntimeError(
                 f"worker asked for the {workload!r} trace before "
@@ -171,8 +178,11 @@ def _worker_trace(workload: str) -> KernelTrace:
                 f"{path}: the parent's spool directory was cleaned up "
                 "(interrupted run?) or the workload was never spooled"
             )
-        _worker_traces[workload] = load_trace(path)
-    return _worker_traces[workload]
+        trace = load_trace(path)
+        if len(_worker_traces) >= _WORKER_TRACE_SLOTS:
+            del _worker_traces[next(iter(_worker_traces))]
+    _worker_traces[workload] = trace
+    return trace
 
 
 def _run_spec(spec: CellSpec, attempt: int) -> SimResult:

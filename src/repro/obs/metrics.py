@@ -87,6 +87,8 @@ class _Instrument:
         self._series: "dict[tuple[tuple[str, str], ...], float]" = {}
 
     def _key(self, labels: dict) -> "tuple[tuple[str, str], ...]":
+        if not labels and not self.labelnames:
+            return ()
         if set(labels) != set(self.labelnames):
             raise ValueError(
                 "metric %r takes labels %r, got %r"

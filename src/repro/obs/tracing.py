@@ -133,6 +133,8 @@ class Span:
             return self.dur_ms or 0.0
         self._done = True
         self.dur_ms = (time.perf_counter() - self._t0) * 1000.0
+        if obslog.obslog_path() is None:
+            return self.dur_ms
         self.attrs.update(attrs)
         record = {
             "name": self.name,

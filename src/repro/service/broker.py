@@ -5,7 +5,9 @@ robustness core of the simulation service:
 
 * **fingerprinting** -- every request is content-addressed with the PR 1
   cache key (:func:`~repro.experiments.diskcache.result_key`), so "the
-  same simulation" is a fact about bytes, not request identity;
+  same simulation" is a fact about bytes, not request identity.  The key
+  is derived once per request coordinate and reused while the trace
+  object and the engine fingerprint it was derived from are unchanged;
 * **coalescing** -- duplicate in-flight requests attach a waiter to the
   existing execution instead of queueing again; the one result fans out
   to every waiter.  Requests for keys that already completed this
@@ -42,6 +44,7 @@ observes nothing new when the daemon runs under ``REPRO_SANITIZE=1``.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import tempfile
 import time
@@ -50,6 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
+from typing import NamedTuple
 
 from repro import obslog
 from repro.experiments import diskcache, faults, parallel, runner
@@ -67,6 +71,7 @@ from repro.service.request import (
     SimRequest,
 )
 from repro.service.supervisor import CircuitBreaker, PoolSupervisor
+from repro.trace.events import KernelTrace
 from repro.trace.io import save_trace
 
 __all__ = ["Broker", "STAT_COUNTERS"]
@@ -96,6 +101,28 @@ STAT_COUNTERS = {
     "completed": ("repro_service_completed_total", "Completed executions",
                   ("source",)),
 }
+
+
+class _Cell(NamedTuple):
+    """One resolved request coordinate ``(workload, gpu, strategy)``.
+
+    Valid while ``runner.get_trace(workload)`` is still *trace* and the
+    engine fingerprint still equals *engine*; :meth:`Broker._resolve`
+    rebuilds it otherwise.
+    """
+
+    spec: parallel.CellSpec
+    cell: str
+    key: str
+    trace: KernelTrace
+    engine: str
+
+
+class _Memo(NamedTuple):
+    """A completed result and its JSON encoding, built once."""
+
+    result: SimResult
+    json: str
 
 
 @dataclass
@@ -159,8 +186,9 @@ class Broker:
         self._session = session if session is not None else f"pid{os.getpid()}"
         self._started = False
         self._inflight: "dict[str, _Entry]" = {}
-        self._results: "dict[str, SimResult]" = {}
-        self._stale: "dict[str, tuple[str, SimResult]]" = {}
+        self._cells: "dict[tuple, _Cell]" = {}
+        self._results: "dict[str, _Memo]" = {}
+        self._stale: "dict[str, tuple[str, _Memo]]" = {}
         self._arrivals: "dict[str, int]" = {}
         self._spooled: "set[str]" = set()
         self._journal: "RunManifest | None" = None
@@ -211,8 +239,11 @@ class Broker:
 
         Every service event shares the broker's monotonic clock origin,
         so post-mortem readers can order events without trusting
-        wall-clock ``ts`` across processes.
+        wall-clock ``ts`` across processes.  With no sink armed it
+        returns before reading the clock.
         """
+        if obslog.obslog_path() is None:
+            return
         fields.setdefault(
             "elapsed_ms", round((self._clock() - self._t0) * 1000.0, 3)
         )
@@ -355,19 +386,36 @@ class Broker:
                      coalesced=response.coalesced, **extra)
         return response
 
+    def _resolve(self, request: SimRequest) -> _Cell:
+        """The request's cell record: built on the first request for a
+        coordinate, then reused until its trace or engine changes."""
+        gpu = request.gpu
+        coord = (request.workload,
+                 gpu if isinstance(gpu, str) else gpu.fingerprint(),
+                 request.strategy)
+        trace = runner.get_trace(request.workload)
+        # The engine fingerprint's source read is process-wide memoized:
+        # only the first admission ever touches disk, every later call
+        # returns the cached hash.
+        engine = diskcache.engine_fingerprint()  # arclint: disable=ARC013
+        record = self._cells.get(coord)
+        if (record is not None and record.trace is trace
+                and record.engine == engine):
+            return record
+        config = runner._gpu_by_name(gpu)
+        strategy = runner.make_strategy(request.strategy)
+        spec = parallel.CellSpec(request.workload, config, request.strategy)
+        # Same memoized read, hashed into the content address.
+        key = diskcache.result_key(config, trace, strategy)  # arclint: disable=ARC013
+        record = _Cell(spec, spec.cell_id, key, trace, engine)
+        self._cells[coord] = record
+        return record
+
     async def _submit(self, request: SimRequest,
                       req_span: Span) -> ServiceResponse:
         admitted_at = self._clock()
-        config = runner._gpu_by_name(request.gpu)
-        spec = parallel.CellSpec(request.workload, config, request.strategy)
-        cell = spec.cell_id
-        trace = runner.get_trace(request.workload)
-        strategy = runner.make_strategy(request.strategy)
-        # result_key hashes the engine fingerprint, whose source read
-        # is process-wide memoized: only the first admission ever
-        # touches disk, every later call is an in-memory hash.
-        key = diskcache.result_key(config, trace, strategy)  # arclint: disable=ARC013
-        logical = diskcache.logical_key(config, trace, strategy)
+        record = self._resolve(request)
+        cell, key = record.cell, record.key
         deadline = (None if request.deadline is None
                     else admitted_at + request.deadline)
         self._count["requests"].inc()
@@ -404,13 +452,16 @@ class Broker:
         saturated = (
             self._queue.full() or faults.planned_queue_full(cell, arrival)
         )
+        logical = diskcache.logical_key(
+            record.spec.gpu, record.trace,
+            runner.make_strategy(request.strategy))
         if saturated:
             return self._shed_or_degrade(
                 cell, key, logical, admitted_at, deadline
             )
 
-        self._ensure_spooled(request.workload, trace)
-        entry = _Entry(spec=spec, cell=cell, key=key, logical=logical)
+        self._ensure_spooled(request.workload, record.trace)
+        entry = _Entry(spec=record.spec, cell=cell, key=key, logical=logical)
         entry.ctx = req_span.context
         entry.queue_span = Span("svc.queue_wait", parent=req_span.context,
                                 role="broker", cell=cell, key=key)
@@ -433,7 +484,7 @@ class Broker:
                          deadline: "float | None") -> ServiceResponse:
         stale = self._stale.get(logical) if self.degrade_enabled else None
         if stale is not None:
-            stale_key, result = stale
+            stale_key, memo = stale
             self._count["degraded"].inc(reason="queue-full")
             warning = (
                 "served stale: queue saturated; result computed for an "
@@ -442,7 +493,7 @@ class Broker:
             self.emit_event("svc.degrade", cell=cell, key=key,
                             reason="queue-full", stale_key=stale_key)
             response = self._response(
-                cell, stale_key, result, "stale", admitted_at
+                cell, stale_key, memo, "stale", admitted_at
             )
             response.stale = True
             response.warning = warning
@@ -467,24 +518,24 @@ class Broker:
         timeout = (None if deadline is None
                    else max(0.0, deadline - self._clock()))
         try:
-            result, source, exec_span_id = await asyncio.wait_for(
+            memo, source, exec_span_id = await asyncio.wait_for(
                 waiter, timeout
             )
         except asyncio.TimeoutError:
             self._count["deadline_misses"].inc()
             self.emit_event("svc.deadline", cell=cell, deadline=deadline_s)
             raise DeadlineExceeded(cell, deadline_s) from None
-        response = self._response(cell, key, result, source, admitted_at)
+        response = self._response(cell, key, memo, source, admitted_at)
         response.coalesced = coalesced
         response.exec_span_id = exec_span_id
         return response
 
-    def _response(self, cell: str, key: str, result: SimResult,
+    def _response(self, cell: str, key: str, memo: _Memo,
                   source: str, admitted_at: float) -> ServiceResponse:
         latency_ms = (self._clock() - admitted_at) * 1000.0
         return ServiceResponse(
-            cell=cell, key=key, result=result, source=source,
-            latency_ms=latency_ms,
+            cell=cell, key=key, result=memo.result, source=source,
+            latency_ms=latency_ms, _result_json=memo.json,
         )
 
     def _ensure_spooled(self, workload: str, trace) -> None:
@@ -673,8 +724,10 @@ class Broker:
     def _complete(self, entry: _Entry, result: SimResult,
                   source: str) -> None:
         self._inflight.pop(entry.key, None)
-        self._results[entry.key] = result
-        self._stale[entry.logical] = (entry.key, result)
+        # Encoded once here; every reply for this key splices the text.
+        memo = _Memo(result, json.dumps(result.to_dict()))
+        self._results[entry.key] = memo
+        self._stale[entry.logical] = (entry.key, memo)
         runner.seed_result(
             entry.spec.workload, entry.spec.gpu, entry.spec.strategy, result
         )
@@ -699,7 +752,7 @@ class Broker:
                         source=source, waiters=len(entry.waiters))
         for waiter in entry.waiters:
             if not waiter.done():
-                waiter.set_result((result, source, exec_span_id))
+                waiter.set_result((memo, source, exec_span_id))
 
     def _fail(self, entry: _Entry, error: ServiceError) -> None:
         self._inflight.pop(entry.key, None)

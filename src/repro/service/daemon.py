@@ -49,7 +49,7 @@ from pathlib import Path
 from repro.experiments import iosan
 from repro.service import loopsan
 from repro.service.broker import Broker
-from repro.service.request import ServiceError, SimRequest
+from repro.service.request import ServiceError, ServiceResponse, SimRequest
 
 __all__ = ["ServiceDaemon", "call", "default_socket_path"]
 
@@ -148,7 +148,7 @@ class ServiceDaemon:
                 else:
                     reply = await self._dispatch(payload)
                     shutdown = payload.get("op") == "shutdown"
-                writer.write((json.dumps(reply) + "\n").encode("utf-8"))
+                writer.write(_reply_line(reply))
                 await writer.drain()
                 if shutdown:
                     break
@@ -180,7 +180,7 @@ class ServiceDaemon:
         finally:
             writer.close()
 
-    async def _dispatch(self, payload: dict) -> dict:
+    async def _dispatch(self, payload: dict) -> "dict | ServiceResponse":
         op = payload.get("op")
         if op == "status":
             return {"status": "ok", "snapshot": self.broker.snapshot()}
@@ -214,8 +214,19 @@ class ServiceDaemon:
                 return {"status": exc.kind, "error": str(exc)}
             except Exception as exc:  # never let one request kill the loop
                 return {"status": "error", "error": repr(exc)}
-            return {"status": "ok", **response.to_dict()}
+            return response
         return {"status": "error", "error": f"unknown op {op!r}"}
+
+
+def _reply_line(reply: "dict | ServiceResponse") -> bytes:
+    """One protocol line.  A simulate reply is ``{"status": "ok",
+    **response.to_dict()}`` encoded byte for byte, with the memoized
+    result text spliced in rather than re-encoded."""
+    if isinstance(reply, ServiceResponse):
+        text = '{"status": "ok", ' + reply.to_json()[1:]
+    else:
+        text = json.dumps(reply)
+    return (text + "\n").encode("utf-8")
 
 
 def call(payload: dict, socket_path: "str | Path | None" = None,

@@ -11,7 +11,8 @@ apart from "the simulation failed" without parsing strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 
 from repro.gpu import GPUConfig, SimResult
 from repro.obs.tracing import SpanContext
@@ -140,6 +141,11 @@ class ServiceResponse:
     trace_id: "str | None" = None
     span_id: "str | None" = None
     exec_span_id: "str | None" = None
+    #: The broker memo's ``json.dumps(result.to_dict())``, built once per
+    #: completed key and shared by every response served from it.
+    #: Private, so outside :meth:`to_dict`: it is derived from ``result``.
+    _result_json: "str | None" = field(default=None, repr=False,
+                                       compare=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -159,3 +165,27 @@ class ServiceResponse:
                 "exec_span_id": self.exec_span_id,
             }
         return out
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, byte for byte, splicing in
+        ``_result_json`` instead of re-encoding the result."""
+        result = self._result_json
+        if result is None:
+            result = json.dumps(self.result.to_dict())
+        head = json.dumps({
+            "cell": self.cell,
+            "key": self.key,
+            "source": self.source,
+            "coalesced": self.coalesced,
+            "stale": self.stale,
+            "warning": self.warning,
+            "latency_ms": self.latency_ms,
+        })
+        tail = "}"
+        if self.trace_id is not None:
+            tail = ', "trace": %s}' % json.dumps({
+                "trace_id": self.trace_id,
+                "span_id": self.span_id,
+                "exec_span_id": self.exec_span_id,
+            })
+        return head[:-1] + ', "result": ' + result + tail

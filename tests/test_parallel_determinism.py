@@ -132,6 +132,46 @@ def test_jobs_validation_and_serial_delegation(fake_registry):
     )
 
 
+def test_worker_trace_cache_is_a_bounded_lru(tmp_path, monkeypatch):
+    """A worker keeps at most ``_WORKER_TRACE_SLOTS`` traces, evicting
+    the least recently used; an evicted trace reloads from the spool
+    and simulates bit-identically."""
+    from repro.experiments import faults, parallel
+    from repro.gpu import SIMULATED_GPUS
+    from repro.trace.io import save_trace
+
+    slots = parallel._WORKER_TRACE_SLOTS
+    names = [f"T{i}" for i in range(slots + 2)]
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    for seed, name in enumerate(names):
+        save_trace(coalesced_trace(n_batches=20, num_params=4, seed=seed,
+                                   name=name), spool / f"{name}.npz")
+    monkeypatch.setattr(parallel, "_worker_trace_dir", None)
+    monkeypatch.setattr(parallel, "_worker_traces", {})
+    # _worker_init also calls faults.mark_worker(); undo that sticky
+    # flag so crash/hang faults stay parent-suppressed in later tests.
+    monkeypatch.setattr(faults, "_in_worker", faults._in_worker)
+    parallel._worker_init(str(spool), None, False)
+
+    def run(name):
+        spec = parallel.CellSpec(name, SIMULATED_GPUS["3060-Sim"],
+                                 "baseline")
+        return parallel._run_spec(spec, 1).to_dict()
+
+    first = {name: run(name) for name in names[:slots]}
+    run(names[0])  # a hit: T0 becomes the most recently used
+    for name in names[slots:]:
+        run(name)
+        assert len(parallel._worker_traces) == slots
+    # T1 and T2 were the least recently used when T16 and T17 loaded.
+    assert list(parallel._worker_traces) == [
+        *names[3:slots], names[0], *names[slots:]]
+    assert run(names[1]) == first[names[1]]
+    assert len(parallel._worker_traces) == slots
+    assert names[3] not in parallel._worker_traces
+
+
 def test_real_workload_slice_parallel_determinism():
     """Serial vs 2-worker parallel on a real (fast) Table 2 workload."""
     diskcache.configure(enabled=False)

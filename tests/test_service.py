@@ -205,6 +205,84 @@ def test_completed_request_answers_from_memo(fake_registry, tmp_path):
     assert stats(broker)["executions"] == 1
 
 
+def test_replaced_trace_gets_a_new_key_and_executes(fake_registry,
+                                                    tmp_path):
+    """``runner.seed_trace`` under the same workload name invalidates
+    the broker's cell record: the next request resolves the new trace's
+    key and executes instead of hitting the memo on the old key."""
+    serial_truth(tmp_path, ["S1"], ["baseline"])
+    request = SimRequest(workload="S1", gpu="3060-Sim",
+                         strategy="baseline")
+    replacement = FAKES["S3"].capture_trace()
+
+    async def scenario(broker):
+        await broker.start()
+        try:
+            before = await broker.submit(request)
+            runner.seed_trace("S1", replacement)
+            after = await broker.submit(request)
+            return before, after
+        finally:
+            await broker.stop()
+
+    broker = Broker(jobs=1, policy=fast_policy(), session="reseed")
+    before, after = asyncio.run(scenario(broker))
+    assert after.key != before.key
+    assert after.key == diskcache.result_key(
+        SIMULATED_GPUS["3060-Sim"], replacement,
+        runner.make_strategy("baseline"))
+    assert after.source == "worker"
+    assert stats(broker)["memo_hits"] == 0
+    assert stats(broker)["executions"] == 2
+
+
+def test_gpu_config_request_resolves_the_preset_key(fake_registry,
+                                                    tmp_path):
+    """A request naming its GPU by an equal ``GPUConfig`` object is the
+    same simulation as one naming the preset: same key, memo hit."""
+    import dataclasses
+
+    serial_truth(tmp_path, ["S1"], ["baseline"])
+    config = dataclasses.replace(SIMULATED_GPUS["3060-Sim"])
+    by_name = SimRequest(workload="S1", gpu="3060-Sim", strategy="baseline")
+    by_config = SimRequest(workload="S1", gpu=config, strategy="baseline")
+
+    async def scenario(broker):
+        await broker.start()
+        try:
+            return (await broker.submit(by_name),
+                    await broker.submit(by_config))
+        finally:
+            await broker.stop()
+
+    broker = Broker(jobs=1, policy=fast_policy(), session="gpuobj")
+    first, second = asyncio.run(scenario(broker))
+    assert second.key == first.key
+    assert second.cell == first.cell
+    assert second.source == "memo"
+    assert stats(broker)["executions"] == 1
+
+
+def test_unknown_strategy_raises_on_every_request(fake_registry):
+    """A failed resolution is never recorded: the second request for an
+    unknown strategy raises exactly like the first."""
+    request = SimRequest(workload="S1", gpu="3060-Sim",
+                         strategy="warp-magic")
+
+    async def scenario(broker):
+        await broker.start()
+        try:
+            for _ in range(2):
+                with pytest.raises(KeyError, match="warp-magic"):
+                    await broker.submit(request)
+        finally:
+            await broker.stop()
+
+    broker = Broker(jobs=1, policy=fast_policy(), session="unknown")
+    asyncio.run(scenario(broker))
+    assert stats(broker)["requests"] == 0
+
+
 # --------------------------------------------------------------------- #
 # Admission control: shedding, stale-serve, deadlines
 # --------------------------------------------------------------------- #
@@ -710,6 +788,7 @@ def test_soak_keeps_broker_state_bounded_by_cells_served(fake_registry,
             "journalled": len(broker._journalled),
             "spooled": len(broker._spooled),
             "inflight": len(broker._inflight),
+            "cell_records": len(broker._cells),
         }
 
     def registry_shape():
@@ -757,6 +836,12 @@ def test_soak_keeps_broker_state_bounded_by_cells_served(fake_registry,
     assert counts["requests"] == (counts["admitted"] + counts["coalesced"]
                                   + counts["memo_hits"] + counts["shed"])
     assert counts["admitted"] == counts["completed"] == len(cells)
+    # One cell record per coordinate served, and one encoded result per
+    # completed key, shared by the memo and the stale index.
+    assert sizes[-1]["cell_records"] == len(cells)
+    encoded = {id(memo.json) for memo in broker._results.values()}
+    encoded |= {id(memo.json) for _, memo in broker._stale.values()}
+    assert len(encoded) == len(cells)
 
 
 # --------------------------------------------------------------------- #
@@ -833,6 +918,121 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
     assert stats(broker)["executions"] == 1
     assert not socket_path.exists(), "drained daemon removes its socket"
     assert events_named(obslog_sink, "svc.shutdown")
+
+
+def test_reply_bytes_match_plain_encoding_for_every_source(
+        fake_registry, tmp_path, monkeypatch):
+    """The daemon splices each memo entry's encoded result into its
+    replies.  For every source -- journal, inproc, worker, coalesced,
+    memo, stale -- with and without a client trace context, the reply
+    line is byte for byte ``json.dumps({"status": "ok",
+    **response.to_dict()}) + "\\n"``, and so is a response that carries
+    no trace object."""
+    import dataclasses
+
+    from repro.service.daemon import ServiceDaemon, _reply_line
+
+    def plain(response):
+        return (json.dumps({"status": "ok", **response.to_dict()})
+                + "\n").encode("utf-8")
+
+    serial_truth(tmp_path, ["S1", "S2", "S3"], ["baseline", "ARC-HW"])
+    rounds = (("baseline", False), ("ARC-HW", True))
+    # Journal: S1's completion is persisted before the daemon starts,
+    # and every pool attempt at S1 crashes.  Inproc: S3's one pool
+    # attempt errors, so it degrades in process.
+    cache = diskcache.active_cache()
+    config = SIMULATED_GPUS["3060-Sim"]
+    journal = RunManifest.for_service(cache.root / "manifests", "bytes")
+    plan = []
+    for strategy, _ in rounds:
+        made = runner.make_strategy(strategy)
+        simulate_cell(runner.get_trace("S1"), config, made)
+        journal.record(
+            diskcache.result_key(config, runner.get_trace("S1"), made),
+            {"workload": "S1", "gpu": "3060-Sim", "strategy": strategy})
+        plan += [FaultSpec(cell=f"S1|3060-Sim|{strategy}", kind="crash",
+                           times=10),
+                 FaultSpec(cell=f"S3|3060-Sim|{strategy}", kind="error",
+                           times=1)]
+    faults.configure(FaultPlan(tuple(plan)))
+    socket_path = tmp_path / "svc-bytes.sock"
+    broker = Broker(jobs=1, policy=fast_policy(attempts=1),
+                    breaker=CircuitBreaker(threshold=10), session="bytes")
+    responses = {}
+    submit = broker.submit
+
+    async def capture(request):
+        response = await submit(request)
+        responses[response.span_id] = response
+        return response
+
+    broker.submit = capture
+
+    async def call(workload, strategy, traced):
+        reader, writer = await asyncio.open_unix_connection(
+            str(socket_path))
+        payload = {"op": "simulate", "workload": workload,
+                   "strategy": strategy}
+        if traced:
+            payload["trace"] = {"trace_id": "7" * 32, "span_id": "5" * 16}
+        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+        line = await asyncio.wait_for(reader.readline(), timeout=120)
+        writer.close()
+        await writer.wait_closed()
+        return line, traced
+
+    async def scenario():
+        daemon = ServiceDaemon(broker, socket_path=socket_path)
+        ready = asyncio.Event()
+        run_task = asyncio.create_task(daemon.run(ready))
+        await asyncio.wait_for(ready.wait(), timeout=10)
+        lines = []
+        try:
+            for strategy, traced in rounds:
+                lines.append(await call("S1", strategy, traced))
+                lines.append(await call("S3", strategy, traced))
+                broker.pause()
+                pair = [asyncio.create_task(call("S2", strategy, traced))
+                        for _ in range(2)]
+                coalesced = stats(broker)["coalesced"] + 1
+                for _ in range(500):
+                    if stats(broker)["coalesced"] == coalesced:
+                        break
+                    await asyncio.sleep(0.01)
+                broker.resume()
+                lines += await asyncio.gather(*pair)
+                lines.append(await call("S2", strategy, traced))
+            monkeypatch.setattr(
+                diskcache, "engine_fingerprint", lambda: "engine-v-next")
+            faults.configure(FaultPlan((
+                FaultSpec(cell="S2|3060-Sim|baseline", kind="queue-full",
+                          times=10),
+            )))
+            for _, traced in rounds:
+                lines.append(await call("S2", "baseline", traced))
+        finally:
+            daemon.request_shutdown()
+            await asyncio.wait_for(run_task, timeout=60)
+        return lines
+
+    lines = asyncio.run(scenario())
+    seen = set()
+    for line, traced in lines:
+        reply = json.loads(line)
+        assert reply["status"] == "ok", reply
+        response = responses[reply["trace"]["span_id"]]
+        assert response._result_json is not None, response.source
+        assert line == plain(response), response.source
+        assert _reply_line(response) == line
+        untraced = dataclasses.replace(response, trace_id=None)
+        assert _reply_line(untraced) == plain(untraced)
+        assert b'"trace"' not in _reply_line(untraced)
+        seen.add((response.source, response.coalesced, traced))
+    for traced in (False, True):
+        for source in ("journal", "inproc", "worker", "memo", "stale"):
+            assert (source, False, traced) in seen, (source, traced)
+        assert ("worker", True, traced) in seen, traced
 
 
 # --------------------------------------------------------------------- #
