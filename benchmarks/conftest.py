@@ -16,12 +16,7 @@ Execution knobs (flag overrides the matching environment variable):
   experiment matrix across N worker processes before the figure tests
   run, so each test is pure cache lookups;
 * ``--repro-no-cache`` / ``REPRO_NO_DISK_CACHE`` -- bypass the
-  persistent disk cache (every session then re-simulates from scratch);
-* ``--repro-trajectory DIR`` / ``REPRO_BENCH_TRAJECTORY`` -- *also*
-  write each recorded figure as a provenance-stamped trajectory entry
-  (the ``repro.bench`` envelope: machine fingerprint, git SHA, engine
-  fingerprint) under DIR, so figure results can sit in the same perf
-  trajectory as the ``repro bench`` BENCH_*.json documents.
+  persistent disk cache (every session then re-simulates from scratch).
 """
 
 from __future__ import annotations
@@ -52,12 +47,6 @@ def pytest_addoption(parser) -> None:
     parser.addoption(
         "--repro-no-cache", action="store_true", default=False,
         help="bypass the persistent on-disk simulation cache",
-    )
-    parser.addoption(
-        "--repro-trajectory", type=str,
-        default=os.environ.get("REPRO_BENCH_TRAJECTORY", ""),
-        help="directory to also write provenance-enveloped trajectory "
-             "entries (BENCH_figure_*.json) for each recorded figure",
     )
 
 
@@ -137,40 +126,13 @@ def workload_keys() -> list[str]:
 
 
 @pytest.fixture(scope="session")
-def record(request):
-    """Persist one figure's rows as JSON for EXPERIMENTS.md.
-
-    With ``--repro-trajectory DIR`` (or ``REPRO_BENCH_TRAJECTORY``), the
-    same payload is *additionally* written to DIR wrapped in the
-    ``repro.bench`` provenance envelope -- machine fingerprint, git SHA,
-    engine fingerprint -- as ``BENCH_figure_<figure>.json``.  Those
-    entries share provenance fields with ``repro bench`` documents so a
-    perf trajectory can interleave both; they carry the figure's rows
-    under ``figure_payload`` rather than bench cells, so they are
-    archive material, not ``repro bench --compare`` baselines.
-    """
-    trajectory_dir = request.config.getoption("--repro-trajectory")
+def record():
+    """Persist one figure's rows as JSON for EXPERIMENTS.md."""
 
     def _record(figure: str, payload) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
         path = RESULTS_DIR / f"{figure}.json"
         path.write_text(json.dumps(payload, indent=2, default=float) + "\n")
-        if trajectory_dir:
-            from repro.bench import make_envelope
-
-            entry = make_envelope(
-                f"figure_{figure}",
-                {"source": "benchmarks", "figure": figure,
-                 "workloads": selected_workloads()},
-            )
-            entry["figure_payload"] = payload
-            out_dir = Path(trajectory_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            out_path = out_dir / f"BENCH_figure_{figure}.json"
-            out_path.write_text(
-                json.dumps(entry, indent=2, sort_keys=True, default=float)
-                + "\n"
-            )
 
     return _record
 

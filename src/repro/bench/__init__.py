@@ -1,71 +1,7 @@
-"""Continuous benchmarking: named scenarios, BENCH documents, baselines.
+"""Deterministic projections of simulation results for benchmarks.
 
-The repository's perf trajectory lives in committed
-``benchmarks/baselines/BENCH_<scenario>.json`` files; this package is
-the machinery that produces and polices them:
-
-* :mod:`repro.bench.registry`  -- the named scenario matrix
-  (``engine_smoke``, ``table2_sweep_small``, ``cache_warm_vs_cold``,
-  ``parallel_scaling``, ``telemetry_on_off``);
-* :mod:`repro.bench.runner`    -- executes one scenario and produces a
-  schema-versioned BENCH document;
-* :mod:`repro.bench.metrics`   -- timing, RSS and sample-summary
-  primitives plus the deterministic projections (result digests,
-  per-phase simulated time);
-* :mod:`repro.bench.schema`    -- the document format, provenance
-  stamping (machine / git SHA / engine fingerprint) and validation;
-* :mod:`repro.bench.compare`   -- the baseline comparator and its
-  tolerance policy (exact on deterministic fields, banded on timing);
-* :mod:`repro.bench.history`   -- collates a directory of per-run BENCH
-  documents into one trajectory table (``repro bench --history``).
-
-CLI entry point: ``repro bench`` (see :mod:`repro.cli`).
+:func:`repro.bench.metrics.sim_digest` is the one result digest that
+perfbench's bit-identity checks and the tier-1 cell pins
+(``tests/test_cell_pins.py``) compare.  Performance itself is measured
+by ``perfbench/`` (see ``BENCHMARK.json``).
 """
-
-from repro.bench.compare import (
-    CompareEntry,
-    Comparison,
-    Tolerances,
-    compare_reports,
-)
-from repro.bench.registry import (
-    SCENARIOS,
-    Scenario,
-    cheap_scenario_names,
-    get_scenario,
-    scenario_names,
-)
-from repro.bench.history import (
-    HISTORY_COLUMNS,
-    collate_history,
-    load_reports,
-    machine_hash,
-)
-from repro.bench.runner import run_scenario
-from repro.bench.schema import (
-    FORMAT_VERSION,
-    bench_filename,
-    make_envelope,
-    validate_report,
-)
-
-__all__ = [
-    "FORMAT_VERSION",
-    "HISTORY_COLUMNS",
-    "SCENARIOS",
-    "CompareEntry",
-    "Comparison",
-    "Scenario",
-    "Tolerances",
-    "bench_filename",
-    "cheap_scenario_names",
-    "collate_history",
-    "compare_reports",
-    "get_scenario",
-    "load_reports",
-    "machine_hash",
-    "make_envelope",
-    "run_scenario",
-    "scenario_names",
-    "validate_report",
-]

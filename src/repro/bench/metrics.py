@@ -1,85 +1,16 @@
-"""Measurement primitives for the bench harness.
-
-Wall-clock timing (``perf_counter``-based, milliseconds), peak-RSS
-probing, repeat-sample summaries (median/IQR, the stats the paper's
-sweeps report), and the *deterministic* projections of a simulation the
-comparator holds to exact equality: a content digest of the full
-:class:`~repro.gpu.stats.SimResult` and per-phase simulated-cycle totals
-integrated from :class:`~repro.gpu.telemetry.Telemetry` spans.
-
-Wall-clock reads are deliberate here: this package measures *host*
-execution of the simulator, exactly like :mod:`repro.obslog`.  It must
-never be imported by the engine packages (``repro/{core,gpu,trace}``),
-where arclint's ARC002 bans wall-clock time.
-"""
+"""Content digest of one simulation result."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import resource
-import statistics
-import sys
-import time
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.gpu.stats import SimResult
-    from repro.gpu.telemetry import Telemetry
 
-__all__ = [
-    "peak_rss_kb",
-    "phase_cycle_totals",
-    "sim_digest",
-    "summarize_samples",
-    "time_call_ms",
-]
-
-
-def time_call_ms(fn) -> "tuple[float, object]":
-    """``(wall_milliseconds, fn())`` for one monotonic-clocked call."""
-    start = time.perf_counter()
-    value = fn()
-    return (time.perf_counter() - start) * 1e3, value
-
-
-def peak_rss_kb() -> int:
-    """Peak resident set size of this process so far, in KiB.
-
-    ``ru_maxrss`` is a high-water mark: it never decreases, so this is a
-    *run-level* aggregate (recorded once, at the end), not a per-cell
-    metric.  Linux reports KiB; macOS reports bytes.
-    """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        peak //= 1024
-    return int(peak)
-
-
-def summarize_samples(samples: "list[float]") -> dict:
-    """Median/IQR/min/max/mean summary of repeat measurements.
-
-    Median and IQR are the headline numbers (robust to one cold-start or
-    GC outlier among few repeats); min/max expose the spread, mean the
-    conventional average.  With fewer than two samples the IQR is 0.
-    """
-    if not samples:
-        raise ValueError("no samples to summarize")
-    values = sorted(float(value) for value in samples)
-    if len(values) >= 2:
-        q1, _, q3 = statistics.quantiles(values, n=4)
-        iqr = q3 - q1
-    else:
-        iqr = 0.0
-    return {
-        "median": statistics.median(values),
-        "iqr": iqr,
-        "min": values[0],
-        "max": values[-1],
-        "mean": statistics.fmean(values),
-        "n": len(values),
-    }
+__all__ = ["sim_digest"]
 
 
 def sim_digest(result: "SimResult") -> str:
@@ -88,24 +19,7 @@ def sim_digest(result: "SimResult") -> str:
     Round-trips through canonical JSON exactly like the engine-guard
     fixture, so "digest equal" means the committed-bytes notion of
     bit-identity, not approximate float comparison.  One short hash per
-    cell keeps BENCH documents small while still catching any behaviour
-    change anywhere in the result.
+    cell catches any behaviour change anywhere in the result.
     """
     payload = json.dumps(result.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def phase_cycle_totals(telemetry: "Telemetry") -> "dict[str, float]":
-    """Total simulated cycles per sub-core phase, from recorded spans.
-
-    Sums span durations per phase name (compute / issue / local_unit /
-    lsu_wait).  Spans are stamped in simulation time, so these totals are
-    deterministic -- they regress only when engine *behaviour* changes,
-    never from host noise, which makes them exact-comparison material.
-    """
-    from repro.gpu.telemetry import PHASES
-
-    totals = {phase: 0.0 for phase in PHASES}
-    for _subcore, _warp, _batch, phase, start, end in telemetry.spans:
-        totals[phase] = totals.get(phase, 0.0) + (end - start)
-    return totals

@@ -9,8 +9,6 @@ Thin wrappers over the library for the common one-off questions:
 * ``train``      -- train a workload's model and report loss/PSNR.
 * ``breakdown``  -- training-time phase breakdown (Figure 4).
 * ``tune``       -- balancing-threshold sweep (§5.5.3 / Figure 23).
-* ``bench``      -- run a named benchmark scenario, write its
-  ``BENCH_<scenario>.json``, optionally diff against a baseline.
 * ``serve``      -- run the simulation service daemon (or query a
   running one with ``--status`` / ``--stop``).
 * ``request``    -- submit one simulation request to a running daemon.
@@ -206,55 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_workload_arg(tune)
     _add_gpu_arg(tune)
     tune.add_argument("--variant", choices=("B", "S"), default="B")
-
-    bench = sub.add_parser(
-        "bench",
-        help="run a named benchmark scenario and write BENCH_<name>.json "
-             "(see `repro bench --list`)",
-    )
-    bench.add_argument(
-        "scenario", nargs="?", metavar="SCENARIO",
-        help="registered scenario name (omit with --list)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", dest="list_scenarios",
-        help="list registered scenarios and exit",
-    )
-    bench.add_argument(
-        "--history", metavar="DIR", default=None,
-        help="collate every BENCH_*.json under DIR (recursively) into "
-             "one perf-trajectory table and exit (no scenario is run)",
-    )
-    bench.add_argument(
-        "--repeats", type=_positive_int, default=None, metavar="N",
-        help="measurement repeats per cell (default: per-scenario)",
-    )
-    bench.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="where to write the BENCH document "
-             "(default: BENCH_<scenario>.json in the working directory)",
-    )
-    bench.add_argument(
-        "--compare", metavar="BASELINE", default=None,
-        help="diff the fresh run against a committed BENCH baseline; "
-             "exits 1 on a regression or deterministic mismatch",
-    )
-    bench.add_argument(
-        "--timing-tolerance", type=float, default=0.5, metavar="FRAC",
-        help="allowed relative wall-time slowdown before --compare "
-             "regresses (default: 0.5; CI uses generous values)",
-    )
-    bench.add_argument(
-        "--rss-tolerance", type=float, default=1.0, metavar="FRAC",
-        help="allowed relative peak-RSS growth before --compare "
-             "regresses (default: 1.0)",
-    )
-    bench.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (json: the BENCH document, plus the "
-             "comparison under 'comparison' when --compare is given)",
-    )
-    _add_observability_args(bench)
 
     serve = sub.add_parser(
         "serve",
@@ -742,195 +691,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro import bench
-    from repro.experiments.report import format_table
-
-    if args.list_scenarios:
-        if args.format == "json":
-            print(json.dumps({
-                name: {
-                    "description": scenario.description,
-                    "mode": scenario.mode,
-                    "cheap": scenario.cheap,
-                    "repeats": scenario.repeats,
-                    "cells": scenario.cell_count(),
-                }
-                for name, scenario in sorted(bench.SCENARIOS.items())
-            }, indent=2, sort_keys=True))
-            return 0
-        rows = [
-            [name, scenario.mode, "yes" if scenario.cheap else "no",
-             str(scenario.cell_count()), scenario.description]
-            for name, scenario in sorted(bench.SCENARIOS.items())
-        ]
-        print(format_table(
-            ["scenario", "mode", "cheap", "cells", "description"], rows,
-            title="bench scenarios (cheap ones run in CI on every PR)",
-        ))
-        return 0
-    if args.history is not None:
-        return _bench_history(args)
-    if args.scenario is None:
-        print("error: a scenario name is required (or --list/--history)",
-              file=sys.stderr)
-        return 2
-    try:
-        bench.get_scenario(args.scenario)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    baseline = None
-    if args.compare is not None:
-        try:
-            with open(args.compare, encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {args.compare!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    doc = bench.run_scenario(args.scenario, repeats=args.repeats)
-    out_path = args.out or bench.bench_filename(args.scenario)
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    comparison = None
-    if baseline is not None:
-        try:
-            comparison = bench.compare_reports(
-                baseline, doc, bench.Tolerances(
-                    timing_frac=args.timing_tolerance,
-                    rss_frac=args.rss_tolerance,
-                ),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        obslog.emit("bench.compare", scenario=args.scenario,
-                    baseline=args.compare, verdict=comparison.verdict)
-
-    if args.format == "json":
-        payload = dict(doc)
-        if comparison is not None:
-            payload["comparison"] = comparison.to_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return comparison.exit_code if comparison is not None else 0
-
-    aggregate = doc["aggregate"]
-    rows = [
-        [cell["id"], f"{cell['wall_ms']['median']:,.2f}",
-         f"{cell['wall_ms']['iqr']:,.2f}",
-         f"{cell['throughput']['batches_per_sec']:,.0f}"]
-        for cell in doc["cells"]
-    ]
-    print(format_table(
-        ["cell", "median ms", "IQR ms", "batches/s"], rows,
-        title=f"bench {args.scenario} "
-              f"(repeats={doc['config']['repeats']})",
-    ))
-    console.info("")
-    console.info("cells/sec: %.1f | total wall: %.0f ms | peak RSS: %s KiB",
-                 aggregate["cells_per_sec"], aggregate["wall_ms_total"],
-                 f"{aggregate['peak_rss_kb']:,}")
-    if aggregate["cache"] is not None:
-        console.info(
-            "cache: cold hit rate %.0f%%, warm hit rate %.0f%%, "
-            "warm speedup %.1fx",
-            100 * aggregate["cache"]["cold_hit_rate"],
-            100 * aggregate["cache"]["warm_hit_rate"],
-            aggregate["cache"]["warm_speedup"],
-        )
-    if aggregate["telemetry_overhead"] is not None:
-        console.info(
-            "telemetry: overhead %.2fx, bit-identical: %s",
-            aggregate["telemetry_overhead"]["overhead_ratio"],
-            aggregate["telemetry_overhead"]["bit_identical"],
-        )
-    if aggregate["parallel"] is not None:
-        console.info(
-            "parallel: %.2fx speedup at jobs=%d, bit-identical: %s",
-            aggregate["parallel"]["speedup"],
-            aggregate["parallel"]["jobs"],
-            aggregate["parallel"]["bit_identical"],
-        )
-    console.info("bench written: %s", out_path)
-    if comparison is not None:
-        print()
-        print(comparison.render_text())
-        return comparison.exit_code
-    return 0
-
-
-def _bench_history(args) -> int:
-    """``repro bench --history DIR``: collate per-run BENCH artifacts."""
-    import json
-
-    from repro import bench
-    from repro.experiments.report import format_table
-
-    from pathlib import Path
-
-    if not Path(args.history).is_dir():
-        print(f"error: --history directory not found: {args.history}",
-              file=sys.stderr)
-        return 2
-    reports, skipped = bench.load_reports(args.history)
-    rows = bench.collate_history(reports)
-    if args.format == "json":
-        print(json.dumps(
-            {"rows": rows, "skipped": skipped}, indent=2, sort_keys=True
-        ))
-        return 0
-    if not rows:
-        print(f"no BENCH documents under {args.history}")
-        for reason in skipped:
-            console.info("skipped %s", reason)
-        return 0
-    from datetime import datetime, timezone
-
-    table_rows = []
-    for row in rows:
-        created = row["created_unix"]
-        when = (
-            datetime.fromtimestamp(created, tz=timezone.utc)
-            .strftime("%Y-%m-%d %H:%M")
-            if isinstance(created, (int, float)) else "?"
-        )
-        sha = (row["git_sha"] or "?")[:9]
-        if row["dirty"]:
-            sha += "*"
-        delta = row["delta_wall_ms"]
-        table_rows.append([
-            row["scenario"] or "?", when, sha,
-            row["engine_fingerprint"] or "?",
-            row["machine"] or "?", str(row["cells"]),
-            f"{row['wall_ms_total']:,.0f}"
-            if isinstance(row["wall_ms_total"], (int, float)) else "?",
-            f"{delta:+,.0f}"
-            if isinstance(delta, (int, float)) else "-",
-            f"{row['cells_per_sec']:,.1f}"
-            if isinstance(row["cells_per_sec"], (int, float)) else "?",
-            f"{row['peak_rss_kb']:,}"
-            if isinstance(row["peak_rss_kb"], int) else "?",
-        ])
-    print(format_table(
-        ["scenario", "created (UTC)", "commit", "engine", "machine",
-         "cells", "wall ms", "delta ms", "cells/s", "RSS KiB"],
-        table_rows,
-        title=f"bench trajectory ({len(rows)} run(s) "
-              f"under {args.history}; * = dirty tree, "
-              "delta vs previous run on the same machine)",
-    ))
-    for reason in skipped:
-        console.info("skipped %s", reason)
-    return 0
-
-
 def _cmd_cache(args) -> int:
     from repro.experiments import diskcache
 
@@ -1408,7 +1168,6 @@ def main(argv: list[str] | None = None) -> int:
         "train": lambda: _cmd_train(args),
         "breakdown": lambda: _cmd_breakdown(args),
         "tune": lambda: _cmd_tune(args),
-        "bench": lambda: _cmd_bench(args),
         "serve": lambda: _cmd_serve(args),
         "request": lambda: _cmd_request(args),
         "trace": lambda: _cmd_trace(args),

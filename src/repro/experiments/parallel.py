@@ -72,12 +72,16 @@ class CellSpec:
     """One cell of work, self-contained enough to ship to a worker.
 
     Carries the full :class:`GPUConfig` (not just a preset name) so cells
-    over ablated configs parallelize identically to preset ones.
+    over ablated configs parallelize identically to preset ones, and the
+    fingerprint of the trace it was planned against: workers load and
+    cache traces by content, so a workload whose trace was replaced
+    under the same name never replays the old one.
     """
 
     workload: str
     gpu: GPUConfig
     strategy: str
+    trace_fingerprint: str
 
     @property
     def cell_id(self) -> str:
@@ -122,24 +126,28 @@ def plan_cells(
                     workload, strategy
                 ):
                     continue
-                specs.append(CellSpec(workload, config, strategy))
+                specs.append(CellSpec(
+                    workload, config, strategy,
+                    runner.get_trace(workload).fingerprint,
+                ))
     return specs
 
 
 # --------------------------------------------------------------------- #
 # Worker side.  Module-level state survives across tasks within one
 # worker process (spawn re-imports this module there); traces are loaded
-# from the parent's spool and kept, least recently used evicted first,
-# up to _WORKER_TRACE_SLOTS per worker.
+# from the parent's spool and kept by fingerprint, least recently used
+# evicted first, up to _WORKER_TRACE_SLOTS per worker.
 #
 # The service broker (repro.service.broker) reuses this exact worker
-# surface -- _worker_init as its pool initializer, _run_spec as its task,
-# _fallback_spec for in-process degradation -- so daemon requests and
-# matrix cells execute through one code path and stay bit-identical.
+# surface -- _worker_init as its pool initializer, _spool_path for its
+# trace spool, _run_spec as its task, _fallback_spec for in-process
+# degradation -- so daemon requests and matrix cells execute through one
+# code path and stay bit-identical.
 # --------------------------------------------------------------------- #
 
 _worker_trace_dir: "Path | None" = None
-#: Loaded traces in least- to most-recently-used order.
+#: Loaded traces by fingerprint, least- to most-recently-used.
 _worker_traces: dict[str, KernelTrace] = {}
 #: Traces one worker keeps loaded.  At least the 12 Table-2 workloads,
 #: so a figure matrix never reloads; a long-lived service worker stays
@@ -160,8 +168,14 @@ def _worker_init(trace_dir: str, cache_root: "str | None",
         diskcache.configure(enabled=False)
 
 
-def _worker_trace(workload: str) -> KernelTrace:
-    trace = _worker_traces.pop(workload, None)
+def _spool_path(directory: Path, fingerprint: str) -> Path:
+    """Where a trace is spooled for workers: named by its content."""
+    return directory / f"{fingerprint}.npz"
+
+
+def _worker_trace(spec: CellSpec) -> KernelTrace:
+    workload, fingerprint = spec.workload, spec.trace_fingerprint
+    trace = _worker_traces.pop(fingerprint, None)
     if trace is None:
         if _worker_trace_dir is None:
             raise RuntimeError(
@@ -171,7 +185,7 @@ def _worker_trace(workload: str) -> KernelTrace:
                 "initialization and its first task and was respawned "
                 "without state"
             )
-        path = _worker_trace_dir / f"{workload}.npz"
+        path = _spool_path(_worker_trace_dir, fingerprint)
         if not path.exists():
             raise FileNotFoundError(
                 f"spooled trace for workload {workload!r} missing at "
@@ -181,7 +195,7 @@ def _worker_trace(workload: str) -> KernelTrace:
         trace = load_trace(path)
         if len(_worker_traces) >= _WORKER_TRACE_SLOTS:
             del _worker_traces[next(iter(_worker_traces))]
-    _worker_traces[workload] = trace
+    _worker_traces[fingerprint] = trace
     return trace
 
 
@@ -200,7 +214,7 @@ def _run_spec(spec: CellSpec, attempt: int) -> SimResult:
     with tracing.span("cell.execute", parent=tracing.carried(),
                       role="worker", cell=cell, attempt=attempt):
         faults.on_attempt(cell, attempt)
-        trace = _worker_trace(spec.workload)
+        trace = _worker_trace(spec)
         strategy = runner.make_strategy(spec.strategy)
         result = runner.simulate_cell(trace, spec.gpu, strategy)
         _maybe_corrupt_entry(spec, trace, attempt)
@@ -226,10 +240,11 @@ def _maybe_corrupt_entry(spec: CellSpec, trace: KernelTrace,
 # --------------------------------------------------------------------- #
 
 
-def _spool_traces(workloads: "list[str]", directory: Path) -> None:
-    """Write each workload's (memoized) trace once for workers to replay."""
-    for workload in dict.fromkeys(workloads):
-        save_trace(runner.get_trace(workload), directory / f"{workload}.npz")
+def _spool_traces(specs: "list[CellSpec]", directory: Path) -> None:
+    """Write each planned (memoized) trace once for workers to replay."""
+    for spec in {spec.trace_fingerprint: spec for spec in specs}.values():
+        save_trace(runner.get_trace(spec.workload),
+                   _spool_path(directory, spec.trace_fingerprint))
 
 
 def _fallback_spec(spec: CellSpec, attempt: int) -> SimResult:
@@ -345,7 +360,7 @@ def run_matrix_parallel(
     pending = [i for i in range(len(specs)) if i not in results]
     if pending:
         with tempfile.TemporaryDirectory(prefix="repro-traces-") as spool:
-            _spool_traces([specs[i].workload for i in pending], Path(spool))
+            _spool_traces([specs[i] for i in pending], Path(spool))
 
             def pool_factory():
                 return ProcessPoolExecutor(

@@ -5,17 +5,14 @@ Two complementary channels:
 * :func:`emit` -- an append-only **JSONL event stream** (one JSON object
   per line) recording what the run *did*: cell start/finish, cache
   hit/miss/write/quarantine, retry/backoff, pool restarts, manifest
-  resume decisions, benchmark lifecycle (``bench.start`` /
-  ``bench.cell`` / ``bench.finish`` / ``bench.compare`` from
-  :mod:`repro.bench.runner` and the ``repro bench`` CLI, so a measured
-  run's provenance interleaves with the cache and cell events it
-  caused), and the simulation service's request lifecycle
+  resume decisions, and the simulation service's request lifecycle
   (``svc.accept`` / ``svc.coalesce`` / ``svc.shed`` / ``svc.degrade`` /
   ``svc.breaker`` and friends from :mod:`repro.service` -- the daemon's
-  only telemetry channel, one line per admission decision).  The sink is a file named by the ``REPRO_OBSLOG``
-  environment variable (the CLI's ``--log`` sets it), which worker
-  processes inherit across ``spawn`` -- so one run produces one stream
-  no matter how many processes contributed.  Lines are written with a
+  only telemetry channel, one line per admission decision).  The sink
+  is a file named by the ``REPRO_OBSLOG`` environment variable (the
+  CLI's ``--log`` sets it), which worker processes inherit across
+  ``spawn`` -- so one run produces one stream no matter how many
+  processes contributed.  Lines are written with a
   single ``O_APPEND`` write each, so concurrent writers interleave at
   line granularity.  With no sink configured, :func:`emit` is a cheap
   no-op: the hot paths (cache lookups) stay unaffected.

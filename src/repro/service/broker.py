@@ -404,7 +404,8 @@ class Broker:
             return record
         config = runner._gpu_by_name(gpu)
         strategy = runner.make_strategy(request.strategy)
-        spec = parallel.CellSpec(request.workload, config, request.strategy)
+        spec = parallel.CellSpec(request.workload, config, request.strategy,
+                                 trace.fingerprint)
         # Same memoized read, hashed into the content address.
         key = diskcache.result_key(config, trace, strategy)  # arclint: disable=ARC013
         record = _Cell(spec, spec.cell_id, key, trace, engine)
@@ -460,7 +461,7 @@ class Broker:
                 cell, key, logical, admitted_at, deadline
             )
 
-        self._ensure_spooled(request.workload, record.trace)
+        self._ensure_spooled(record.trace)
         entry = _Entry(spec=record.spec, cell=cell, key=key, logical=logical)
         entry.ctx = req_span.context
         entry.queue_span = Span("svc.queue_wait", parent=req_span.context,
@@ -538,14 +539,16 @@ class Broker:
             latency_ms=latency_ms, _result_json=memo.json,
         )
 
-    def _ensure_spooled(self, workload: str, trace) -> None:
-        if workload in self._spooled:
+    def _ensure_spooled(self, trace) -> None:
+        fingerprint = trace.fingerprint
+        if fingerprint in self._spooled:
             return
-        # Once-per-workload spool write; amortized across every request
-        # for that workload and measured in the smoke suite.  Loopsan
+        # Once-per-trace spool write; amortized across every request
+        # for that trace and measured in the smoke suite.  Loopsan
         # still observes it -- it is in the static model, not hidden.
-        save_trace(trace, Path(self._spool.name) / f"{workload}.npz")  # arclint: disable=ARC013
-        self._spooled.add(workload)
+        path = parallel._spool_path(Path(self._spool.name), fingerprint)
+        save_trace(trace, path)  # arclint: disable=ARC013
+        self._spooled.add(fingerprint)
 
     # ----------------------------------------------------------------- #
     # Dispatch

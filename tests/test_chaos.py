@@ -424,17 +424,19 @@ def test_manifest_records_survive_torn_and_foreign_lines(tmp_path):
 
 def test_worker_trace_errors_name_workload_and_spool(tmp_path,
                                                      monkeypatch):
+    spec = parallel.CellSpec("NV-SP", SIMULATED_GPUS["3060-Sim"],
+                             "baseline", "f" * 64)
     monkeypatch.setattr(parallel, "_worker_trace_dir", None)
     monkeypatch.setattr(parallel, "_worker_traces", {})
     with pytest.raises(RuntimeError, match="_worker_init"):
-        parallel._worker_trace("NV-SP")
+        parallel._worker_trace(spec)
 
     monkeypatch.setattr(parallel, "_worker_trace_dir", tmp_path)
     with pytest.raises(FileNotFoundError) as excinfo:
-        parallel._worker_trace("NV-SP")
+        parallel._worker_trace(spec)
     message = str(excinfo.value)
     assert "'NV-SP'" in message
-    assert str(tmp_path / "NV-SP.npz") in message
+    assert str(tmp_path / f"{'f' * 64}.npz") in message
 
 
 def test_cell_spec_identity_matches_fault_addressing(fake_registry):

@@ -274,204 +274,6 @@ def test_timeline_command_rejects_unreadable_file(tmp_path, capsys):
     assert "cannot read timeline" in capsys.readouterr().err
 
 
-# --------------------------------------------------------------------- #
-# repro bench (scenario harness, BENCH_*.json, --compare)
-# --------------------------------------------------------------------- #
-
-
-def _tiny_bench_trace():
-    from repro.trace import coalesced_trace
-
-    return coalesced_trace(n_batches=40, n_slots=32, num_params=2, seed=9,
-                           name="cli-bench")
-
-
-@pytest.fixture
-def tiny_bench_scenario(monkeypatch):
-    """Register a tiny engine scenario so CLI bench tests stay fast."""
-    from repro.bench import SCENARIOS, Scenario
-
-    name = "tiny_cli"
-    monkeypatch.setitem(SCENARIOS, name, Scenario(
-        name=name, description="cli test scenario", mode="engine",
-        cheap=True, repeats=2, traces=(("tiny", _tiny_bench_trace),),
-        gpus=("3060-Sim",), strategies=("baseline", "ARC-HW"),
-    ))
-    return name
-
-
-def test_bench_list(capsys):
-    assert main(["bench", "--list"]) == 0
-    out = capsys.readouterr().out
-    assert "engine_smoke" in out
-    assert "cache_warm_vs_cold" in out
-    assert "mode" in out
-
-
-def test_bench_list_json(capsys):
-    import json
-
-    from repro.bench import scenario_names
-
-    assert main(["bench", "--list", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert sorted(doc) == scenario_names()
-    for entry in doc.values():
-        assert entry["mode"] in ("engine", "telemetry", "cache", "parallel")
-        assert isinstance(entry["cells"], int)
-
-
-def test_bench_requires_scenario(capsys):
-    assert main(["bench"]) == 2
-    assert "scenario" in capsys.readouterr().err
-
-
-def test_bench_unknown_scenario(capsys):
-    assert main(["bench", "nonsense"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown bench scenario" in err
-    assert "engine_smoke" in err  # choices are listed
-
-
-def test_bench_rejects_non_positive_repeats(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "engine_smoke", "--repeats", "0"])
-    assert excinfo.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
-
-
-def test_bench_writes_valid_document(tiny_bench_scenario, capsys, tmp_path):
-    import json
-
-    from repro.bench import validate_report
-
-    out_path = tmp_path / "BENCH_tiny.json"
-    assert main(["bench", tiny_bench_scenario, "--out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert f"bench {tiny_bench_scenario}" in out
-    assert "median ms" in out
-    assert "cells/sec" in out
-    doc = json.loads(out_path.read_text())
-    assert validate_report(doc) == []
-    assert doc["scenario"] == tiny_bench_scenario
-    assert {cell["strategy"] for cell in doc["cells"]} \
-        == {"baseline", "ARC-HW"}
-
-
-def test_bench_default_output_filename(tiny_bench_scenario, capsys,
-                                       tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", tiny_bench_scenario]) == 0
-    assert (tmp_path / f"BENCH_{tiny_bench_scenario}.json").exists()
-
-
-def test_bench_json_format(tiny_bench_scenario, capsys, tmp_path):
-    import json
-
-    from repro.bench import validate_report
-
-    assert main([
-        "bench", tiny_bench_scenario, "--out", str(tmp_path / "b.json"),
-        "--format", "json", "--repeats", "1",
-    ]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert validate_report(payload) == []
-    assert payload["config"]["repeats"] == 1
-    assert "comparison" not in payload
-
-
-def test_bench_compare_self_passes(tiny_bench_scenario, capsys, tmp_path):
-    baseline = tmp_path / "baseline.json"
-    assert main(["bench", tiny_bench_scenario, "--out", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main([
-        "bench", tiny_bench_scenario, "--out", str(tmp_path / "fresh.json"),
-        "--compare", str(baseline), "--timing-tolerance", "20",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "verdict: PASS" in out
-
-
-def test_bench_compare_detects_injected_regression(tiny_bench_scenario,
-                                                   capsys, tmp_path):
-    """A deterministic drift in the baseline must fail the comparison
-    regardless of timing tolerance -- the ISSUE acceptance path."""
-    import json
-
-    baseline = tmp_path / "baseline.json"
-    assert main(["bench", tiny_bench_scenario, "--out", str(baseline)]) == 0
-    capsys.readouterr()
-    doc = json.loads(baseline.read_text())
-    doc["cells"][0]["deterministic"]["sim_cycles"] += 1
-    baseline.write_text(json.dumps(doc))
-    code = main([
-        "bench", tiny_bench_scenario, "--out", str(tmp_path / "fresh.json"),
-        "--compare", str(baseline), "--timing-tolerance", "100",
-    ])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "verdict: REGRESS" in out
-    assert "mismatch" in out
-
-
-def test_bench_compare_json_embeds_comparison(tiny_bench_scenario, capsys,
-                                              tmp_path):
-    import json
-
-    baseline = tmp_path / "baseline.json"
-    assert main(["bench", tiny_bench_scenario, "--out", str(baseline)]) == 0
-    capsys.readouterr()
-    assert main([
-        "bench", tiny_bench_scenario, "--out", str(tmp_path / "fresh.json"),
-        "--compare", str(baseline), "--format", "json",
-        "--timing-tolerance", "20",
-    ]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["comparison"]["passed"] is True
-    assert payload["comparison"]["scenario"] == tiny_bench_scenario
-
-
-def test_bench_compare_unreadable_baseline(tiny_bench_scenario, capsys,
-                                           tmp_path):
-    assert main([
-        "bench", tiny_bench_scenario,
-        "--out", str(tmp_path / "fresh.json"),
-        "--compare", str(tmp_path / "missing.json"),
-    ]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_bench_compare_wrong_scenario_baseline(tiny_bench_scenario, capsys,
-                                               tmp_path):
-    import json
-
-    baseline = tmp_path / "baseline.json"
-    assert main(["bench", tiny_bench_scenario, "--out", str(baseline)]) == 0
-    capsys.readouterr()
-    doc = json.loads(baseline.read_text())
-    doc["scenario"] = "something_else"
-    baseline.write_text(json.dumps(doc))
-    assert main([
-        "bench", tiny_bench_scenario, "--out", str(tmp_path / "fresh.json"),
-        "--compare", str(baseline),
-    ]) == 2
-    assert "scenario mismatch" in capsys.readouterr().err
-
-
-def test_bench_log_records_lifecycle(tiny_bench_scenario, capsys, tmp_path):
-    from repro.obslog import read_events
-
-    log = tmp_path / "bench.jsonl"
-    assert main([
-        "bench", tiny_bench_scenario, "--out", str(tmp_path / "b.json"),
-        "--log", str(log),
-    ]) == 0
-    names = [event["event"] for event in read_events(log)]
-    assert "bench.start" in names
-    assert "bench.finish" in names
-    assert names.count("bench.cell") == 2
-
-
 def test_cli_log_flag_writes_obslog(small_registry, capsys, tmp_path):
     import os
 
@@ -488,78 +290,6 @@ def test_cli_log_flag_writes_obslog(small_registry, capsys, tmp_path):
     assert any(name.startswith("cache.") for name in names)
     # The sink does not leak past main().
     assert os.environ.get(OBSLOG_ENV) is None
-
-
-# --------------------------------------------------------------------- #
-# repro bench --history (trajectory collation)
-# --------------------------------------------------------------------- #
-
-
-def _history_doc(scenario, created, sha, dirty=False, wall=1234.5):
-    return {
-        "scenario": scenario,
-        "created_unix": created,
-        "git": {"sha": sha, "dirty": dirty},
-        "engine_fingerprint": "e" * 64,
-        "aggregate": {
-            "wall_ms_total": wall,
-            "cells_per_sec": 8.0,
-            "peak_rss_kb": 2048,
-        },
-        "cells": [{"key": "k"}],
-    }
-
-
-def test_bench_history_renders_trajectory(capsys, tmp_path):
-    import json
-
-    history = tmp_path / "history"
-    (history / "run1").mkdir(parents=True)
-    (history / "run1" / "BENCH_engine_smoke.json").write_text(
-        json.dumps(_history_doc("engine_smoke", 1754000000, "abc1234def"))
-    )
-    (history / "BENCH_later.json").write_text(json.dumps(
-        _history_doc("engine_smoke", 1754100000, "fedcba98765",
-                     dirty=True)
-    ))
-    (history / "junk.json").write_text("{torn")
-
-    assert main(["bench", "--history", str(history)]) == 0
-    out = capsys.readouterr().out
-    assert "engine_smoke" in out
-    assert "abc1234de" in out  # 9-char sha
-    assert "fedcba987*" in out  # dirty marker
-    assert out.index("abc1234de") < out.index("fedcba987"), \
-        "rows must be sorted oldest-first within a scenario"
-
-
-def test_bench_history_json(capsys, tmp_path):
-    import json
-
-    history = tmp_path / "history"
-    history.mkdir()
-    (history / "BENCH_a.json").write_text(
-        json.dumps(_history_doc("engine_smoke", 100, "a" * 40))
-    )
-    (history / "junk.json").write_text("not even json")
-    assert main(["bench", "--history", str(history),
-                 "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert [row["scenario"] for row in payload["rows"]] == ["engine_smoke"]
-    assert payload["rows"][0]["source"] == "BENCH_a.json"
-    assert len(payload["skipped"]) == 1
-
-
-def test_bench_history_missing_directory(capsys, tmp_path):
-    assert main(["bench", "--history", str(tmp_path / "absent")]) == 2
-    assert "not found" in capsys.readouterr().err
-
-
-def test_bench_history_empty_directory(capsys, tmp_path):
-    history = tmp_path / "empty"
-    history.mkdir()
-    assert main(["bench", "--history", str(history)]) == 0
-    assert "no BENCH documents" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------- #
@@ -730,7 +460,6 @@ def test_request_metrics_formats_from_live_daemon(capsys, tmp_path,
     import json
     import threading
 
-    from repro.experiments import runner as exp_runner
     from repro.obs.metrics import MetricsRegistry
     from repro.service import Broker
     from repro.service.daemon import ServiceDaemon
@@ -781,22 +510,3 @@ def test_request_metrics_formats_from_live_daemon(capsys, tmp_path,
         loop_holder["loop"].call_soon_threadsafe(daemon.request_shutdown)
         thread.join(timeout=30)
     assert not thread.is_alive()
-
-
-def test_bench_history_renders_same_machine_delta(capsys, tmp_path):
-    import json
-
-    host = {"platform": "L", "machine": "x", "python": "3",
-            "cpu_count": 2}
-    history = tmp_path / "history"
-    history.mkdir()
-    for index, (name, wall) in enumerate(
-            [("BENCH_one.json", 1000.0), ("BENCH_two.json", 1250.0)]):
-        doc = _history_doc("engine_smoke", 100 + index, "c" * 40,
-                           wall=wall)
-        doc["machine"] = host
-        (history / name).write_text(json.dumps(doc))
-    assert main(["bench", "--history", str(history)]) == 0
-    out = capsys.readouterr().out
-    assert "delta ms" in out
-    assert "+250" in out

@@ -54,6 +54,7 @@ def _loaded_after_import(module: str, watched=FORBIDDEN) -> list[str]:
     "repro.experiments.parallel",
     "repro.service",
     "repro.cli",
+    "repro.bench.metrics",
 ])
 def test_entry_point_loads_no_renderer_stack(module):
     assert _loaded_after_import(module) == []
@@ -73,9 +74,9 @@ def _forbidden_loaded() -> list[str]:
 def test_spawn_worker_replays_without_renderer_stack(tmp_path):
     trace = coalesced_trace(n_batches=200, num_params=4, seed=1,
                             name="layering")
-    save_trace(trace, tmp_path / "layering.npz")
+    save_trace(trace, tmp_path / f"{trace.fingerprint}.npz")
     spec = parallel.CellSpec("layering", SIMULATED_GPUS["3060-Sim"],
-                             "ARC-HW")
+                             "ARC-HW", trace.fingerprint)
     with ProcessPoolExecutor(
         max_workers=1, mp_context=get_context("spawn"),
         initializer=parallel._worker_init,

@@ -144,9 +144,12 @@ def test_worker_trace_cache_is_a_bounded_lru(tmp_path, monkeypatch):
     names = [f"T{i}" for i in range(slots + 2)]
     spool = tmp_path / "spool"
     spool.mkdir()
+    fingerprints = {}
     for seed, name in enumerate(names):
-        save_trace(coalesced_trace(n_batches=20, num_params=4, seed=seed,
-                                   name=name), spool / f"{name}.npz")
+        trace = coalesced_trace(n_batches=20, num_params=4, seed=seed,
+                                name=name)
+        fingerprints[name] = trace.fingerprint
+        save_trace(trace, spool / f"{trace.fingerprint}.npz")
     monkeypatch.setattr(parallel, "_worker_trace_dir", None)
     monkeypatch.setattr(parallel, "_worker_traces", {})
     # _worker_init also calls faults.mark_worker(); undo that sticky
@@ -156,8 +159,11 @@ def test_worker_trace_cache_is_a_bounded_lru(tmp_path, monkeypatch):
 
     def run(name):
         spec = parallel.CellSpec(name, SIMULATED_GPUS["3060-Sim"],
-                                 "baseline")
+                                 "baseline", fingerprints[name])
         return parallel._run_spec(spec, 1).to_dict()
+
+    def loaded():
+        return [trace.name for trace in parallel._worker_traces.values()]
 
     first = {name: run(name) for name in names[:slots]}
     run(names[0])  # a hit: T0 becomes the most recently used
@@ -165,11 +171,10 @@ def test_worker_trace_cache_is_a_bounded_lru(tmp_path, monkeypatch):
         run(name)
         assert len(parallel._worker_traces) == slots
     # T1 and T2 were the least recently used when T16 and T17 loaded.
-    assert list(parallel._worker_traces) == [
-        *names[3:slots], names[0], *names[slots:]]
+    assert loaded() == [*names[3:slots], names[0], *names[slots:]]
     assert run(names[1]) == first[names[1]]
     assert len(parallel._worker_traces) == slots
-    assert names[3] not in parallel._worker_traces
+    assert names[3] not in loaded()
 
 
 def test_real_workload_slice_parallel_determinism():

@@ -209,8 +209,10 @@ def test_replaced_trace_gets_a_new_key_and_executes(fake_registry,
                                                     tmp_path):
     """``runner.seed_trace`` under the same workload name invalidates
     the broker's cell record: the next request resolves the new trace's
-    key and executes instead of hitting the memo on the old key."""
-    serial_truth(tmp_path, ["S1"], ["baseline"])
+    key and executes instead of hitting the memo on the old key, and
+    the pool worker simulates the replacement trace, not the one it
+    loaded for the first request."""
+    truth = serial_truth(tmp_path, ["S1", "S3"], ["baseline"])
     request = SimRequest(workload="S1", gpu="3060-Sim",
                          strategy="baseline")
     replacement = FAKES["S3"].capture_trace()
@@ -232,6 +234,8 @@ def test_replaced_trace_gets_a_new_key_and_executes(fake_registry,
         SIMULATED_GPUS["3060-Sim"], replacement,
         runner.make_strategy("baseline"))
     assert after.source == "worker"
+    assert after.result.to_dict() == truth[("S3", "3060-Sim", "baseline")]
+    assert before.result.to_dict() == truth[("S1", "3060-Sim", "baseline")]
     assert stats(broker)["memo_hits"] == 0
     assert stats(broker)["executions"] == 2
 
