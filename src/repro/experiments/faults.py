@@ -25,8 +25,8 @@ failures those proofs need, at exactly chosen points:
   (a plain ``time.sleep`` on the loop thread) for the targeted cell's
   admission, proving the async-safety cross-check end to end: the static
   analysis flags the hook's call site (ARC013, suppressed as deliberate)
-  and the runtime loop sanitizer (:mod:`repro.service.loopsan`)
-  attributes the observed stall to the same frame.
+  and the runtime sanitizer (:mod:`repro.obs.sanitize`) attributes the
+  observed stall to the same frame.
 
 The first three double as *service-level* faults: the daemon's workers
 run the same task wrapper, so a ``crash`` spec kills a worker mid-request
@@ -251,7 +251,7 @@ def on_admission(cell: str, arrival: int) -> None:
     bug class ARC013 forbids, injected on purpose so the chaos suite
     can prove both halves of the async-safety cross-check catch it:
     statically at the broker's call site, and at runtime as a stall
-    loopsan attributes to this very frame.
+    the sanitizer attributes to this very frame.
     """
     plan = active_plan()
     if plan is None:

@@ -42,8 +42,8 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from repro import obslog
-from repro.experiments import diskcache, faults, iosan, runner
-from repro.obs import tracing
+from repro.experiments import diskcache, faults, runner
+from repro.obs import sanitize, tracing
 from repro.experiments.manifest import RunManifest
 from repro.experiments.resilience import (
     CellReport,
@@ -160,7 +160,7 @@ def _worker_init(trace_dir: str, cache_root: "str | None",
     global _worker_trace_dir
     _worker_trace_dir = Path(trace_dir)
     _worker_traces.clear()
-    iosan.maybe_install()
+    sanitize.maybe_install()
     faults.mark_worker()
     if cache_enabled and cache_root is not None:
         diskcache.configure(root=cache_root, enabled=True)

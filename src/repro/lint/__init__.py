@@ -50,8 +50,8 @@ ARC009-012 add two more analyses on that layer
 (parent / worker / both) derived from the executor submission graph,
 and an escape analysis attributing file accesses to shared resource
 classes and write protocols.  Their runtime twin is the
-``REPRO_SANITIZE`` I/O shim (:mod:`repro.experiments.iosan`), which the
-chaos suite diffs against the static model.
+``REPRO_SANITIZE`` sanitizer (:mod:`repro.obs.sanitize`), whose recorded
+writes the chaos suite diffs against the static model.
 
 Findings are suppressed inline (``# arclint: disable=ARC001``) or
 grandfathered in a checked-in, content-addressed baseline

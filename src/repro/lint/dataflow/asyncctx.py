@@ -32,8 +32,8 @@ blocks if its own body hits a primitive or if it calls -- directly or
 transitively, never through an ``async def`` boundary or an escape
 hatch -- a function that does.  The coroutine-reachable slice of that
 effect set is exported as :meth:`AsyncContexts.blocking_model`, the
-exact static model the runtime loop sanitizer
-(:mod:`repro.service.loopsan`) checks observed stalls against.
+exact static model the runtime sanitizer
+(:mod:`repro.obs.sanitize`) checks observed stalls against.
 
 Everything stays under-approximate: calls the resolver cannot bind
 produce no edge and no effect, so the analysis only ever *claims*
@@ -424,7 +424,7 @@ class AsyncContexts:
     def blocking_model(self) -> set[str]:
         """Coroutine-reachable functions with a blocking effect.
 
-        This is the static half of the loopsan cross-check: on a clean
+        This is the static half of the loop-stall cross-check: on a clean
         sanitized daemon run, every frame the runtime attributes a
         loop-thread blocking operation to must be in this set.
         Allowlisted callees (ARC013 exemptions) are deliberately *in*

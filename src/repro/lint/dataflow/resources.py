@@ -22,7 +22,9 @@ access uses:
 
 The first two are *sound* under concurrency; the last two are what
 ARC009 flags, and ARC012 checks that all sound writers of one class
-agree on a single protocol.
+agree on a single protocol.  The protocol names (and the ``open``-mode
+rule) are defined once, in :mod:`repro.obs.sanitize`, whose runtime
+records fold into the same vocabulary.
 
 Attribution is an alias analysis seeded by identifier patterns
 (:attr:`~repro.lint.engine.LintConfig.resource_patterns`): an expression
@@ -53,6 +55,14 @@ from repro.lint.dataflow.symbols import (
     FunctionSymbol,
     SymbolTable,
 )
+from repro.obs.sanitize import (
+    PROTOCOL_APPEND,
+    PROTOCOL_ATOMIC_RENAME,
+    PROTOCOL_BUFFERED_APPEND,
+    PROTOCOL_RAW_WRITE,
+    PROTOCOL_TEMP,
+    mode_protocol,
+)
 
 if TYPE_CHECKING:
     from repro.lint.dataflow.callgraph import CallGraph
@@ -68,12 +78,6 @@ __all__ = [
     "ResourceModel",
     "SOUND_PROTOCOLS",
 ]
-
-PROTOCOL_ATOMIC_RENAME = "atomic-rename"
-PROTOCOL_APPEND = "o-append"
-PROTOCOL_TEMP = "temp-file"
-PROTOCOL_RAW_WRITE = "raw-write"
-PROTOCOL_BUFFERED_APPEND = "buffered-append"
 
 #: Write protocols safe under concurrent multi-process writers.
 SOUND_PROTOCOLS = frozenset({PROTOCOL_ATOMIC_RENAME, PROTOCOL_APPEND})
@@ -400,8 +404,5 @@ def _open_mode_protocol(
         if (keyword.arg == "mode" and isinstance(keyword.value, ast.Constant)
                 and isinstance(keyword.value.value, str)):
             mode = keyword.value.value
-    if any(flag in mode for flag in ("w", "x", "+")):
-        return "write", PROTOCOL_RAW_WRITE
-    if "a" in mode:
-        return "write", PROTOCOL_BUFFERED_APPEND
-    return "read", None
+    protocol = mode_protocol(mode)
+    return ("read", None) if protocol is None else ("write", protocol)

@@ -86,9 +86,7 @@ class LintConfig:
         "REPRO_NO_DISK_CACHE",
         "REPRO_CACHE_SWEEP_AGE",
         "REPRO_SANITIZE",
-        "REPRO_IOSAN_LOG",
-        "REPRO_LOOPSAN_LOG",
-        "REPRO_LOOPSAN_SLOW_MS",
+        "REPRO_SANITIZE_LOG",
         "REPRO_LOG_LEVEL",
         "REPRO_TRACE",
     )

@@ -35,12 +35,12 @@ coroutine-context analysis (:mod:`repro.lint.dataflow.asyncctx`):
 
 All four are finalize-only rules scoped to the service packages and
 share one ``(scope, contexts)`` analysis per run.  ARC013's model is
-cross-checked at runtime by the ``REPRO_SANITIZE`` loop sanitizer
-(:mod:`repro.service.loopsan`): blocking frames the sanitizer observes
-on the loop thread during the chaos suite must be a subset of
+cross-checked at runtime by the ``REPRO_SANITIZE`` sanitizer
+(:mod:`repro.obs.sanitize`): blocking frames it observes on the loop
+thread during the chaos suite must be a subset of
 :meth:`~repro.lint.dataflow.asyncctx.AsyncContexts.blocking_model`, so
-analysis unsoundness surfaces as a test failure, exactly as iosan does
-for the process-safety rules.
+analysis unsoundness surfaces as a test failure, exactly as the same
+record stream does for the process-safety rules.
 """
 
 from __future__ import annotations

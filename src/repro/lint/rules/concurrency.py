@@ -36,9 +36,9 @@ All four are finalize-only rules over the process-safety scope
 (``repro/experiments`` plus ``repro/obslog.py`` by default) and share
 one ``(contexts, resources)`` analysis pair per run.  The static model
 ARC009/ARC012 consume is cross-checked at runtime by the
-``REPRO_SANITIZE`` I/O shim (:mod:`repro.experiments.iosan`): protocols
-the shim observes during the chaos suite must be a subset of the model,
-so analysis unsoundness surfaces as a test failure.
+``REPRO_SANITIZE`` sanitizer (:mod:`repro.obs.sanitize`): protocols the
+shim observes during the chaos suite must be a subset of the model, so
+analysis unsoundness surfaces as a test failure.
 """
 
 from __future__ import annotations

@@ -148,15 +148,17 @@ def set_obslog_path(path) -> "str | None":
     return previous
 
 
-def emit(event: str, **fields) -> None:
+def emit(event: str, *, sink: "str | None" = None, **fields) -> None:
     """Append one event line to the active sink (no-op when off).
 
     Every line carries the event name, a wall-clock ``ts`` and the
-    writing ``pid``; *fields* must be JSON-serializable.  Failures to
+    writing ``pid``; *fields* must be JSON-serializable.  *sink*
+    overrides the ``REPRO_OBSLOG`` path (the runtime sanitizer's log,
+    :mod:`repro.obs.sanitize`, is written this way).  Failures to
     write are swallowed after one diagnostic -- observability must never
     take down the run it observes.
     """
-    path = obslog_path()
+    path = sink or obslog_path()
     if path is None:
         return
     record = {"event": event, "ts": time.time(), "pid": os.getpid()}

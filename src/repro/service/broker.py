@@ -37,8 +37,9 @@ through the worker's existing atomic-rename writer, completions reach
 the session journal through :class:`~repro.experiments.manifest.
 RunManifest`'s single ``O_APPEND`` write, and telemetry flows through
 :func:`repro.obslog.emit` -- all writer sites that the static
-process-safety model already proves sound, so the runtime I/O sanitizer
-observes nothing new when the daemon runs under ``REPRO_SANITIZE=1``.
+process-safety model already proves sound, so the runtime sanitizer
+(:mod:`repro.obs.sanitize`) observes nothing new when the daemon runs
+under ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations

@@ -27,13 +27,12 @@ session-scoped ``REPRO_TRACE`` root rides that path.
 
 A unix socket (not TCP) keeps the trust boundary at filesystem
 permissions, and line-delimited JSON keeps the protocol debuggable with
-``nc -U``.  The daemon installs the runtime sanitizers when
-``REPRO_SANITIZE=1`` is set, exactly like the test harness: the I/O
-shim (:mod:`repro.experiments.iosan`) cross-checks the static
-ARC009-012 write-protocol model, and the loop-stall shim
-(:mod:`repro.service.loopsan`) cross-checks the static ARC013
+``nc -U``.  The daemon installs the runtime sanitizer
+(:mod:`repro.obs.sanitize`) when ``REPRO_SANITIZE=1`` is set, exactly
+like the test harness: its one record stream cross-checks both the
+static ARC009-012 write-protocol model and the static ARC013
 coroutine-blocking model, with ``loop.slow_callback_duration`` armed to
-the same threshold.
+the sanitizer's stall threshold.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ import socket
 import tempfile
 from pathlib import Path
 
-from repro.experiments import iosan
-from repro.service import loopsan
+from repro.obs import sanitize
 from repro.service.broker import Broker
 from repro.service.request import ServiceError, ServiceResponse, SimRequest
 
@@ -77,11 +75,8 @@ class ServiceDaemon:
 
     async def run(self, ready: "asyncio.Event | None" = None) -> None:
         """Start the broker, listen, and block until a shutdown op."""
-        # iosan first, loopsan over it: both then observe one call, and
-        # loopsan's pristine-at-import log writer bypasses both shims.
-        iosan.maybe_install()
-        if loopsan.maybe_install():
-            loopsan.arm_loop(asyncio.get_running_loop())
+        if sanitize.maybe_install():
+            sanitize.arm_loop(asyncio.get_running_loop())
         await self.broker.start()
         # asyncio reads each socket into a fresh 256 KiB buffer, which
         # glibc's initial 128 KiB mmap threshold maps and unmaps per read.

@@ -481,18 +481,19 @@ def test_iosan_observations_match_static_model(fake_registry, tmp_path,
     reproduce the static model exactly.  An unmodeled runtime writer
     (analysis unsoundness) or a modeled-but-never-exercised protocol
     both fail here."""
-    from repro.experiments import iosan
+    from repro.obs import sanitize
+    from repro.obslog import read_events
 
     serial_baseline(tmp_path)
-    log_path = tmp_path / "iosan.jsonl"
+    log_path = tmp_path / "sanitize.jsonl"
     obslog_path = tmp_path / "obslog.jsonl"
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(log_path))
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log_path))
     monkeypatch.setenv("REPRO_OBSLOG", str(obslog_path))
     faults.configure(FaultPlan((
         FaultSpec(cell=CORRUPT_CELL, kind="corrupt-cache", times=3),
     )))
-    assert iosan.maybe_install(), "shim must arm when both env vars set"
+    assert sanitize.maybe_install(), "shim must arm when both env vars set"
     try:
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
                             policy=chaos_policy())
@@ -502,18 +503,18 @@ def test_iosan_observations_match_static_model(fake_registry, tmp_path,
         clear_caches()
         warm = run_matrix(WORKLOADS, STRATEGIES, GPUS)
     finally:
-        iosan.uninstall()
-    assert not iosan.installed()
+        sanitize.uninstall()
+    assert not sanitize.installed()
     assert len(warm) == N_CELLS
 
     cache = diskcache.active_cache()
     assert cache.stats.quarantined == 1
-    events = iosan.read_log(log_path)
+    events = read_events(log_path)
     assert events, "armed shim must record I/O"
     assert len({event["pid"] for event in events}) >= 2, \
         "spawned workers must install their own shim via _worker_init"
 
-    observed = iosan.observed_protocols(
+    observed = sanitize.observed_protocols(
         events, cache.root, str(obslog_path)
     )
     static = _static_write_model()
@@ -525,7 +526,7 @@ def test_iosan_observations_match_static_model(fake_registry, tmp_path,
     # The injected torn write is the one unsound protocol in the model
     # (the suppressed ARC009 in faults.corrupt_entry) -- the shim must
     # see it happen for real.
-    assert ("cache-results", iosan.PROTOCOL_RAW_WRITE) in observed
+    assert ("cache-results", sanitize.PROTOCOL_RAW_WRITE) in observed
     # And the faulted run + quarantining rerun exercise every modeled
     # writer, so observed and static coincide exactly.
     assert observed == static
@@ -536,25 +537,26 @@ def test_iosan_clean_run_uses_only_sound_protocols(fake_registry, tmp_path,
     """Without fault injection, every recorded shared-file write follows
     a sound protocol: the raw-write pair is the fault injector's doing,
     not the production stack's."""
-    from repro.experiments import iosan
+    from repro.obs import sanitize
+    from repro.obslog import read_events
 
     serial_baseline(tmp_path)
-    log_path = tmp_path / "iosan.jsonl"
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(log_path))
-    assert iosan.maybe_install()
+    log_path = tmp_path / "sanitize.jsonl"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log_path))
+    assert sanitize.maybe_install()
     try:
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
                             policy=chaos_policy())
     finally:
-        iosan.uninstall()
+        sanitize.uninstall()
 
     cache = diskcache.active_cache()
-    observed = iosan.observed_protocols(
-        iosan.read_log(log_path), cache.root
+    observed = sanitize.observed_protocols(
+        read_events(log_path), cache.root
     )
-    sound = {iosan.PROTOCOL_ATOMIC_RENAME, iosan.PROTOCOL_APPEND}
+    sound = {sanitize.PROTOCOL_ATOMIC_RENAME, sanitize.PROTOCOL_APPEND}
     unsound = {pair for pair in observed if pair[1] not in sound}
     assert not unsound, f"clean run performed unsound writes: {unsound}"
-    assert ("cache-results", iosan.PROTOCOL_ATOMIC_RENAME) in observed
-    assert ("manifest", iosan.PROTOCOL_APPEND) in observed
+    assert ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME) in observed
+    assert ("manifest", sanitize.PROTOCOL_APPEND) in observed

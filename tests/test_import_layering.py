@@ -4,7 +4,9 @@ Replaying a captured trace needs only ``core``, ``gpu``, ``trace``,
 ``obs``, ``experiments`` and ``service``.  The renderer stack
 (``repro.render``, ``repro.workloads``) and its heavy third-party
 dependencies (scipy, networkx) load only where a workload is built, a
-PageRank graph is generated or SSIM is computed.  These are structural
+PageRank graph is generated or SSIM is computed.  ``asyncio`` loads only
+with the service: the experiment runner and its spawn workers never
+need it, the runtime sanitizer included.  These are structural
 pins, not timing tests: each import runs in a fresh interpreter (or a
 real spawn worker) and the forbidden modules must be absent from
 ``sys.modules`` afterwards.
@@ -23,11 +25,14 @@ import pytest
 
 from repro.experiments import parallel, runner
 from repro.gpu import SIMULATED_GPUS
+from repro.obslog import read_events
 from repro.trace import coalesced_trace
 from repro.trace.io import save_trace
 
 #: Modules a trace-replaying process must never load.
 FORBIDDEN = ("repro.workloads", "repro.render", "scipy", "networkx")
+#: What a spawn worker must never load: the above, plus the event loop.
+WORKER_FORBIDDEN = FORBIDDEN + ("asyncio",)
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,6 +65,12 @@ def test_entry_point_loads_no_renderer_stack(module):
     assert _loaded_after_import(module) == []
 
 
+def test_experiment_runner_loads_no_asyncio():
+    assert _loaded_after_import(
+        "repro.experiments.parallel", watched=("asyncio",)
+    ) == []
+
+
 def test_workloads_defer_scipy_and_networkx():
     assert _loaded_after_import(
         "repro.workloads", watched=("scipy", "networkx")
@@ -68,10 +79,18 @@ def test_workloads_defer_scipy_and_networkx():
 
 def _forbidden_loaded() -> list[str]:
     """Worker task: the forbidden modules this process has imported."""
-    return [name for name in FORBIDDEN if name in sys.modules]
+    return [name for name in WORKER_FORBIDDEN if name in sys.modules]
 
 
-def test_spawn_worker_replays_without_renderer_stack(tmp_path):
+def test_spawn_worker_replays_without_renderer_stack(tmp_path, monkeypatch):
+    """A spawn worker, with the runtime sanitizer armed so its install
+    and record paths run too, replays a trace bit-identically without
+    loading the renderer stack or asyncio."""
+    from repro.obs import sanitize
+
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV,
+                       str(tmp_path / "sanitize.jsonl"))
     trace = coalesced_trace(n_batches=200, num_params=4, seed=1,
                             name="layering")
     save_trace(trace, tmp_path / f"{trace.fingerprint}.npz")
@@ -88,6 +107,9 @@ def test_spawn_worker_replays_without_renderer_stack(tmp_path):
         trace, spec.gpu, runner.make_strategy(spec.strategy)
     )
     assert loaded == []
+    recorded = read_events(tmp_path / "sanitize.jsonl")
+    assert any(event["pid"] != os.getpid() for event in recorded), \
+        "the armed worker must record its own I/O"
 
 
 def test_get_workload_builds_a_registry_workload():

@@ -1,36 +1,39 @@
-"""Unit tests for the REPRO_SANITIZE I/O interposition shim.
+"""Unit tests for the I/O half of the REPRO_SANITIZE runtime sanitizer
+(:mod:`repro.obs.sanitize`).
 
 The end-to-end cross-check against the static process-safety model
-lives in ``tests/test_chaos.py``; these tests cover the shim's own
-contract -- arming conditions, install/uninstall hygiene, what each
-traced primitive records, and how a recorded stream folds back into
-(resource class, protocol) observations.
+lives in ``tests/test_chaos.py``; the loop-thread half is in
+``tests/test_loopsan.py``.  These tests cover the shim's own contract
+-- arming conditions, install/uninstall hygiene, what each traced
+primitive records off the loop, and how a recorded stream folds back
+into (resource class, protocol) observations.
 """
 
 from __future__ import annotations
 
 import builtins
 import io
-import json
 import os
+import time
 
 import pytest
 
-from repro.experiments import iosan
+from repro.obs import sanitize
+from repro.obslog import read_events
 
 
 @pytest.fixture(autouse=True)
 def pristine_shim():
-    """Every test starts and ends with the real primitives installed."""
-    iosan.uninstall()
+    """Every test starts and ends with the shim uninstalled."""
+    sanitize.uninstall()
     yield
-    iosan.uninstall()
+    sanitize.uninstall()
 
 
 def arm(monkeypatch, tmp_path):
-    log = tmp_path / "iosan.jsonl"
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(log))
+    log = tmp_path / "sanitize.jsonl"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log))
     return log
 
 
@@ -40,43 +43,43 @@ def arm(monkeypatch, tmp_path):
 
 
 def test_enabled_requires_both_env_vars(monkeypatch, tmp_path):
-    monkeypatch.delenv(iosan.SANITIZE_ENV, raising=False)
-    monkeypatch.delenv(iosan.IOSAN_LOG_ENV, raising=False)
-    assert not iosan.enabled()
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    assert not iosan.enabled(), "no log path, nowhere to record"
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(tmp_path / "log.jsonl"))
-    assert iosan.enabled()
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "0")
-    assert not iosan.enabled(), "REPRO_SANITIZE=0 means off"
+    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    monkeypatch.delenv(sanitize.SANITIZE_LOG_ENV, raising=False)
+    assert not sanitize.enabled()
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    assert not sanitize.enabled(), "no log path, nowhere to record"
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV,
+                       str(tmp_path / "log.jsonl"))
+    assert sanitize.enabled()
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "0")
+    assert not sanitize.enabled(), "REPRO_SANITIZE=0 means off"
 
 
 def test_maybe_install_noop_when_disabled(monkeypatch):
-    monkeypatch.delenv(iosan.SANITIZE_ENV, raising=False)
-    monkeypatch.delenv(iosan.IOSAN_LOG_ENV, raising=False)
-    assert not iosan.maybe_install()
-    assert not iosan.installed()
-    assert builtins.open is iosan._real_open
+    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    monkeypatch.delenv(sanitize.SANITIZE_LOG_ENV, raising=False)
+    before = builtins.open
+    assert not sanitize.maybe_install()
+    assert not sanitize.installed()
+    assert builtins.open is before
 
 
 def test_install_uninstall_roundtrip(monkeypatch, tmp_path):
     arm(monkeypatch, tmp_path)
-    assert iosan.maybe_install()
-    assert iosan.installed()
-    assert builtins.open is not iosan._real_open
-    assert io.open is not iosan._real_io_open
-    assert os.open is not iosan._real_os_open
+    before = (builtins.open, io.open, os.open, os.replace, os.rename)
+    assert sanitize.maybe_install()
+    assert sanitize.installed()
+    assert builtins.open is not before[0]
+    assert io.open is not before[1]
+    assert os.open is not before[2]
     # Idempotent: a second install does not double-wrap.
     traced = builtins.open
-    assert iosan.maybe_install()
+    assert sanitize.maybe_install()
     assert builtins.open is traced
-    iosan.uninstall()
-    assert not iosan.installed()
-    assert builtins.open is iosan._real_open
-    assert io.open is iosan._real_io_open
-    assert os.open is iosan._real_os_open
-    assert os.replace is iosan._real_os_replace
-    assert os.rename is iosan._real_os_rename
+    sanitize.uninstall()
+    assert not sanitize.installed()
+    assert (builtins.open, io.open, os.open, os.replace, os.rename) \
+        == before
 
 
 # --------------------------------------------------------------------- #
@@ -88,7 +91,7 @@ def test_traced_primitives_record_their_protocols(monkeypatch, tmp_path):
     log = arm(monkeypatch, tmp_path)
     target = tmp_path / "data.txt"
     moved = tmp_path / "data-final.txt"
-    iosan.maybe_install()
+    sanitize.maybe_install()
     try:
         with open(target, "w") as handle:
             handle.write("x")
@@ -101,13 +104,15 @@ def test_traced_primitives_record_their_protocols(monkeypatch, tmp_path):
         moved.write_text("y")
         with open(moved) as handle:
             handle.read()
+        time.sleep(0)  # off the loop thread: never recorded
     finally:
-        iosan.uninstall()
+        sanitize.uninstall()
 
-    events = iosan.read_log(log)
+    events = read_events(log)
     by_op = {}
     for event in events:
         by_op.setdefault(event["op"], []).append(event)
+    assert set(by_op) == {"open", "os.open", "replace"}
     modes = [e["mode"] for e in by_op["open"]]
     assert "w" in modes and "r" in modes
     assert any(
@@ -120,29 +125,21 @@ def test_traced_primitives_record_their_protocols(monkeypatch, tmp_path):
     assert replace["path"] == str(moved)
     assert replace["src"] == str(target)
     assert all(e["pid"] == os.getpid() for e in events)
+    # Off the loop thread a record carries I/O fields only.
+    assert not any("frame" in e or "duration_ms" in e for e in events)
 
 
 def test_recording_survives_unwritable_log(monkeypatch, tmp_path):
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
     monkeypatch.setenv(
-        iosan.IOSAN_LOG_ENV, str(tmp_path / "no-such-dir" / "log.jsonl")
+        sanitize.SANITIZE_LOG_ENV,
+        str(tmp_path / "no-such-dir" / "log.jsonl"),
     )
-    iosan.maybe_install()
+    sanitize.maybe_install()
     try:
         (tmp_path / "out.txt").write_text("x")  # must not raise
     finally:
-        iosan.uninstall()
-
-
-def test_read_log_tolerates_torn_and_missing(tmp_path):
-    assert iosan.read_log(tmp_path / "absent.jsonl") == []
-    log = tmp_path / "torn.jsonl"
-    log.write_text(
-        json.dumps({"op": "open", "path": "a", "mode": "w"}) + "\n"
-        + '{"op": "open", "path": "b", "mo'  # torn mid-record
-    )
-    events = iosan.read_log(log)
-    assert [e["path"] for e in events] == ["a"]
+        sanitize.uninstall()
 
 
 # --------------------------------------------------------------------- #
@@ -155,7 +152,7 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
     obslog = str(tmp_path / "events.jsonl")
 
     def classify(path):
-        return iosan.classify_path(str(path), root, obslog)
+        return sanitize.classify_path(str(path), root, obslog)
 
     assert classify(root / "results" / "ab" / "abc123.json") \
         == "cache-results"
@@ -167,8 +164,8 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
     assert classify(root / "results" / "ab" / ".abc123-x7.tmp") is None
     assert classify(tmp_path / "elsewhere.txt") is None
     assert classify(root) is None
-    assert iosan.classify_path(str(root / "results" / "x.json"),
-                               None, None) is None
+    assert sanitize.classify_path(str(root / "results" / "x.json"),
+                                  None, None) is None
 
 
 def test_observed_protocols_folds_and_excludes_temps(tmp_path):
@@ -193,13 +190,16 @@ def test_observed_protocols_folds_and_excludes_temps(tmp_path):
         {"op": "open", "path": entry, "mode": "wb"},
         # Writes outside the modeled roots fold to nothing.
         {"op": "open", "path": str(tmp_path / "scratch.txt"), "mode": "w"},
+        # Loop-only records (sleeps, callback overruns) carry no path.
+        {"op": "sleep", "frame": "repro.x.f", "duration_ms": 1.0,
+         "stalled": False},
     ]
-    observed = iosan.observed_protocols(events, root, obslog)
+    observed = sanitize.observed_protocols(events, root, obslog)
     assert observed == {
-        ("cache-results", iosan.PROTOCOL_ATOMIC_RENAME),
-        ("cache-results", iosan.PROTOCOL_RAW_WRITE),
-        ("manifest", iosan.PROTOCOL_APPEND),
-        ("obslog", iosan.PROTOCOL_APPEND),
+        ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME),
+        ("cache-results", sanitize.PROTOCOL_RAW_WRITE),
+        ("manifest", sanitize.PROTOCOL_APPEND),
+        ("obslog", sanitize.PROTOCOL_APPEND),
     }
 
 
@@ -218,6 +218,6 @@ def test_worker_init_installs_shim_when_armed(monkeypatch, tmp_path):
     monkeypatch.setattr(faults, "_in_worker", faults._in_worker)
     parallel._worker_init(spool, None, False)
     try:
-        assert iosan.installed()
+        assert sanitize.installed()
     finally:
-        iosan.uninstall()
+        sanitize.uninstall()

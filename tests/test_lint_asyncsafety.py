@@ -231,7 +231,9 @@ def test_real_tree_blocking_model():
     for qname in (
         "repro.service.daemon.call",
         "repro.service.daemon.ServiceDaemon._handle",
-        "repro.service.loopsan.read_log",
+        "repro.obslog.read_events",
+        "repro.obs.sanitize.maybe_install",
+        "repro.obs.sanitize.arm_loop",
     ):
         assert qname not in model, qname
 

@@ -273,19 +273,3 @@ def test_real_tree_protocol_model():
             for a in unsound] == [
         ("experiments/faults.py", "corrupt_entry"),
     ]
-
-
-def test_iosan_protocol_names_match_static_model():
-    """The runtime shim's protocol vocabulary equals the lint layer's.
-
-    iosan deliberately duplicates the strings (experiments must not
-    import repro.lint); this pin keeps the two from drifting apart.
-    """
-    from repro.experiments import iosan
-    from repro.lint.dataflow import resources as static
-
-    assert iosan.PROTOCOL_ATOMIC_RENAME == static.PROTOCOL_ATOMIC_RENAME
-    assert iosan.PROTOCOL_APPEND == static.PROTOCOL_APPEND
-    assert iosan.PROTOCOL_TEMP == static.PROTOCOL_TEMP
-    assert iosan.PROTOCOL_RAW_WRITE == static.PROTOCOL_RAW_WRITE
-    assert iosan.PROTOCOL_BUFFERED_APPEND == static.PROTOCOL_BUFFERED_APPEND

@@ -1,10 +1,11 @@
-"""Runtime half of the async-safety story: the event-loop stall
-sanitizer (:mod:`repro.service.loopsan`) and its cross-check against
-the static ARC013 coroutine-blocking model.
+"""Loop-thread half of the REPRO_SANITIZE runtime sanitizer
+(:mod:`repro.obs.sanitize`) and its cross-check against the static
+ARC013 coroutine-blocking model.
 
-Layered like the iosan suite: shim-mechanics units first (install /
-uninstall, loop-thread gating, frame attribution, callback overrun
-tracking), then the two chaos proofs the issue demands:
+Layered like the I/O half (``tests/test_iosan.py``): shim-mechanics
+units first (install / uninstall in any order, loop-thread gating, frame
+attribution, one record per hit, callback overrun tracking), then the
+two chaos proofs:
 
 * a **clean** REPRO_SANITIZE=1 service run observes no loop-thread
   blocking frame the static model does not already contain;
@@ -19,15 +20,19 @@ from __future__ import annotations
 
 import asyncio
 import builtins
+import io
+import os
 import time
 
 import pytest
 
 from repro import obslog
-from repro.experiments import faults, iosan
+from repro.experiments import faults
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.lint.engine import LintConfig
-from repro.service import Broker, SimRequest, loopsan
+from repro.obs import sanitize
+from repro.obslog import read_events
+from repro.service import Broker, SimRequest
 from tests.test_lint_asyncsafety import real_tree_ctx
 from tests.test_service import (
     fake_registry,  # noqa: F401  (fixture re-export)
@@ -43,18 +48,17 @@ def shim_hygiene():
     """Every test leaves the process un-shimmed and fault-free."""
     faults.configure(None)
     yield
-    loopsan.uninstall()
-    iosan.uninstall()
+    sanitize.uninstall()
     faults.configure(None)
 
 
 def arm(monkeypatch, tmp_path, slow_ms=None):
-    log_path = tmp_path / "loopsan.jsonl"
-    monkeypatch.setenv(loopsan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(loopsan.LOOPSAN_LOG_ENV, str(log_path))
+    log_path = tmp_path / "sanitize.jsonl"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log_path))
     if slow_ms is not None:
-        monkeypatch.setenv(loopsan.LOOPSAN_SLOW_MS_ENV, str(slow_ms))
-    assert loopsan.maybe_install(), "shim must arm when both env vars set"
+        monkeypatch.setattr(sanitize, "SLOW_MS", float(slow_ms))
+    assert sanitize.maybe_install(), "shim must arm when both env vars set"
     return log_path
 
 
@@ -64,20 +68,22 @@ def arm(monkeypatch, tmp_path, slow_ms=None):
 
 
 def test_shared_gate_and_spawn_carry():
-    """loopsan shares iosan's sanitize gate, and the worker-spawn env
-    carry-list forwards its knobs so child processes can arm too."""
-    assert loopsan.SANITIZE_ENV == iosan.SANITIZE_ENV
-    carried = set(LintConfig().spawn_carry_env)
-    assert loopsan.LOOPSAN_LOG_ENV in carried
-    assert loopsan.LOOPSAN_SLOW_MS_ENV in carried
+    """The sanitizer has two knobs: the ``REPRO_SANITIZE`` gate it
+    shares with the engine's heap-tie assert, and one log path.  The
+    worker-spawn env carry-list forwards both, so child processes arm
+    too, and carries no other sanitizer knob."""
+    assert sanitize.SANITIZE_ENV == "REPRO_SANITIZE"
+    carried = {name for name in LintConfig().spawn_carry_env
+               if "SAN" in name}
+    assert carried == {sanitize.SANITIZE_ENV, sanitize.SANITIZE_LOG_ENV}
 
 
 def test_disabled_without_env(monkeypatch):
-    monkeypatch.delenv(loopsan.SANITIZE_ENV, raising=False)
-    monkeypatch.delenv(loopsan.LOOPSAN_LOG_ENV, raising=False)
-    assert not loopsan.enabled()
-    assert not loopsan.maybe_install()
-    assert not loopsan.installed()
+    monkeypatch.delenv(sanitize.SANITIZE_ENV, raising=False)
+    monkeypatch.delenv(sanitize.SANITIZE_LOG_ENV, raising=False)
+    assert not sanitize.enabled()
+    assert not sanitize.maybe_install()
+    assert not sanitize.installed()
 
 
 def test_install_is_idempotent_and_uninstall_restores(monkeypatch,
@@ -87,39 +93,85 @@ def test_install_is_idempotent_and_uninstall_restores(monkeypatch,
     arm(monkeypatch, tmp_path)
     shimmed_open = builtins.open
     assert shimmed_open is not pristine_open
-    assert loopsan.maybe_install()  # second install is a no-op
+    assert sanitize.maybe_install()  # second install is a no-op
     assert builtins.open is shimmed_open
-    loopsan.uninstall()
-    assert not loopsan.installed()
+    sanitize.uninstall()
+    assert not sanitize.installed()
     assert builtins.open is pristine_open
     assert time.sleep is pristine_sleep
 
 
-def test_chains_over_iosan(monkeypatch, tmp_path):
-    """Install order iosan-then-loopsan: one os.open on the loop thread
-    is observed by both sanitizers, and uninstalling in reverse order
-    restores the pristine bindings."""
-    import os as os_module
+def _bindings() -> tuple:
+    return (builtins.open, io.open, os.open, os.replace, os.rename,
+            time.sleep, asyncio.Handle._run)
 
-    pristine_os_open = os_module.open
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(tmp_path / "io.jsonl"))
-    assert iosan.maybe_install()
-    loop_log = arm(monkeypatch, tmp_path)
-    monkeypatch.setenv(obslog.OBSLOG_ENV, str(tmp_path / "obs.jsonl"))
+
+_ORDERS = [
+    ("install", "arm", "uninstall"),
+    ("arm", "install", "uninstall"),
+    ("install", "arm", "uninstall", "install", "arm", "uninstall"),
+    ("arm", "install", "uninstall", "arm", "install", "uninstall"),
+    ("install", "install", "arm", "arm", "uninstall", "uninstall"),
+    ("uninstall", "arm", "uninstall", "install", "uninstall"),
+]
+
+
+@pytest.mark.parametrize("steps", _ORDERS, ids="-".join)
+def test_uninstall_restores_prior_bindings_in_any_order(monkeypatch,
+                                                        tmp_path, steps):
+    """Whatever the order of install, arm_loop and uninstall (twice
+    over), every wrapped primitive and ``asyncio.Handle._run`` ends up
+    the object bound before -- including a binding that was itself
+    someone else's wrapper, not the builtin."""
+    real_rename = os.rename
+
+    def foreign_rename(src, dst, **kwargs):
+        return real_rename(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "rename", foreign_rename)
+    before = _bindings()
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV,
+                       str(tmp_path / "sanitize.jsonl"))
+    loop = asyncio.new_event_loop()
+    try:
+        for step in steps:
+            if step == "install":
+                assert sanitize.maybe_install()
+                assert os.rename is not foreign_rename
+            elif step == "arm":
+                sanitize.arm_loop(loop)
+                assert asyncio.Handle._run is not before[-1]
+            else:
+                sanitize.uninstall()
+                assert not sanitize.installed()
+                assert _bindings() == before
+    finally:
+        loop.close()
+    assert _bindings() == before
+
+
+def test_one_record_per_loop_thread_write(monkeypatch, tmp_path):
+    """One ``obslog.emit`` on the loop thread is one ``os.open`` hit and
+    yields exactly one sanitizer record, carrying both the I/O fields
+    (the ``O_APPEND`` flags) and the loop fields (the attributed frame)."""
+    log_path = arm(monkeypatch, tmp_path)
+    obs_path = tmp_path / "obs.jsonl"
+    monkeypatch.setenv(obslog.OBSLOG_ENV, str(obs_path))
 
     async def scenario():
-        obslog.emit("loopsan.chain", note="one write, two observers")
+        obslog.emit("sanitize.unit", note="one write, one record")
 
     asyncio.run(scenario())
-    loopsan.uninstall()
-    iosan.uninstall()
-    assert os_module.open is pristine_os_open
-    assert loopsan.observed_frames(loopsan.read_log(loop_log)) \
-        == {"repro.obslog.emit"}
-    io_events = iosan.read_log(tmp_path / "io.jsonl")
-    assert any(e.get("path", "").endswith("obs.jsonl")
-               for e in io_events)
+    sanitize.uninstall()
+    [record] = read_events(log_path)
+    assert record["op"] == "os.open"
+    assert record["path"] == str(obs_path)
+    assert record["flags"] & os.O_APPEND
+    assert record["frame"] == "repro.obslog.emit"
+    assert not record["stalled"]
+    assert sanitize.observed_protocols([record], None, str(obs_path)) \
+        == {("obslog", sanitize.PROTOCOL_APPEND)}
 
 
 def test_attributes_loop_thread_primitive_to_repro_frame(monkeypatch,
@@ -128,23 +180,29 @@ def test_attributes_loop_thread_primitive_to_repro_frame(monkeypatch,
     monkeypatch.setenv(obslog.OBSLOG_ENV, str(tmp_path / "obs.jsonl"))
 
     async def scenario():
-        obslog.emit("loopsan.unit", note="on the loop")
+        obslog.emit("sanitize.unit", note="on the loop")
 
     asyncio.run(scenario())
-    events = loopsan.read_log(log_path)
+    sanitize.uninstall()
+    events = read_events(log_path)
     assert events, "loop-thread os.open must be recorded"
-    assert loopsan.observed_frames(events) == {"repro.obslog.emit"}
+    assert sanitize.observed_frames(events) == {"repro.obslog.emit"}
     assert all(event["op"] == "os.open" for event in events)
     assert all(not event["stalled"] for event in events)
 
 
 def test_off_loop_blocking_is_not_recorded(monkeypatch, tmp_path):
-    """Worker threads and plain sync code may block freely."""
+    """Worker threads and plain sync code may block freely: off the loop
+    an I/O hit keeps its I/O fields only, and a sleep is not recorded."""
     log_path = arm(monkeypatch, tmp_path)
     monkeypatch.setenv(obslog.OBSLOG_ENV, str(tmp_path / "obs.jsonl"))
-    obslog.emit("loopsan.offloop", note="no loop running here")
+    obslog.emit("sanitize.offloop", note="no loop running here")
     time.sleep(0.0)
-    assert loopsan.read_log(log_path) == []
+    sanitize.uninstall()
+    events = read_events(log_path)
+    assert [event["op"] for event in events] == ["os.open"]
+    assert sanitize.observed_frames(events) == set()
+    assert "duration_ms" not in events[0]
 
 
 def test_callback_overrun_records_without_frame(monkeypatch, tmp_path):
@@ -154,7 +212,7 @@ def test_callback_overrun_records_without_frame(monkeypatch, tmp_path):
     log_path = arm(monkeypatch, tmp_path, slow_ms=10)
 
     async def scenario():
-        loopsan.arm_loop(asyncio.get_running_loop())
+        sanitize.arm_loop(asyncio.get_running_loop())
         done = asyncio.Event()
 
         def busy():
@@ -167,25 +225,13 @@ def test_callback_overrun_records_without_frame(monkeypatch, tmp_path):
         await done.wait()
 
     asyncio.run(scenario())
-    events = loopsan.read_log(log_path)
+    sanitize.uninstall()
+    events = read_events(log_path)
     overruns = [e for e in events if e["op"] == "callback"]
     assert overruns, "10ms threshold must catch a 50ms busy callback"
     assert any("busy" in e["callback"] for e in overruns)
     assert all(e["stalled"] for e in overruns)
-    assert loopsan.observed_frames(overruns) == set()
-
-
-def test_threshold_env_overrides_default(monkeypatch):
-    monkeypatch.delenv(loopsan.LOOPSAN_SLOW_MS_ENV, raising=False)
-    assert loopsan.slow_threshold_ms() == loopsan.DEFAULT_SLOW_MS
-    monkeypatch.setenv(loopsan.LOOPSAN_SLOW_MS_ENV, "25")
-    assert loopsan.slow_threshold_ms() == 25.0
-    monkeypatch.setenv(loopsan.LOOPSAN_SLOW_MS_ENV, "not-a-number")
-    assert loopsan.slow_threshold_ms() == loopsan.DEFAULT_SLOW_MS
-
-
-def test_read_log_missing_file_is_empty():
-    assert loopsan.read_log("/nonexistent/loopsan.jsonl") == []
+    assert sanitize.observed_frames(overruns) == set()
 
 
 # --------------------------------------------------------------------- #
@@ -213,16 +259,16 @@ def test_clean_service_run_blocks_only_inside_static_model(
         for workload in ("S1", "S2", "S1", "S2", "S1")
     ]
     broker = Broker(jobs=2, paused=True, policy=fast_policy(),
-                    session="loopsan-clean")
+                    session="sanitize-clean")
     responses = asyncio.run(ordered_burst(broker, requests))
-    loopsan.uninstall()
+    sanitize.uninstall()
     assert all(not isinstance(r, BaseException) for r in responses)
     assert responses[0].result.to_dict() \
         == truth[("S1", "3060-Sim", "baseline")]
 
-    events = loopsan.read_log(log_path)
+    events = read_events(log_path)
     assert events, "armed shim must observe the run's loop-thread I/O"
-    observed = loopsan.observed_frames(events)
+    observed = sanitize.observed_frames(events)
     assert observed, "journal/obslog writes happen on the loop thread"
     unexplained = observed - _static_blocking_model()
     assert not unexplained, (
@@ -246,16 +292,16 @@ def test_injected_loop_block_fault_is_caught_by_both_layers(
                   times=1, seconds=0.25),
     )))
     broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                    session="loopsan-fault")
+                    session="sanitize-fault")
     responses = asyncio.run(ordered_burst(broker, [
         SimRequest(workload="S1", gpu="3060-Sim", strategy="baseline"),
     ]))
-    loopsan.uninstall()
+    sanitize.uninstall()
     # The fault stalls admission; it must not corrupt the request.
     assert all(not isinstance(r, BaseException) for r in responses)
 
-    events = loopsan.read_log(log_path)
-    stalled = loopsan.stalled_frames(events)
+    events = read_events(log_path)
+    stalled = sanitize.stalled_frames(events)
     hook = "repro.experiments.faults.on_admission"
     assert hook in stalled, (
         f"runtime layer missed the injected stall: stalled={sorted(stalled)}"

@@ -22,7 +22,7 @@ request computes.  The acceptance proofs:
 * **the load proof** -- >= 1000 requests (>97% duplicates) complete
   bit-identical to serial while planned faults crash workers, hang a
   cell past its timeout and saturate the queue;
-* **iosan cross-check** -- a REPRO_SANITIZE=1 service run performs no
+* **sanitizer cross-check** -- a REPRO_SANITIZE=1 service run performs no
   shared-file write the static ARC009-012 model does not explain.
 
 Pool-driving tests spawn real worker processes; paused-broker admission
@@ -1049,33 +1049,33 @@ def test_service_iosan_writes_match_static_model(fake_registry, tmp_path,
     """Under REPRO_SANITIZE=1 a service run performs no shared-file
     write the ARC009-012 static model does not explain: the daemon layer
     adds observability without adding writer sites."""
-    from repro.experiments import iosan
+    from repro.obs import sanitize
     from tests.test_chaos import _static_write_model
 
     serial_truth(tmp_path, ["S1", "S2"], ["baseline"])
-    log_path = tmp_path / "iosan.jsonl"
-    monkeypatch.setenv(iosan.SANITIZE_ENV, "1")
-    monkeypatch.setenv(iosan.IOSAN_LOG_ENV, str(log_path))
+    log_path = tmp_path / "sanitize.jsonl"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV, str(log_path))
     requests = [
         SimRequest(workload=workload, gpu="3060-Sim", strategy="baseline")
         for workload in ("S1", "S2", "S1", "S2", "S1")
     ]
     broker = Broker(jobs=2, paused=True, policy=fast_policy(),
                     session="iosan")
-    assert iosan.maybe_install(), "shim must arm when both env vars set"
+    assert sanitize.maybe_install(), "shim must arm when both env vars set"
     try:
         responses = asyncio.run(ordered_burst(broker, requests))
     finally:
-        iosan.uninstall()
-    assert not iosan.installed()
+        sanitize.uninstall()
+    assert not sanitize.installed()
     assert all(not isinstance(r, BaseException) for r in responses)
 
     cache = diskcache.active_cache()
-    events = iosan.read_log(log_path)
+    events = read_events(log_path)
     assert events, "armed shim must record I/O"
     assert len({event["pid"] for event in events}) >= 2, \
         "spawned service workers must arm their own shim"
-    observed = iosan.observed_protocols(
+    observed = sanitize.observed_protocols(
         events, cache.root, str(obslog_sink)
     )
     unexplained = observed - _static_write_model()
@@ -1085,9 +1085,9 @@ def test_service_iosan_writes_match_static_model(fake_registry, tmp_path,
     )
     # The three shared files a service run touches, each through its
     # modeled sound protocol.
-    assert ("cache-results", iosan.PROTOCOL_ATOMIC_RENAME) in observed
-    assert ("manifest", iosan.PROTOCOL_APPEND) in observed
-    assert ("obslog", iosan.PROTOCOL_APPEND) in observed
+    assert ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME) in observed
+    assert ("manifest", sanitize.PROTOCOL_APPEND) in observed
+    assert ("obslog", sanitize.PROTOCOL_APPEND) in observed
 
 
 # --------------------------------------------------------------------- #
