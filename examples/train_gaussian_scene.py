@@ -41,11 +41,11 @@ def main() -> None:
 
     # Per-phase timing of one training iteration on the simulated GPU.
     trace = workload.capture_trace()
-    outcome = workload.iteration(0)
+    forward_pairs, n_pixels = workload.forward_stats()
     breakdown = training_breakdown(
         trace,
-        forward_pairs=outcome.forward_pairs,
-        n_pixels=outcome.n_pixels,
+        forward_pairs=forward_pairs,
+        n_pixels=n_pixels,
         config=RTX3060_SIM,
         launches=workload.trace_views,
     )

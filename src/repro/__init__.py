@@ -11,8 +11,9 @@ The package has four layers:
   warp reduction, LAB/LAB-ideal, PHI);
 * :mod:`repro.render` / :mod:`repro.workloads` -- real differentiable
   renderers (3D Gaussian splatting, Pulsar spheres, NvDiffRec cubemaps)
-  whose backward passes emit the warp-level atomic traces the simulator
-  replays, organized into the paper's Table 2 workload registry;
+  whose forward passes fix the warp-level atomic traces of their gradient
+  kernels, which the simulator replays, organized into the paper's
+  Table 2 workload registry;
 * :mod:`repro.profiling` / :mod:`repro.experiments` -- the measurement
   machinery behind every figure and table of the evaluation.
 

@@ -31,6 +31,12 @@ from typing import Sequence
 from repro.lint.baseline import diff_against_baseline, load_baseline
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import all_rules
+from repro.obs.sanitize import (
+    RESOURCE_CACHE_QUARANTINE,
+    RESOURCE_CACHE_RESULTS,
+    RESOURCE_MANIFEST,
+    RESOURCE_OBSLOG,
+)
 
 __all__ = [
     "LintConfig",
@@ -98,11 +104,11 @@ class LintConfig:
     #: attributed to the class, and the class then propagates through
     #: aliases, call returns and one level of parameter passing.
     resource_patterns: tuple[tuple[str, str], ...] = (
-        ("quarantine", "cache-quarantine"),
-        ("manifest", "manifest"),
-        ("obslog", "obslog"),
-        ("results_dir", "cache-results"),
-        ("entry_path", "cache-results"),
+        ("quarantine", RESOURCE_CACHE_QUARANTINE),
+        ("manifest", RESOURCE_MANIFEST),
+        ("obslog", RESOURCE_OBSLOG),
+        ("results_dir", RESOURCE_CACHE_RESULTS),
+        ("entry_path", RESOURCE_CACHE_RESULTS),
     )
     #: Package directories in scope for the async-safety rules
     #: (ARC013-ARC016): code that runs on (or right next to) the

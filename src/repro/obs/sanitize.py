@@ -61,6 +61,11 @@ __all__ = [
     "PROTOCOL_BUFFERED_APPEND",
     "PROTOCOL_RAW_WRITE",
     "PROTOCOL_TEMP",
+    "RESOURCE_CACHE_QUARANTINE",
+    "RESOURCE_CACHE_RESULTS",
+    "RESOURCE_CLASSES",
+    "RESOURCE_MANIFEST",
+    "RESOURCE_OBSLOG",
     "SANITIZE_ENV",
     "SANITIZE_LOG_ENV",
     "SLOW_MS",
@@ -91,6 +96,24 @@ PROTOCOL_APPEND = "o-append"
 PROTOCOL_TEMP = "temp-file"
 PROTOCOL_RAW_WRITE = "raw-write"
 PROTOCOL_BUFFERED_APPEND = "buffered-append"
+
+# Shared-resource classes: the vocabulary the static pattern table
+# (repro.lint.engine.LintConfig.resource_patterns) and classify_path share.
+RESOURCE_CACHE_RESULTS = "cache-results"
+RESOURCE_CACHE_QUARANTINE = "cache-quarantine"
+RESOURCE_MANIFEST = "manifest"
+RESOURCE_OBSLOG = "obslog"
+RESOURCE_CLASSES = frozenset({
+    RESOURCE_CACHE_RESULTS, RESOURCE_CACHE_QUARANTINE, RESOURCE_MANIFEST,
+    RESOURCE_OBSLOG,
+})
+
+#: Top-level directory under the cache root -> resource class.
+_CACHE_DIR_RESOURCES = {
+    "results": RESOURCE_CACHE_RESULTS,
+    "quarantine": RESOURCE_CACHE_QUARANTINE,
+    "manifests": RESOURCE_MANIFEST,
+}
 
 #: Directory of the ``repro`` package, for frame attribution.
 _REPRO_ROOT = str(Path(__file__).resolve().parents[1])
@@ -318,18 +341,14 @@ def classify_path(
     if name.startswith(".") and name.endswith(".tmp"):
         return None
     if obslog_path and str(resolved) == str(Path(obslog_path)):
-        return "obslog"
+        return RESOURCE_OBSLOG
     if cache_root is None:
         return None
     try:
         parts = resolved.relative_to(Path(cache_root)).parts
     except ValueError:
         return None
-    return {
-        "results": "cache-results",
-        "quarantine": "cache-quarantine",
-        "manifests": "manifest",
-    }.get(parts[0]) if parts else None
+    return _CACHE_DIR_RESOURCES.get(parts[0]) if parts else None
 
 
 def _protocol_of(event: dict) -> "str | None":

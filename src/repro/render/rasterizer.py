@@ -8,11 +8,15 @@ drops below 1e-4.
 Backward pass mirrors the paper's Figure 5 kernel: each pixel walks its
 tile's splat list and computes gradient contributions for the nine
 screen-space parameters the real kernel accumulates *atomically*
-(2D mean x/y, conic xx/xy/yy, color r/g/b, opacity).  When requested, the
-backward pass also captures the warp-level atomic trace -- one batch per
-(tile, splat, warp) with the lanes' activity determined by the same dynamic
-conditions (in-extent, alpha threshold, transmittance termination) that
-cause control divergence on a real GPU (paper Observations 1 and 2).
+(2D mean x/y, conic xx/xy/yy, color r/g/b, opacity).
+
+:func:`warp_trace` builds that kernel's warp-level atomic trace -- one
+batch per (tile, splat, warp) -- from the forward pass alone: a lane's
+activity is fixed by the same dynamic conditions (in-extent, alpha
+threshold, transmittance termination) that the forward pass decides and
+that cause control divergence on a real GPU (paper Observations 1 and
+2).  Only the per-lane gradient *values* need the backward pass, which
+hands them to the same function.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "BackwardOutput",
     "rasterize",
     "rasterize_backward",
+    "warp_trace",
 ]
 
 #: Tile edge in pixels (3DGS uses 16x16 thread blocks).
@@ -97,7 +102,7 @@ class _TileWork:
 
 @dataclass
 class RasterOutput:
-    """Rendered image plus everything the backward pass needs."""
+    """Rendered image plus everything the backward pass and trace need."""
 
     image: np.ndarray            # (H, W, 3)
     splats: Splats
@@ -226,6 +231,82 @@ def rasterize(
     return output
 
 
+def warp_trace(
+    output: RasterOutput,
+    compute_cycles: float = 120.0,
+    bfly_eligible: bool = True,
+    trace_name: str = "",
+    tile_values: "list[np.ndarray] | None" = None,
+) -> KernelTrace:
+    """Atomic trace of the backward kernel, from the forward pass's state.
+
+    The trace has one slot per splat and ``N_SCREEN_PARAMS`` atomic adds
+    per active lane, matching the structure of the real 3DGS backward
+    kernel.  *tile_values*, one ``(P, G, N_SCREEN_PARAMS)`` array of
+    per-pixel gradient contributions per tile of ``output.tiles``, are
+    attached as the trace's values; they come from
+    :func:`rasterize_backward`.
+    """
+    lane_slot_chunks: list[np.ndarray] = []
+    warp_id_chunks: list[np.ndarray] = []
+    compute_chunks: list[np.ndarray] = []
+    for tile in output.tiles:
+        n_splats = len(tile.splat_ids)
+        # Batches ordered back-to-front per warp.  Pixel p (row-major in
+        # the tile) maps to lane p % 32 of warp p // 32, exactly like a
+        # 16x16 CUDA block.
+        act = (tile.alpha > 0.0).T.reshape(
+            n_splats, WARPS_PER_TILE, WARP_SIZE
+        )
+        act = act[::-1]  # the backward kernel walks splats back-to-front
+        gid = tile.splat_ids[::-1, None, None]
+        lanes = np.where(act, gid, INACTIVE)          # (G, W, 32)
+        lane_slot_chunks.append(lanes.reshape(-1, WARP_SIZE))
+        # Warps with no active lane fail the early-out checks quickly and
+        # skip the gradient math entirely.
+        any_active = act.any(axis=2)
+        compute_chunks.append(
+            np.where(any_active, compute_cycles, SKIP_CYCLES).reshape(-1)
+        )
+        warp_base = tile.tile_index * WARPS_PER_TILE
+        warp_id_chunks.append(
+            np.tile(np.arange(warp_base, warp_base + WARPS_PER_TILE),
+                    n_splats)
+        )
+
+    values = None
+    if lane_slot_chunks:
+        lane_slots = np.concatenate(lane_slot_chunks)
+        warp_ids = np.concatenate(warp_id_chunks)
+        compute = np.concatenate(compute_chunks)
+    else:
+        lane_slots = np.zeros((0, WARP_SIZE), dtype=np.int64)
+        warp_ids = np.zeros(0, dtype=np.int64)
+        compute = np.zeros(0)
+    if tile_values is not None:
+        # (P, G, 9) -> (G, W, 32, 9), back-to-front like the lanes.
+        value_chunks = [
+            vals.transpose(1, 0, 2).reshape(
+                -1, WARPS_PER_TILE, WARP_SIZE, N_SCREEN_PARAMS
+            )[::-1].reshape(-1, WARP_SIZE, N_SCREEN_PARAMS)
+            for vals in tile_values
+        ]
+        values = (
+            np.concatenate(value_chunks) if value_chunks
+            else np.zeros((0, WARP_SIZE, N_SCREEN_PARAMS))
+        )
+    return KernelTrace(
+        lane_slots=lane_slots,
+        num_params=N_SCREEN_PARAMS,
+        n_slots=max(len(output.splats), 1),
+        warp_id=warp_ids,
+        compute_cycles=compute,
+        values=values,
+        bfly_eligible=bfly_eligible,
+        name=trace_name,
+    )
+
+
 def rasterize_backward(
     output: RasterOutput,
     grad_image: np.ndarray,
@@ -237,9 +318,9 @@ def rasterize_backward(
 ) -> BackwardOutput:
     """Backward pass of :func:`rasterize` plus optional trace capture.
 
-    The returned trace has one slot per splat and ``N_SCREEN_PARAMS``
-    atomic adds per active lane, matching the structure of the real 3DGS
-    backward kernel.
+    With *capture_trace* the result carries :func:`warp_trace`'s trace,
+    with this pass's per-lane gradients as its values when *with_values*
+    is set.
     """
     splats = output.splats
     if grad_image.shape != output.image.shape:
@@ -250,11 +331,7 @@ def rasterize_backward(
     grad_conic = np.zeros((n, 3))
     grad_colors = np.zeros((n, 3))
     grad_opacities = np.zeros(n)
-
-    lane_slot_chunks: list[np.ndarray] = []
-    warp_id_chunks: list[np.ndarray] = []
-    value_chunks: list[np.ndarray] = []
-    compute_chunks: list[np.ndarray] = []
+    tile_values: list[np.ndarray] = []
 
     for tile in output.tiles:
         ids = tile.splat_ids
@@ -310,68 +387,24 @@ def rasterize_backward(
         np.add.at(grad_colors, ids, grad_col_pg.sum(axis=0))
         np.add.at(grad_opacities, ids, grad_opac_pg.sum(axis=0))
 
-        if not capture_trace:
-            continue
-
-        # --- Warp trace: batches ordered back-to-front per warp ---------
-        # Pixel p (row-major in the tile) maps to lane p % 32 of warp
-        # p // 32, exactly like a 16x16 CUDA block.
-        act = active.T.reshape(n_splats, WARPS_PER_TILE, WARP_SIZE)
-        act = act[::-1]  # the backward kernel walks splats back-to-front
-        gid = ids[::-1, None, None]
-        lanes = np.where(act, gid, INACTIVE)          # (G, W, 32)
-        lane_slot_chunks.append(lanes.reshape(-1, WARP_SIZE))
-        # Warps with no active lane fail the early-out checks quickly and
-        # skip the gradient math entirely.
-        any_active = act.any(axis=2)
-        compute_chunks.append(
-            np.where(any_active, compute_cycles, SKIP_CYCLES).reshape(-1)
-        )
-        warp_base = tile.tile_index * WARPS_PER_TILE
-        warp_id_chunks.append(
-            np.tile(np.arange(warp_base, warp_base + WARPS_PER_TILE),
-                    n_splats)
-        )
-        if with_values:
-            vals = np.stack(
+        if capture_trace and with_values:
+            tile_values.append(np.stack(
                 [
                     grad_mean_x, grad_mean_y, grad_cxx, grad_cxy, grad_cyy,
                     grad_col_pg[:, :, 0], grad_col_pg[:, :, 1],
                     grad_col_pg[:, :, 2], grad_opac_pg,
                 ],
                 axis=-1,
-            )  # (P, G, 9)
-            vals = vals.transpose(1, 0, 2).reshape(
-                n_splats, WARPS_PER_TILE, WARP_SIZE, N_SCREEN_PARAMS
-            )[::-1]
-            value_chunks.append(
-                vals.reshape(-1, WARP_SIZE, N_SCREEN_PARAMS)
-            )
+            ))  # (P, G, 9)
 
     trace = None
     if capture_trace:
-        if lane_slot_chunks:
-            lane_slots = np.concatenate(lane_slot_chunks)
-            warp_ids = np.concatenate(warp_id_chunks)
-            values = np.concatenate(value_chunks) if with_values else None
-            compute = np.concatenate(compute_chunks)
-        else:
-            lane_slots = np.zeros((0, WARP_SIZE), dtype=np.int64)
-            warp_ids = np.zeros(0, dtype=np.int64)
-            compute = np.zeros(0)
-            values = (
-                np.zeros((0, WARP_SIZE, N_SCREEN_PARAMS))
-                if with_values else None
-            )
-        trace = KernelTrace(
-            lane_slots=lane_slots,
-            num_params=N_SCREEN_PARAMS,
-            n_slots=max(n, 1),
-            warp_id=warp_ids,
-            compute_cycles=compute,
-            values=values,
+        trace = warp_trace(
+            output,
+            compute_cycles=compute_cycles,
             bfly_eligible=bfly_eligible,
-            name=trace_name,
+            trace_name=trace_name,
+            tile_values=tile_values if with_values else None,
         )
 
     return BackwardOutput(

@@ -5,9 +5,10 @@ and rasterizes them with soft edges so coverage is differentiable.  We model
 each projected sphere as an isotropic screen-space splat whose footprint
 scales with the projected radius, and reuse the shared tile compositor.
 The backward kernel accumulates gradients for the same per-primitive
-parameter block as the other workloads; Pulsar's kernel cannot eliminate
-thread divergence, so its traces are marked ineligible for ARC-SW's
-butterfly variant (§7.2).
+parameter block as the other workloads, and its atomic trace comes from
+the forward pass through the shared :func:`~repro.render.rasterizer.warp_trace`.
+Pulsar's kernel cannot eliminate thread divergence, so its traces are
+marked ineligible for ARC-SW's butterfly variant (§7.2).
 """
 
 from __future__ import annotations
@@ -18,8 +19,14 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.loss import l1_loss, l1_loss_grad
-from repro.render.rasterizer import Splats, rasterize, rasterize_backward
+from repro.render.rasterizer import (
+    Splats,
+    rasterize,
+    rasterize_backward,
+    warp_trace,
+)
 from repro.render.splatting import GradientsAndTrace, RenderContext
+from repro.trace.events import KernelTrace
 
 __all__ = ["SphereScene", "SphereRenderer"]
 
@@ -156,6 +163,16 @@ class SphereRenderer:
         """Convenience: just the (H, W, 3) image."""
         return self.forward(camera).image
 
+    def trace(self, context: RenderContext,
+              trace_name: str = "pulsar") -> KernelTrace:
+        """Atomic trace of the gradient kernel, from forward state alone."""
+        return warp_trace(
+            context.raster,
+            compute_cycles=self.compute_cycles,
+            bfly_eligible=False,  # Pulsar cannot remove divergence (§7.2)
+            trace_name=trace_name,
+        )
+
     def backward(
         self,
         camera: Camera,
@@ -165,7 +182,11 @@ class SphereRenderer:
         with_values: bool = False,
         trace_name: str = "pulsar",
     ) -> GradientsAndTrace:
-        """L1 loss against *target* and gradients for all parameters."""
+        """L1 loss against *target* and gradients for all parameters.
+
+        *capture_trace* adds :meth:`trace`'s trace, with the per-lane
+        gradients as values when *with_values* is set.
+        """
         if self._last_projection is None:
             raise RuntimeError("backward called before forward")
         projection = self._last_projection

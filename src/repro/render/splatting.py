@@ -3,9 +3,10 @@
 ``GaussianRenderer`` composes the projection (:mod:`repro.render.projection`)
 and the tile rasterizer (:mod:`repro.render.rasterizer`) into the full 3DGS
 pipeline: render an image, compare against a target, and back-propagate the
-loss to every scene parameter.  The backward pass can capture the warp-level
-atomic trace of its gradient-accumulation stage -- the kernel the ARC paper
-identifies as the training bottleneck.
+loss to every scene parameter.  :meth:`GaussianRenderer.trace` reads the
+warp-level atomic trace of the gradient-accumulation stage -- the kernel
+the ARC paper identifies as the training bottleneck -- off the forward
+pass; the backward pass captures the same trace with gradient values.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.render.rasterizer import (
     Splats,
     rasterize,
     rasterize_backward,
+    warp_trace,
 )
 from repro.trace.events import KernelTrace
 
@@ -105,6 +107,16 @@ class GaussianRenderer:
         """Convenience: just the (H, W, 3) image."""
         return self.forward(camera).image
 
+    def trace(self, context: RenderContext,
+              trace_name: str = "3dgs") -> KernelTrace:
+        """Atomic trace of the gradient kernel, from forward state alone."""
+        return warp_trace(
+            context.raster,
+            compute_cycles=self.compute_cycles,
+            bfly_eligible=True,
+            trace_name=trace_name,
+        )
+
     def backward(
         self,
         camera: Camera,
@@ -114,7 +126,11 @@ class GaussianRenderer:
         with_values: bool = False,
         trace_name: str = "3dgs",
     ) -> GradientsAndTrace:
-        """L1 loss against *target* and gradients for all parameters."""
+        """L1 loss against *target* and gradients for all parameters.
+
+        *capture_trace* adds :meth:`trace`'s trace, with the per-lane
+        gradients as values when *with_values* is set.
+        """
         loss = l1_loss(context.image, target)
         grad_image = l1_loss_grad(context.image, target)
 

@@ -5,7 +5,10 @@ differentiable rendering; the paper's evaluation trains a *specular cubemap
 texture* from rendered mesh images.  We reproduce that task with a fixed
 mirror sphere: each pixel's view ray reflects off the sphere and samples
 the learnable cubemap with bilinear filtering.  The backward pass scatters
-``dL/dC`` into the four bilinear texels of each hit pixel.
+``dL/dC`` into the four bilinear texels of each hit pixel.  Which lanes
+scatter, and to which texels, is fixed by the forward pass's sampling
+state, so :meth:`CubemapRenderer.trace` reads the atomic trace off it;
+only the trace's gradient values need the backward pass.
 
 Atomic-traffic character (and why it matters for ARC): neighbouring pixels
 reflect into *nearby but different* texels, so a warp's lanes split into
@@ -240,7 +243,8 @@ class CubemapRenderer:
         with_values: bool = False,
         trace_name: str = "nvdiff",
     ):
-        """L1 loss and texel gradients; optionally the atomic trace."""
+        """L1 loss and texel gradients; optionally :meth:`trace`'s trace,
+        with the per-corner gradients as values when *with_values* is set."""
         if self._last_context is None:
             raise RuntimeError("backward called before forward")
         ctx = self._last_context
@@ -258,9 +262,7 @@ class CubemapRenderer:
 
         trace = None
         if capture_trace:
-            trace = self._capture_trace(
-                camera, ctx, contrib, with_values, trace_name
-            )
+            trace = self.trace(trace_name, contrib if with_values else None)
         gradients = {
             "texels": grad_flat.reshape(self.cubemap.texels.shape)
         }
@@ -272,9 +274,18 @@ class CubemapRenderer:
 
     # ------------------------------------------------------------------ #
 
-    def _capture_trace(self, camera, ctx, contrib, with_values, trace_name):
-        """Warp trace: per tile, one batch per warp per bilinear corner."""
-        h, w = camera.height, camera.width
+    def trace(self, trace_name: str = "nvdiff",
+              contrib: np.ndarray | None = None) -> KernelTrace:
+        """Atomic trace of the last forward pass's gradient kernel.
+
+        Per tile, one batch per warp per bilinear corner.  *contrib*, the
+        backward pass's ``(H, W, 4, 3)`` per-corner gradients, becomes
+        the trace's values.
+        """
+        if self._last_context is None:
+            raise RuntimeError("trace called before forward")
+        ctx = self._last_context
+        h, w = ctx.hit.shape
         tiles_y, tiles_x = h // _TILE, w // _TILE
 
         # (H, W) -> (tiles, 256) pixel-major inside each tile.
@@ -309,7 +320,7 @@ class CubemapRenderer:
         warp_ids = warp_ids.reshape(-1)
 
         values = None
-        if with_values:
+        if contrib is not None:
             contrib_tiles = tile_pixels(contrib)  # (T, 256, 4, 3)
             values = contrib_tiles.reshape(
                 n_tiles, _WARPS_PER_TILE, WARP_SIZE, BILINEAR_CORNERS, 3

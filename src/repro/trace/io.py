@@ -1,8 +1,9 @@
 """Trace serialization: save captured kernel traces to ``.npz``.
 
-Capturing a trace from a renderer costs a full instrumented backward pass;
-saving lets a trace be captured once and replayed across many simulator
-sessions (or shared as a benchmark input, like real GPU traces are).
+Capturing a trace from a renderer costs its forward passes (and a full
+backward pass when gradient values are captured); saving lets a trace be
+captured once and replayed across many simulator sessions (or shared as
+a benchmark input, like real GPU traces are).
 """
 
 from __future__ import annotations

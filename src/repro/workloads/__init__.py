@@ -1,6 +1,11 @@
 """Workloads: the paper's Table 2 registry plus the §5.6 counter-example."""
 
-from repro.workloads.base import IterationOutcome, TrainingReport, Workload
+from repro.workloads.base import (
+    ForwardOutcome,
+    IterationOutcome,
+    TrainingReport,
+    Workload,
+)
 from repro.workloads.datasets import (
     APPLICATIONS,
     WORKLOAD_KEYS,
@@ -15,6 +20,7 @@ from repro.workloads.pagerank import PagerankWorkload, pagerank_trace
 
 __all__ = [
     "Workload",
+    "ForwardOutcome",
     "IterationOutcome",
     "TrainingReport",
     "GaussianWorkload",

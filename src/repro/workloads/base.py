@@ -1,9 +1,14 @@
 """Workload abstraction: a trainable scene plus its atomic-trace capture.
 
 A :class:`Workload` bundles everything one row of the paper's Table 2
-needs: a ground-truth scene, procedurally generated target images, a
-trainable model, a training loop, and capture of the gradient-computation
-kernel's warp atomic trace for the simulator.
+needs: a ground-truth scene whose target images are rendered on first
+use, a trainable model, a training loop, and capture of the
+gradient-computation kernel's warp atomic trace for the simulator.
+
+The trace comes from the forward pass: which lanes issue atomics, and to
+which primitives, is decided there (in-extent, alpha threshold,
+transmittance termination).  Only the trace's gradient *values* need a
+target, a loss and a backward pass.
 """
 
 from __future__ import annotations
@@ -19,7 +24,16 @@ from repro.render.loss import psnr
 from repro.render.optim import Adam
 from repro.trace.events import KernelTrace
 
-__all__ = ["IterationOutcome", "TrainingReport", "Workload"]
+__all__ = ["ForwardOutcome", "IterationOutcome", "TrainingReport", "Workload"]
+
+
+@dataclass
+class ForwardOutcome:
+    """Result of one forward pass on one view."""
+
+    trace: KernelTrace | None
+    forward_pairs: int
+    n_pixels: int
 
 
 @dataclass
@@ -29,8 +43,6 @@ class IterationOutcome:
     loss: float
     gradients: dict[str, np.ndarray]
     trace: KernelTrace | None
-    forward_pairs: int
-    n_pixels: int
 
 
 @dataclass
@@ -93,14 +105,14 @@ class Workload(ABC):
             self.trace_views = trace_views
         self._built = False
         self.cameras: list[Camera] = []
-        self.targets: list[np.ndarray] = []
+        self._targets: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Build
     # ------------------------------------------------------------------ #
 
     def ensure_built(self) -> None:
-        """Build scene, cameras and targets once, lazily."""
+        """Build scene, cameras and renderers once, lazily."""
         if self._built:
             return
         self.cameras = orbit_cameras(
@@ -114,11 +126,27 @@ class Workload(ABC):
 
     @abstractmethod
     def _build(self) -> None:
-        """Create the ground-truth scene, targets, and trainable model."""
+        """Set ``self.reference``, the ground-truth scene's renderer, and
+        ``self.renderer``, the trainable model's (separate instances)."""
+
+    def target(self, view_index: int) -> np.ndarray:
+        """Ground-truth image of one view, rendered on first use."""
+        self.ensure_built()
+        image = self._targets.get(view_index)
+        if image is None:
+            image = self.reference.render(self.cameras[view_index])
+            self._targets[view_index] = image
+        return image
 
     @abstractmethod
     def parameters(self) -> dict[str, np.ndarray]:
         """The trainable parameter arrays (updated in place)."""
+
+    @abstractmethod
+    def forward(
+        self, view_index: int, capture_trace: bool = False
+    ) -> ForwardOutcome:
+        """Forward pass on one view; the trace reads only its state."""
 
     @abstractmethod
     def iteration(
@@ -129,9 +157,10 @@ class Workload(ABC):
     ) -> IterationOutcome:
         """Forward + loss + backward on one view."""
 
-    @abstractmethod
     def render_view(self, view_index: int) -> np.ndarray:
         """Render the current model from one training view."""
+        self.ensure_built()
+        return self.renderer.render(self.cameras[view_index])
 
     def default_optimizer(self) -> Adam:
         """Optimizer used by :meth:`train` when none is supplied."""
@@ -166,9 +195,7 @@ class Workload(ABC):
 
     def quality(self, view_index: int = 0) -> float:
         """PSNR of the current model on one training view."""
-        self.ensure_built()
-        rendered = self.render_view(view_index)
-        return psnr(rendered, self.targets[view_index])
+        return psnr(self.render_view(view_index), self.target(view_index))
 
     def capture_trace(
         self,
@@ -183,6 +210,10 @@ class Workload(ABC):
         throughput picture the paper's per-kernel measurements average
         over.  Optional warmup optimizer steps move the model off its
         exact initialization first.
+
+        Each view's trace comes from its forward pass; only
+        *with_values*, whose values are gradients, runs the loss and the
+        backward pass (on lazily rendered targets) for the traced views.
         """
         self.ensure_built()
         if warmup_steps:
@@ -194,9 +225,12 @@ class Workload(ABC):
         traces = []
         for offset in range(self.trace_views):
             view = (start_view + offset) % self.n_views
-            outcome = self.iteration(
-                view, capture_trace=True, with_values=with_values
-            )
+            if with_values:
+                outcome = self.iteration(
+                    view, capture_trace=True, with_values=True
+                )
+            else:
+                outcome = self.forward(view, capture_trace=True)
             if outcome.trace is None:
                 raise RuntimeError(
                     f"workload {self.key} produced no trace for view {view}"
@@ -206,8 +240,7 @@ class Workload(ABC):
 
     def forward_stats(self, view_index: int = 0) -> tuple[int, int]:
         """(compositing pairs, pixel count) of one forward pass."""
-        self.ensure_built()
-        outcome = self.iteration(view_index)
+        outcome = self.forward(view_index)
         return outcome.forward_pairs, outcome.n_pixels
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -17,7 +17,7 @@ from repro.render.optim import Adam
 from repro.render.splatting import GaussianRenderer
 from repro.render.spheres import SphereRenderer
 from repro.render.texture import Cubemap, CubemapRenderer, procedural_cubemap
-from repro.workloads.base import IterationOutcome, Workload
+from repro.workloads.base import ForwardOutcome, IterationOutcome, Workload
 from repro.workloads.scenes import (
     clustered_gaussian_scene,
     clustered_sphere_scene,
@@ -36,7 +36,44 @@ __all__ = [
 ]
 
 
-class GaussianWorkload(Workload):
+class _SplatWorkload(Workload):
+    """A scene rendered through the shared tile rasterizer (3DGS, Pulsar)."""
+
+    def parameters(self):
+        """The trainable scene arrays (updated in place)."""
+        return self.scene.parameters()
+
+    def forward(self, view_index, capture_trace=False):
+        """Forward pass on one training view; the trace reads its state."""
+        self.ensure_built()
+        camera = self.cameras[view_index]
+        context = self.renderer.forward(camera)
+        trace = (
+            self.renderer.trace(context, trace_name=self.key)
+            if capture_trace else None
+        )
+        return ForwardOutcome(
+            trace=trace,
+            forward_pairs=context.forward_pairs,
+            n_pixels=camera.width * camera.height,
+        )
+
+    def iteration(self, view_index, capture_trace=False, with_values=False):
+        """Forward + loss + backward on one training view."""
+        self.ensure_built()
+        camera = self.cameras[view_index]
+        context = self.renderer.forward(camera)
+        result = self.renderer.backward(
+            camera, context, self.target(view_index),
+            capture_trace=capture_trace, with_values=with_values,
+            trace_name=self.key,
+        )
+        return IterationOutcome(
+            loss=result.loss, gradients=result.gradients, trace=result.trace
+        )
+
+
+class GaussianWorkload(_SplatWorkload):
     """3D Gaussian Splatting scene fitting (the paper's "3D" rows)."""
 
     bfly_eligible = True
@@ -59,16 +96,11 @@ class GaussianWorkload(Workload):
             self.n_gaussians, seed=self.seed, extent=self.extent,
             n_clusters=self.n_clusters, base_scale=self.base_scale,
         )
-        reference_renderer = GaussianRenderer(reference)
-        self.targets = [reference_renderer.render(c) for c in self.cameras]
+        self.reference = GaussianRenderer(reference)
         self.scene = perturbed_gaussian_scene(reference, seed=self.seed + 1)
         self.renderer = GaussianRenderer(
             self.scene, compute_cycles=self.compute_cycles
         )
-
-    def parameters(self):
-        """The trainable scene arrays (updated in place)."""
-        return self.scene.parameters()
 
     def default_optimizer(self) -> Adam:
         """Adam with the per-parameter learning rates 3DGS-style training uses."""
@@ -83,31 +115,8 @@ class GaussianWorkload(Workload):
             },
         )
 
-    def iteration(self, view_index, capture_trace=False, with_values=False):
-        """Forward + loss + backward on one training view."""
-        self.ensure_built()
-        camera = self.cameras[view_index]
-        context = self.renderer.forward(camera)
-        result = self.renderer.backward(
-            camera, context, self.targets[view_index],
-            capture_trace=capture_trace, with_values=with_values,
-            trace_name=self.key,
-        )
-        return IterationOutcome(
-            loss=result.loss,
-            gradients=result.gradients,
-            trace=result.trace,
-            forward_pairs=context.forward_pairs,
-            n_pixels=camera.width * camera.height,
-        )
 
-    def render_view(self, view_index):
-        """Render the current model from one training view."""
-        self.ensure_built()
-        return self.renderer.render(self.cameras[view_index])
-
-
-class SphereWorkload(Workload):
+class SphereWorkload(_SplatWorkload):
     """Pulsar sphere-based rendering (the paper's "PS" rows).
 
     Pulsar's gradient kernel could not eliminate thread divergence, so the
@@ -134,16 +143,11 @@ class SphereWorkload(Workload):
             self.n_spheres, seed=self.seed, extent=self.extent,
             n_clusters=self.n_clusters, base_radius=self.base_radius,
         )
-        reference_renderer = SphereRenderer(reference)
-        self.targets = [reference_renderer.render(c) for c in self.cameras]
+        self.reference = SphereRenderer(reference)
         self.scene = perturbed_sphere_scene(reference, seed=self.seed + 1)
         self.renderer = SphereRenderer(
             self.scene, compute_cycles=self.compute_cycles
         )
-
-    def parameters(self):
-        """The trainable scene arrays (updated in place)."""
-        return self.scene.parameters()
 
     def default_optimizer(self) -> Adam:
         """Adam with the per-parameter learning rates 3DGS-style training uses."""
@@ -156,29 +160,6 @@ class SphereWorkload(Workload):
                 "opacity_logits": 0.02,
             },
         )
-
-    def iteration(self, view_index, capture_trace=False, with_values=False):
-        """Forward + loss + backward on one training view."""
-        self.ensure_built()
-        camera = self.cameras[view_index]
-        context = self.renderer.forward(camera)
-        result = self.renderer.backward(
-            camera, context, self.targets[view_index],
-            capture_trace=capture_trace, with_values=with_values,
-            trace_name=self.key,
-        )
-        return IterationOutcome(
-            loss=result.loss,
-            gradients=result.gradients,
-            trace=result.trace,
-            forward_pairs=context.forward_pairs,
-            n_pixels=camera.width * camera.height,
-        )
-
-    def render_view(self, view_index):
-        """Render the current model from one training view."""
-        self.ensure_built()
-        return self.renderer.render(self.cameras[view_index])
 
 
 class CubemapWorkload(Workload):
@@ -209,10 +190,9 @@ class CubemapWorkload(Workload):
         reference = procedural_cubemap(
             self.cubemap_resolution, seed=self.seed, n_blobs=self.n_blobs
         )
-        reference_renderer = CubemapRenderer(
+        self.reference = CubemapRenderer(
             reference, sphere_radius=self.sphere_radius
         )
-        self.targets = [reference_renderer.render(c) for c in self.cameras]
         self.cubemap = Cubemap.constant(self.cubemap_resolution, 0.4)
         self.renderer = CubemapRenderer(
             self.cubemap, sphere_radius=self.sphere_radius,
@@ -227,29 +207,32 @@ class CubemapWorkload(Workload):
         """Adam with the per-parameter learning rates 3DGS-style training uses."""
         return Adam(lr=0.05)
 
+    def forward(self, view_index, capture_trace=False):
+        """Forward pass on one training view; the trace reads its state."""
+        self.ensure_built()
+        camera = self.cameras[view_index]
+        self.renderer.forward(camera)
+        n_pixels = camera.width * camera.height
+        return ForwardOutcome(
+            trace=(
+                self.renderer.trace(trace_name=self.key)
+                if capture_trace else None
+            ),
+            forward_pairs=n_pixels * self.FORWARD_TAPS,
+            n_pixels=n_pixels,
+        )
+
     def iteration(self, view_index, capture_trace=False, with_values=False):
         """Forward + loss + backward on one training view."""
         self.ensure_built()
         camera = self.cameras[view_index]
         image = self.renderer.forward(camera)
         loss, gradients, trace = self.renderer.backward(
-            camera, image, self.targets[view_index],
+            camera, image, self.target(view_index),
             capture_trace=capture_trace, with_values=with_values,
             trace_name=self.key,
         )
-        n_pixels = camera.width * camera.height
-        return IterationOutcome(
-            loss=loss,
-            gradients=gradients,
-            trace=trace,
-            forward_pairs=n_pixels * self.FORWARD_TAPS,
-            n_pixels=n_pixels,
-        )
-
-    def render_view(self, view_index):
-        """Render the current model from one training view."""
-        self.ensure_built()
-        return self.renderer.render(self.cameras[view_index])
+        return IterationOutcome(loss=loss, gradients=gradients, trace=trace)
 
 
 def _registry() -> dict:

@@ -148,6 +148,8 @@ def test_recording_survives_unwritable_log(monkeypatch, tmp_path):
 
 
 def test_classify_path_mirrors_static_pattern_table(tmp_path):
+    from repro.lint.engine import LintConfig
+
     root = tmp_path / "cache"
     obslog = str(tmp_path / "events.jsonl")
 
@@ -166,6 +168,12 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
     assert classify(root) is None
     assert sanitize.classify_path(str(root / "results" / "x.json"),
                                   None, None) is None
+    # One vocabulary: the lint table's classes are the sanitizer's.
+    assert {cls for _, cls in LintConfig().resource_patterns} \
+        == sanitize.RESOURCE_CLASSES
+    assert {classify(root / d / "x") for d in ("results", "quarantine",
+                                               "manifests")} \
+        | {classify(obslog)} == sanitize.RESOURCE_CLASSES
 
 
 def test_observed_protocols_folds_and_excludes_temps(tmp_path):

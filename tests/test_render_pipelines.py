@@ -72,6 +72,8 @@ class TestGaussianPipeline:
         )
         assert with_trace.trace is not None
         assert with_trace.trace.bfly_eligible
+        assert self.renderer.trace(context).fingerprint \
+            == with_trace.trace.fingerprint
 
     def test_gradient_descent_reduces_loss(self):
         from repro.render.optim import Adam
@@ -114,6 +116,8 @@ class TestSpherePipeline:
         )
         assert result.trace is not None
         assert not result.trace.bfly_eligible
+        assert self.renderer.trace(context).fingerprint \
+            == result.trace.fingerprint
 
     def test_scene_validation(self):
         with pytest.raises(ValueError):
@@ -161,6 +165,9 @@ class TestCubemapPipeline:
         assert trace.n_slots == self.cubemap.n_texels
         active = trace.lane_slots[trace.lane_slots >= 0]
         assert active.max() < self.cubemap.n_texels
+        assert self.renderer.trace().fingerprint == trace.fingerprint
+        with pytest.raises(RuntimeError):
+            CubemapRenderer(self.cubemap).trace()
 
     def test_training_converges(self):
         from repro.render.optim import Adam

@@ -13,6 +13,7 @@ from repro.render.rasterizer import (
     Splats,
     rasterize,
     rasterize_backward,
+    warp_trace,
 )
 from repro.trace.events import INACTIVE
 
@@ -179,6 +180,18 @@ class TestBackward:
             len(t.splat_ids) * WARPS_PER_TILE for t in out.tiles
         )
         assert trace.lane_slots.max() < len(splats)
+
+    def test_forward_trace_is_the_backward_trace(self):
+        """The trace reads only forward state; the backward pass adds values."""
+        _, out, _, backward = self.run_case(capture=True)
+        assert warp_trace(out).fingerprint == backward.trace.fingerprint
+        _, out, _, valued = self.run_case(capture=True, with_values=True)
+        forward = warp_trace(out)
+        assert forward.values is None
+        np.testing.assert_array_equal(forward.lane_slots,
+                                      valued.trace.lane_slots)
+        np.testing.assert_array_equal(forward.compute_cycles,
+                                      valued.trace.compute_cycles)
 
     def test_trace_compute_cycles_distinguish_empty_warps(self):
         _, _, _, backward = self.run_case(capture=True)

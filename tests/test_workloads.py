@@ -1,5 +1,7 @@
 """Tests for the workload layer: scenes, registry, training, capture."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,71 @@ class TestCapture:
         value = tiny_gaussian_workload().quality(0)
         assert np.isfinite(value)
         assert value > 5.0
+
+
+@pytest.fixture
+def render_calls(monkeypatch):
+    """Count forward renders, losses and backward passes of every renderer.
+
+    A forward render is one ``rasterize`` (splat renderers) or one
+    cubemap sampling pass; target renders are forward renders too.
+    """
+    from repro.render import spheres, splatting, texture
+
+    calls = Counter()
+
+    def count(owner, name, kind):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for module in (splatting, spheres):
+        count(module, "rasterize", "forward")
+        count(module, "rasterize_backward", "backward")
+        count(module, "l1_loss", "loss")
+    count(texture, "l1_loss", "loss")
+    count(texture.CubemapRenderer, "_sample_context", "forward")
+    count(texture.CubemapRenderer, "backward", "backward")
+    return calls
+
+
+WORKLOAD_FACTORIES = pytest.mark.parametrize(
+    "make", [tiny_gaussian_workload, tiny_sphere_workload,
+             tiny_cubemap_workload],
+    ids=["gaussian", "sphere", "cubemap"],
+)
+
+
+class TestCaptureWork:
+    """Capture reads forward state: no target, loss or backward unless
+    gradient values are asked for."""
+
+    @WORKLOAD_FACTORIES
+    def test_capture_runs_one_forward_per_trace_view(self, render_calls, make):
+        workload = make(trace_views=2)
+        workload.capture_trace()
+        assert render_calls == {"forward": 2}
+
+    @WORKLOAD_FACTORIES
+    def test_capture_with_values_runs_the_backward(self, render_calls, make):
+        workload = make(trace_views=2)
+        workload.capture_trace(with_values=True)
+        # Per traced view: model forward, its target, loss and backward.
+        assert render_calls == {"forward": 4, "loss": 2, "backward": 2}
+
+    @WORKLOAD_FACTORIES
+    def test_forward_stats_runs_no_backward(self, render_calls, make):
+        make().forward_stats()
+        assert render_calls == {"forward": 1}
+
+    @WORKLOAD_FACTORIES
+    def test_quality_renders_one_target_once(self, render_calls, make):
+        workload = make()
+        workload.quality(0)
+        assert render_calls == {"forward": 2}
+        workload.quality(0)
+        assert render_calls == {"forward": 3}
