@@ -222,16 +222,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue-depth", type=_positive_int, default=16, metavar="N",
-        help="admission queue bound; requests beyond it are shed or "
-             "served stale (default: 16)",
+        help="admission queue bound; requests beyond it are shed "
+             "(default: 16)",
     )
     serve.add_argument(
         "--concurrency", type=_positive_int, default=None, metavar="N",
         help="concurrent dispatches from the queue (default: --jobs)",
-    )
-    serve.add_argument(
-        "--no-degrade", action="store_true",
-        help="shed saturated requests instead of serving stale results",
     )
     serve.add_argument(
         "--breaker-threshold", type=_positive_int, default=3, metavar="N",
@@ -788,7 +784,6 @@ def _cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         concurrency=args.concurrency,
         policy=policy,
-        degrade=not args.no_degrade,
         breaker=CircuitBreaker(threshold=args.breaker_threshold),
         # The process-wide registry, so the endpoint also exposes the
         # cache and retry families those layers report there.
@@ -954,8 +949,6 @@ def _cmd_request(args) -> int:
         if reply.get("coalesced"):
             line += " [coalesced]"
         print(line)
-        if reply.get("warning"):
-            print(f"warning: {reply['warning']}", file=sys.stderr)
     else:
         print(f"{status}: {reply.get('error')}", file=sys.stderr)
     if status == "ok":

@@ -74,7 +74,6 @@ __all__ = [
     "default_cache_dir",
     "engine_fingerprint",
     "isolated",
-    "logical_key",
     "result_key",
     "strategy_fingerprint",
     "sweep_age_seconds",
@@ -216,45 +215,18 @@ def strategy_fingerprint(strategy: AtomicStrategy) -> str:
     )
 
 
-def _key_payload(
-    config: GPUConfig,
-    trace: KernelTrace,
-    strategy: AtomicStrategy,
-    engine: "str | None",
-) -> str:
-    """Canonical JSON shared by :func:`result_key` and :func:`logical_key`."""
-    fields = {
-        "format": _FORMAT_VERSION,
-        "gpu": config.fingerprint(),
-        "trace": trace.fingerprint,
-        "strategy": strategy_fingerprint(strategy),
-    }
-    if engine is not None:
-        fields["engine"] = engine
-    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
-
-
 def result_key(
     config: GPUConfig, trace: KernelTrace, strategy: AtomicStrategy
 ) -> str:
     """Content hash identifying one (GPU, trace, strategy) simulation."""
-    payload = _key_payload(config, trace, strategy, engine_fingerprint())
+    payload = json.dumps({
+        "format": _FORMAT_VERSION,
+        "gpu": config.fingerprint(),
+        "trace": trace.fingerprint,
+        "strategy": strategy_fingerprint(strategy),
+        "engine": engine_fingerprint(),
+    }, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def logical_key(
-    config: GPUConfig, trace: KernelTrace, strategy: AtomicStrategy
-) -> str:
-    """Engine-agnostic request identity: what is asked, not which engine.
-
-    Two :func:`result_key` values that differ only because the engine
-    source changed share one logical key.  The service layer uses it to
-    find a *stale but semantically matching* result to serve with a
-    warning when load-shedding would otherwise reject the request; it
-    must never be used to address the cache itself.
-    """
-    payload = _key_payload(config, trace, strategy, None)
-    return "logical-" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------- #

@@ -18,8 +18,8 @@ failures those proofs need, at exactly chosen points:
   Ctrl-C shutdown and manifest-resume paths;
 * ``queue-full``    -- the service broker treats its admission queue as
   saturated for the targeted cell's Nth..1st admission attempts,
-  exercising load-shedding and stale-serve degradation deterministically
-  (see :mod:`repro.service.broker`) without having to win a timing race
+  exercising load-shedding deterministically (see
+  :mod:`repro.service.broker`) without having to win a timing race
   against the dispatchers.
 * ``loop-block``    -- the broker's admission path blocks the event loop
   (a plain ``time.sleep`` on the loop thread) for the targeted cell's
@@ -232,10 +232,9 @@ def planned_queue_full(cell: str, arrival: int) -> bool:
     admission attempt.
 
     The broker consults this at admission time, *before* checking real
-    queue occupancy: a matching spec forces the saturated path (shed or
-    stale-serve) for that admission, so chaos tests and the load
-    benchmark script exact overload counts instead of racing the
-    dispatchers into a genuinely full queue.
+    queue occupancy: a matching spec sheds that admission, so chaos
+    tests and the load benchmark script exact overload counts instead
+    of racing the dispatchers into a genuinely full queue.
     """
     plan = active_plan()
     return plan is not None and (

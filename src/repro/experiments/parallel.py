@@ -247,11 +247,12 @@ def _spool_traces(specs: "list[CellSpec]", directory: Path) -> None:
                    _spool_path(directory, spec.trace_fingerprint))
 
 
-def _fallback_spec(spec: CellSpec, attempt: int) -> SimResult:
+def _fallback_spec(spec: CellSpec, attempt: int,
+                   trace: KernelTrace) -> SimResult:
     """In-process serial execution for a cell that exhausted its pool
-    retries (graceful degradation; crash/hang faults never fire here)."""
+    retries (graceful degradation; crash/hang faults never fire here),
+    on *trace*, the trace ``spec.trace_fingerprint`` names."""
     faults.on_attempt(spec.cell_id, attempt)
-    trace = runner.get_trace(spec.workload)
     strategy = runner.make_strategy(spec.strategy)
     return runner.simulate_cell(trace, spec.gpu, strategy)
 
@@ -377,7 +378,8 @@ def run_matrix_parallel(
                     _run_spec, specs[index], attempt
                 ),
                 fallback=lambda index, attempt: _fallback_spec(
-                    specs[index], attempt
+                    specs[index], attempt,
+                    runner.get_trace(specs[index].workload),
                 ),
                 policy=policy,
                 report=report,

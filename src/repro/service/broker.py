@@ -6,18 +6,15 @@ robustness core of the simulation service:
 * **fingerprinting** -- every request is content-addressed with the PR 1
   cache key (:func:`~repro.experiments.diskcache.result_key`), so "the
   same simulation" is a fact about bytes, not request identity.  The key
-  is derived once per request coordinate and reused while the trace
-  object and the engine fingerprint it was derived from are unchanged;
+  is derived once per (workload, trace content, GPU, strategy) and
+  reused for every later request naming that cell;
 * **coalescing** -- duplicate in-flight requests attach a waiter to the
   existing execution instead of queueing again; the one result fans out
   to every waiter.  Requests for keys that already completed this
   session are answered from the in-memory memo without queueing at all;
 * **admission control** -- new work enters a bounded queue.  When it is
   saturated (or a ``queue-full`` fault says to pretend it is) the
-  request is *shed* with a typed :class:`RequestShed` -- unless
-  degradation is enabled and an engine-mismatched result for the same
-  logical request (:func:`~repro.experiments.diskcache.logical_key`)
-  exists, in which case that stale result is served with a warning;
+  request is *shed* with a typed :class:`RequestShed`;
 * **deadline propagation** -- a request's remaining budget clamps the
   per-attempt cell timeout
   (:meth:`~repro.experiments.resilience.RetryPolicy.clamped`) and
@@ -105,18 +102,12 @@ STAT_COUNTERS = {
 
 
 class _Cell(NamedTuple):
-    """One resolved request coordinate ``(workload, gpu, strategy)``.
-
-    Valid while ``runner.get_trace(workload)`` is still *trace* and the
-    engine fingerprint still equals *engine*; :meth:`Broker._resolve`
-    rebuilds it otherwise.
-    """
+    """One resolved cell ``(workload, trace fingerprint, gpu, strategy)``."""
 
     spec: parallel.CellSpec
     cell: str
     key: str
     trace: KernelTrace
-    engine: str
 
 
 class _Memo(NamedTuple):
@@ -133,7 +124,10 @@ class _Entry:
     spec: parallel.CellSpec
     cell: str
     key: str
-    logical: str
+    #: The trace ``spec.trace_fingerprint`` names, held until completion
+    #: so an in-process fallback simulates it even if the workload's
+    #: trace is replaced meanwhile.
+    trace: KernelTrace
     waiters: list = field(default_factory=list)
     deadlines: list = field(default_factory=list)
     #: Tracing: the admitting request's span context (``ctx``) parents
@@ -163,7 +157,6 @@ class Broker:
         queue_depth: int = 16,
         concurrency: "int | None" = None,
         policy: "RetryPolicy | None" = None,
-        degrade: bool = True,
         breaker: "CircuitBreaker | None" = None,
         probe_timeout: float = 10.0,
         clock=time.monotonic,
@@ -179,7 +172,6 @@ class Broker:
         self.queue_depth = queue_depth
         self.concurrency = concurrency if concurrency is not None else jobs
         self.policy = policy if policy is not None else RetryPolicy.from_env()
-        self.degrade_enabled = degrade
         self.probe_timeout = probe_timeout
         self._breaker = breaker
         self._clock = clock
@@ -189,7 +181,6 @@ class Broker:
         self._inflight: "dict[str, _Entry]" = {}
         self._cells: "dict[tuple, _Cell]" = {}
         self._results: "dict[str, _Memo]" = {}
-        self._stale: "dict[str, tuple[str, _Memo]]" = {}
         self._arrivals: "dict[str, int]" = {}
         self._spooled: "set[str]" = set()
         self._journal: "RunManifest | None" = None
@@ -312,8 +303,7 @@ class Broker:
         self._started = True
         self.emit_event("svc.start", jobs=self.jobs,
                         queue_depth=self.queue_depth,
-                        concurrency=self.concurrency, session=self._session,
-                        degrade=self.degrade_enabled)
+                        concurrency=self.concurrency, session=self._session)
 
     async def stop(self, drain: bool = True) -> None:
         """Stop dispatchers and the pool; optionally drain queued work."""
@@ -388,28 +378,25 @@ class Broker:
         return response
 
     def _resolve(self, request: SimRequest) -> _Cell:
-        """The request's cell record: built on the first request for a
-        coordinate, then reused until its trace or engine changes."""
+        """The request's cell record: built on the first request naming
+        its (workload, trace content, GPU, strategy), then reused."""
         gpu = request.gpu
-        coord = (request.workload,
+        trace = runner.get_trace(request.workload)
+        coord = (request.workload, trace.fingerprint,
                  gpu if isinstance(gpu, str) else gpu.fingerprint(),
                  request.strategy)
-        trace = runner.get_trace(request.workload)
-        # The engine fingerprint's source read is process-wide memoized:
-        # only the first admission ever touches disk, every later call
-        # returns the cached hash.
-        engine = diskcache.engine_fingerprint()  # arclint: disable=ARC013
         record = self._cells.get(coord)
-        if (record is not None and record.trace is trace
-                and record.engine == engine):
+        if record is not None:
             return record
         config = runner._gpu_by_name(gpu)
         strategy = runner.make_strategy(request.strategy)
         spec = parallel.CellSpec(request.workload, config, request.strategy,
                                  trace.fingerprint)
-        # Same memoized read, hashed into the content address.
+        # The content address hashes the engine fingerprint, whose
+        # source read is process-wide memoized: only the first
+        # resolution ever touches disk.
         key = diskcache.result_key(config, trace, strategy)  # arclint: disable=ARC013
-        record = _Cell(spec, spec.cell_id, key, trace, engine)
+        record = _Cell(spec, spec.cell_id, key, trace)
         self._cells[coord] = record
         return record
 
@@ -451,19 +438,12 @@ class Broker:
         # the loop thread right here, so the suite can prove the static
         # rule and the runtime loop sanitizer both catch the stall.
         faults.on_admission(cell, arrival)  # arclint: disable=ARC013
-        saturated = (
-            self._queue.full() or faults.planned_queue_full(cell, arrival)
-        )
-        logical = diskcache.logical_key(
-            record.spec.gpu, record.trace,
-            runner.make_strategy(request.strategy))
-        if saturated:
-            return self._shed_or_degrade(
-                cell, key, logical, admitted_at, deadline
-            )
+        if self._queue.full() or faults.planned_queue_full(cell, arrival):
+            raise self._shed(cell, key, deadline)
 
         self._ensure_spooled(record.trace)
-        entry = _Entry(spec=record.spec, cell=cell, key=key, logical=logical)
+        entry = _Entry(spec=record.spec, cell=cell, key=key,
+                       trace=record.trace)
         entry.ctx = req_span.context
         entry.queue_span = Span("svc.queue_wait", parent=req_span.context,
                                 role="broker", cell=cell, key=key)
@@ -481,25 +461,9 @@ class Broker:
             coalesced=False,
         )
 
-    def _shed_or_degrade(self, cell: str, key: str, logical: str,
-                         admitted_at: float,
-                         deadline: "float | None") -> ServiceResponse:
-        stale = self._stale.get(logical) if self.degrade_enabled else None
-        if stale is not None:
-            stale_key, memo = stale
-            self._count["degraded"].inc(reason="queue-full")
-            warning = (
-                "served stale: queue saturated; result computed for an "
-                f"earlier engine fingerprint (key {stale_key[:12]}...)"
-            )
-            self.emit_event("svc.degrade", cell=cell, key=key,
-                            reason="queue-full", stale_key=stale_key)
-            response = self._response(
-                cell, stale_key, memo, "stale", admitted_at
-            )
-            response.stale = True
-            response.warning = warning
-            return response
+    def _shed(self, cell: str, key: str,
+              deadline: "float | None") -> RequestShed:
+        """Count and log one shed admission; returns the rejection."""
         self._count["shed"].inc()
         # Post-mortem correlation needs the state *at shed time*: the
         # live occupancy (queue_size; queue_depth is the configured
@@ -510,7 +474,7 @@ class Broker:
                         queue_depth=self.queue_depth,
                         queue_size=self._queue.qsize(),
                         deadline_remaining=remaining)
-        raise RequestShed(cell, self.queue_depth)
+        return RequestShed(cell, self.queue_depth)
 
     async def _await_waiter(self, waiter, cell: str, key: str,
                             deadline_s: "float | None",
@@ -684,7 +648,8 @@ class Broker:
                         attempt=attempt)
         try:
             result = await self._loop.run_in_executor(
-                self._inproc, parallel._fallback_spec, entry.spec, attempt
+                self._inproc, parallel._fallback_spec, entry.spec, attempt,
+                entry.trace,
             )
         except asyncio.CancelledError:
             raise
@@ -731,10 +696,6 @@ class Broker:
         # Encoded once here; every reply for this key splices the text.
         memo = _Memo(result, json.dumps(result.to_dict()))
         self._results[entry.key] = memo
-        self._stale[entry.logical] = (entry.key, memo)
-        runner.seed_result(
-            entry.spec.workload, entry.spec.gpu, entry.spec.strategy, result
-        )
         if self._journal is not None:
             self._journal.record(entry.key, {
                 "workload": entry.spec.workload,

@@ -34,16 +34,14 @@ class ServiceError(RuntimeError):
 
 
 class RequestShed(ServiceError):
-    """Admission control rejected the request: the queue is saturated and
-    no stale result was available to degrade to."""
+    """Admission control rejected the request: the queue is saturated."""
 
     kind = "shed"
 
     def __init__(self, cell: str, queue_depth: int):
         super().__init__(
             f"request for cell {cell} shed: admission queue "
-            f"(depth {queue_depth}) is saturated and no stale result is "
-            "available to serve degraded"
+            f"(depth {queue_depth}) is saturated"
         )
         self.cell = cell
         self.queue_depth = queue_depth
@@ -117,11 +115,9 @@ class ServiceResponse:
     ``source`` is where the bytes came from: ``"worker"`` (pool
     execution), ``"inproc"`` (serial degradation -- breaker open or
     retries exhausted), ``"memo"`` (an earlier request for the same key
-    completed), ``"journal"`` (recovered from the session journal + disk
-    cache after a pool crash) or ``"stale"`` (an engine-mismatched result
-    served under load shedding).  ``coalesced`` marks responses that
-    piggybacked on another request's execution; ``stale`` responses
-    always carry a ``warning``.
+    completed) or ``"journal"`` (recovered from the session journal +
+    disk cache after a pool crash).  ``coalesced`` marks responses that
+    piggybacked on another request's execution.
 
     ``trace_id`` / ``span_id`` name the broker's ``svc.request`` span
     for this request; ``exec_span_id`` (when the request executed or
@@ -135,8 +131,6 @@ class ServiceResponse:
     result: SimResult
     source: str
     coalesced: bool = False
-    stale: bool = False
-    warning: "str | None" = None
     latency_ms: float = 0.0
     trace_id: "str | None" = None
     span_id: "str | None" = None
@@ -147,16 +141,21 @@ class ServiceResponse:
     _result_json: "str | None" = field(default=None, repr=False,
                                        compare=False)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, _result: object = None) -> dict:
+        """The reply object: the head fields, ``result`` and, when a
+        client trace context is set, ``trace``.
+
+        *_result* stands in for ``result.to_dict()``: :meth:`to_json`
+        passes a placeholder and splices the encoded result over it, so
+        this is the one place the reply's fields are listed.
+        """
         out = {
             "cell": self.cell,
             "key": self.key,
             "source": self.source,
             "coalesced": self.coalesced,
-            "stale": self.stale,
-            "warning": self.warning,
             "latency_ms": self.latency_ms,
-            "result": self.result.to_dict(),
+            "result": self.result.to_dict() if _result is None else _result,
         }
         if self.trace_id is not None:
             out["trace"] = {
@@ -169,23 +168,13 @@ class ServiceResponse:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict())``, byte for byte, splicing in
         ``_result_json`` instead of re-encoding the result."""
-        result = self._result_json
-        if result is None:
-            result = json.dumps(self.result.to_dict())
-        head = json.dumps({
-            "cell": self.cell,
-            "key": self.key,
-            "source": self.source,
-            "coalesced": self.coalesced,
-            "stale": self.stale,
-            "warning": self.warning,
-            "latency_ms": self.latency_ms,
-        })
-        tail = "}"
-        if self.trace_id is not None:
-            tail = ', "trace": %s}' % json.dumps({
-                "trace_id": self.trace_id,
-                "span_id": self.span_id,
-                "exec_span_id": self.exec_span_id,
-            })
-        return head[:-1] + ', "result": ' + result + tail
+        if self._result_json is None:
+            return json.dumps(self.to_dict())
+        # JSON strings escape every '"', so the only unescaped
+        # '"result": 0' in the encoding is the placeholder's slot.
+        return json.dumps(self.to_dict(0)).replace(
+            _RESULT_SLOT, '"result": ' + self._result_json, 1)
+
+
+#: How ``to_dict(0)`` encodes its placeholder result.
+_RESULT_SLOT = '"result": 0'

@@ -11,9 +11,9 @@ request computes.  The acceptance proofs:
 * **typed load-shedding** -- a saturated (or fault-saturated) queue
   rejects with :class:`RequestShed`, visible in the obslog, and the
   request is admittable again afterwards;
-* **graceful degradation** -- a saturated queue serves a stale
-  logical-key match with a warning instead of shedding, and an open
-  circuit breaker degrades execution to in-process serial;
+* **graceful degradation** -- an open circuit breaker or exhausted
+  retries degrade execution to in-process serial, on the trace the
+  request was admitted with;
 * **breaker determinism** -- the closed -> open -> half-open -> closed
   cycle is walked deterministically by a fake clock in-unit and by
   crash faults end to end;
@@ -240,6 +240,46 @@ def test_replaced_trace_gets_a_new_key_and_executes(fake_registry,
     assert stats(broker)["executions"] == 2
 
 
+def test_inproc_fallback_simulates_the_admitted_trace(fake_registry,
+                                                      tmp_path,
+                                                      obslog_sink):
+    """A request admitted for S1 whose trace is then replaced by
+    ``runner.seed_trace`` before it degrades in process is answered on
+    the trace it was admitted with -- the one its key names -- not on
+    the replacement."""
+    truth = serial_truth(tmp_path, ["S1", "S3"], ["baseline"])
+    faults.configure(FaultPlan((
+        FaultSpec(cell="S1|3060-Sim|baseline", kind="crash", times=10),
+    )))
+    request = SimRequest(workload="S1", gpu="3060-Sim",
+                         strategy="baseline")
+    admitted_trace = runner.get_trace("S1")
+
+    async def scenario(broker):
+        await broker.start()
+        try:
+            pending = asyncio.ensure_future(broker.submit(request))
+            await asyncio.sleep(0)
+            assert stats(broker)["admitted"] == 1
+            runner.seed_trace("S1", FAKES["S3"].capture_trace())
+            broker.resume()
+            return await pending
+        finally:
+            await broker.stop()
+
+    broker = Broker(jobs=1, paused=True, policy=fast_policy(attempts=2),
+                    breaker=CircuitBreaker(threshold=10),
+                    session="fallback-trace")
+    response = asyncio.run(scenario(broker))
+    assert response.source == "inproc"
+    assert response.key == diskcache.result_key(
+        SIMULATED_GPUS["3060-Sim"], admitted_trace,
+        runner.make_strategy("baseline"))
+    assert response.result.to_dict() == truth[("S1", "3060-Sim", "baseline")]
+    [degrade] = events_named(obslog_sink, "svc.degrade")
+    assert degrade["reason"] == "retries-exhausted"
+
+
 def test_gpu_config_request_resolves_the_preset_key(fake_registry,
                                                     tmp_path):
     """A request naming its GPU by an equal ``GPUConfig`` object is the
@@ -288,7 +328,7 @@ def test_unknown_strategy_raises_on_every_request(fake_registry):
 
 
 # --------------------------------------------------------------------- #
-# Admission control: shedding, stale-serve, deadlines
+# Admission control: shedding, deadlines
 # --------------------------------------------------------------------- #
 
 
@@ -370,75 +410,6 @@ def test_real_queue_saturation_sheds(fake_registry, tmp_path):
     assert responses[0].source == "worker"
     assert isinstance(responses[1], RequestShed)
     assert stats(broker)["shed"] == 1
-
-
-def test_saturated_queue_serves_stale_with_warning(fake_registry, tmp_path,
-                                                   monkeypatch,
-                                                   obslog_sink):
-    """After an engine change, a saturated queue degrades to the stale
-    logical-key match instead of shedding -- flagged, never silent."""
-    serial_truth(tmp_path, ["S1"], ["baseline"])
-    request = SimRequest(workload="S1", gpu="3060-Sim",
-                         strategy="baseline")
-
-    async def scenario(broker):
-        await broker.start()
-        try:
-            fresh = await broker.submit(request)
-            # The engine "changes": result keys diverge, the logical
-            # key (engine-agnostic) still matches the completed run.
-            monkeypatch.setattr(
-                diskcache, "engine_fingerprint", lambda: "engine-v-next"
-            )
-            faults.configure(FaultPlan((
-                FaultSpec(cell="S1|3060-Sim|baseline", kind="queue-full",
-                          times=10),
-            )))
-            stale = await broker.submit(request)
-            return fresh, stale
-        finally:
-            await broker.stop()
-
-    broker = Broker(jobs=1, policy=fast_policy(), session="stale")
-    fresh, stale = asyncio.run(scenario(broker))
-    assert stale.source == "stale"
-    assert stale.stale is True
-    assert stale.warning and "stale" in stale.warning
-    assert stale.result.to_dict() == fresh.result.to_dict()
-    assert stats(broker)["degraded"] == 1
-    assert stats(broker)["shed"] == 0
-    [degrade] = events_named(obslog_sink, "svc.degrade")
-    assert degrade["reason"] == "queue-full"
-
-
-def test_degradation_can_be_disabled(fake_registry, tmp_path, monkeypatch):
-    """--no-degrade semantics: with degradation off the same saturation
-    sheds even though a stale result exists."""
-    serial_truth(tmp_path, ["S1"], ["baseline"])
-    request = SimRequest(workload="S1", gpu="3060-Sim",
-                         strategy="baseline")
-
-    async def scenario(broker):
-        await broker.start()
-        try:
-            await broker.submit(request)
-            monkeypatch.setattr(
-                diskcache, "engine_fingerprint", lambda: "engine-v-next"
-            )
-            faults.configure(FaultPlan((
-                FaultSpec(cell="S1|3060-Sim|baseline", kind="queue-full",
-                          times=10),
-            )))
-            with pytest.raises(RequestShed):
-                await broker.submit(request)
-        finally:
-            await broker.stop()
-
-    broker = Broker(jobs=1, policy=fast_policy(), degrade=False,
-                    session="nodegrade")
-    asyncio.run(scenario(broker))
-    assert stats(broker)["shed"] == 1
-    assert stats(broker)["degraded"] == 0
 
 
 def test_deadline_expires_typed_while_queued(fake_registry, tmp_path,
@@ -787,7 +758,6 @@ def test_soak_keeps_broker_state_bounded_by_cells_served(fake_registry,
     def state_sizes():
         return {
             "results": len(broker._results),
-            "stale": len(broker._stale),
             "arrivals": len(broker._arrivals),
             "journalled": len(broker._journalled),
             "spooled": len(broker._spooled),
@@ -841,11 +811,12 @@ def test_soak_keeps_broker_state_bounded_by_cells_served(fake_registry,
                                   + counts["memo_hits"] + counts["shed"])
     assert counts["admitted"] == counts["completed"] == len(cells)
     # One cell record per coordinate served, and one encoded result per
-    # completed key, shared by the memo and the stale index.
+    # completed key, kept only in the memo: the runner's in-memory
+    # result layer, which nothing in a daemon reads, stays empty.
     assert sizes[-1]["cell_records"] == len(cells)
     encoded = {id(memo.json) for memo in broker._results.values()}
-    encoded |= {id(memo.json) for _, memo in broker._stale.values()}
     assert len(encoded) == len(cells)
+    assert runner._result_cache == {}
 
 
 # --------------------------------------------------------------------- #
@@ -925,10 +896,10 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
 
 
 def test_reply_bytes_match_plain_encoding_for_every_source(
-        fake_registry, tmp_path, monkeypatch):
+        fake_registry, tmp_path):
     """The daemon splices each memo entry's encoded result into its
     replies.  For every source -- journal, inproc, worker, coalesced,
-    memo, stale -- with and without a client trace context, the reply
+    memo -- with and without a client trace context, the reply
     line is byte for byte ``json.dumps({"status": "ok",
     **response.to_dict()}) + "\\n"``, and so is a response that carries
     no trace object."""
@@ -1007,14 +978,6 @@ def test_reply_bytes_match_plain_encoding_for_every_source(
                 broker.resume()
                 lines += await asyncio.gather(*pair)
                 lines.append(await call("S2", strategy, traced))
-            monkeypatch.setattr(
-                diskcache, "engine_fingerprint", lambda: "engine-v-next")
-            faults.configure(FaultPlan((
-                FaultSpec(cell="S2|3060-Sim|baseline", kind="queue-full",
-                          times=10),
-            )))
-            for _, traced in rounds:
-                lines.append(await call("S2", "baseline", traced))
         finally:
             daemon.request_shutdown()
             await asyncio.wait_for(run_task, timeout=60)
@@ -1034,7 +997,7 @@ def test_reply_bytes_match_plain_encoding_for_every_source(
         assert b'"trace"' not in _reply_line(untraced)
         seen.add((response.source, response.coalesced, traced))
     for traced in (False, True):
-        for source in ("journal", "inproc", "worker", "memo", "stale"):
+        for source in ("journal", "inproc", "worker", "memo"):
             assert (source, False, traced) in seen, (source, traced)
         assert ("worker", True, traced) in seen, traced
 
