@@ -56,27 +56,26 @@ def experiment_execution(request):
     if request.config.getoption("--repro-no-cache"):
         diskcache.configure(enabled=False)
     jobs = request.config.getoption("--repro-jobs")
-    run_report = None
     if jobs > 1:
         from repro.experiments.parallel import run_matrix_parallel
-        from repro.experiments.resilience import RunReport
+        from repro.obs.metrics import registry
 
-        run_report = RunReport()
         run_matrix_parallel(
             selected_workloads(),
             list(STRATEGY_FACTORIES),
             list(SIMULATED_GPUS),
             jobs=jobs,
-            report=run_report,
+            metrics=registry(),
         )
     yield
     print_lines = []
-    if run_report is not None:
-        from repro.experiments.report import format_run_report
+    if jobs > 1:
+        from repro.cli import _metrics_summary_lines
 
-        print_lines.append(
-            format_run_report(run_report, title="pre-warm execution")
-        )
+        print_lines.append("\n".join(
+            ["pre-warm execution",
+             *_metrics_summary_lines(registry().snapshot())]
+        ))
     cache = diskcache.active_cache()
     if cache is not None and cache.stats.lookups:
         from repro.experiments.report import format_cache_stats

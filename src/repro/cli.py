@@ -494,28 +494,25 @@ def _cmd_simulate(args) -> int:
     from repro.experiments.parallel import default_jobs
 
     jobs = args.jobs if args.jobs is not None else default_jobs(fallback=1)
-    run_report = None
+    execution = None
     if jobs > 1:
-        # Fan the cells out; results land in the in-memory cache so the
-        # table assembly below is pure lookups.
+        # Fan the cells out through the broker; results land in the
+        # in-memory cache so the table assembly below is pure lookups.
         from repro.experiments.parallel import run_matrix_parallel
-        from repro.experiments.resilience import (
-            CellExecutionError,
-            RunReport,
-        )
+        from repro.obs.metrics import registry
+        from repro.service.request import RequestFailed
 
-        run_report = RunReport()
         try:
-            run_matrix_parallel(
+            cells = run_matrix_parallel(
                 [args.workload], list(args.strategies), [args.gpu],
-                jobs=jobs, report=run_report,
+                jobs=jobs, metrics=registry(),
             )
-        except CellExecutionError as exc:
-            from repro.experiments.report import format_run_report
-
+        except RequestFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
-            print(format_run_report(run_report), file=sys.stderr)
+            for line in _metrics_summary_lines(registry().snapshot()):
+                print(line, file=sys.stderr)
             return 1
+        execution = f"execution: {len(cells)} cells, {jobs} jobs"
     rows = []
     results = {}
     skipped = []
@@ -566,11 +563,11 @@ def _cmd_simulate(args) -> int:
     ))
     for name, path in timeline_paths.items():
         console.info("timeline written: %s [%s]", path, name)
-    if run_report is not None:
-        from repro.experiments.report import format_run_report
-
+    if execution is not None:
         console.info("")
-        console.info(format_run_report(run_report, title="execution"))
+        console.info(execution)
+        for line in _metrics_summary_lines(registry().snapshot()):
+            console.info(line)
     cache = diskcache.active_cache()
     if cache is not None and cache.stats.lookups:
         console.info("")

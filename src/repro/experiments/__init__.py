@@ -18,17 +18,10 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.report import (
     format_cache_stats,
-    format_run_report,
     format_speedup_matrix,
     format_table,
 )
-from repro.experiments.resilience import (
-    AttemptRecord,
-    CellExecutionError,
-    CellReport,
-    RetryPolicy,
-    RunReport,
-)
+from repro.experiments.resilience import RetryPolicy
 from repro.experiments.sweeps import (
     SweepPoint,
     characterization_sweep,
@@ -60,21 +53,16 @@ __all__ = [
     "configure_disk_cache",
     "result_key",
     "strategy_fingerprint",
-    "AttemptRecord",
-    "CellExecutionError",
-    "CellReport",
     "CellSpec",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "RetryPolicy",
     "RunManifest",
-    "RunReport",
     "default_jobs",
     "plan_cells",
     "run_matrix_parallel",
     "format_cache_stats",
-    "format_run_report",
     "format_speedup_matrix",
     "SweepPoint",
     "characterization_sweep",

@@ -1,8 +1,9 @@
 """Deterministic fault injection for the experiment execution layer.
 
-The fault-tolerance machinery in :mod:`repro.experiments.resilience` is
-only trustworthy if every recovery path is *provably* exercised, and the
-repo's core invariant -- parallel and cached runs are bit-identical to a
+The fault-tolerance machinery of the :class:`~repro.service.broker.
+Broker` (which also drives parallel matrix runs) is only trustworthy if
+every recovery path is *provably* exercised, and the repo's core
+invariant -- parallel and cached runs are bit-identical to a
 clean serial run -- must survive each of them.  This module injects the
 failures those proofs need, at exactly chosen points:
 

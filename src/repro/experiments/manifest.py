@@ -1,25 +1,26 @@
-"""Resumable run manifests: a journal of completed experiment cells.
+"""Resumable run journals: an append-only record of completed cells.
 
-An interrupted figure sweep used to restart from zero.  The manifest
-makes interruption cheap: as :func:`~repro.experiments.parallel.
-run_matrix_parallel` completes each cell, it appends one JSONL record --
-the cell's content-address key (:func:`~repro.experiments.diskcache.
-result_key`) plus its human-readable identity -- to a journal named
-after the *whole matrix* (a hash of the ordered cell-key list).  A rerun
-of the same matrix finds the journal, loads each finished cell straight
-from the disk cache, and dispatches only the remainder; a completed run
-discards its journal.
+An interrupted figure sweep used to restart from zero.  The journal
+makes interruption cheap: as the :class:`~repro.service.broker.Broker`
+completes each cell, it appends one JSONL record -- the cell's
+content-address key (:func:`~repro.experiments.diskcache.result_key`)
+plus its human-readable identity -- to the journal of its *session*.
+:func:`~repro.experiments.parallel.run_matrix_parallel` names the
+session after the *whole matrix* (:func:`run_key`, a hash of the
+ordered cell-key list), so a rerun of the same matrix finds the
+journal, loads each finished cell straight from the disk cache, and
+dispatches only the remainder; a drained broker stop discards it.
 
 Appends are atomic at the line level: each record is written with a
 single ``os.write`` to an ``O_APPEND`` descriptor, so concurrent or
 killed writers can at worst leave one torn *trailing* line, which
 :meth:`RunManifest.load` skips (any malformed line is ignored rather
 than poisoning the journal).  Resume correctness never depends on the
-manifest alone -- a listed cell is only skipped when the disk cache
+journal alone -- a listed cell is only skipped when the disk cache
 still holds its content-addressed entry, so a cleared or corrupted
 cache simply degrades to re-simulation.
 
-Manifests live under ``<cache root>/manifests/`` and exist only between
+Journals live under ``<cache root>/manifests/`` and exist only between
 an interruption and the completing rerun.
 """
 
@@ -58,21 +59,14 @@ class RunManifest:
         self.path = Path(path)
 
     @classmethod
-    def for_run(cls, root: "str | Path",
-                cell_keys: "list[str]") -> "RunManifest":
-        return cls(Path(root) / f"{run_key(cell_keys)}.jsonl")
+    def for_session(cls, root: "str | Path",
+                    session: str) -> "RunManifest":
+        """Journal of one broker session under *root*.
 
-    @classmethod
-    def for_service(cls, root: "str | Path", session: str) -> "RunManifest":
-        """Journal for one service-broker session.
-
-        Unlike a matrix run, a daemon's request stream is open-ended, so
-        the journal is named by a caller-chosen *session* id rather than
-        a hash of the cell-key list.  The broker appends each completed
-        request and, after a pool crash, fulfils any journalled key
-        straight from the disk cache instead of re-executing it.
+        A matrix run names its session :func:`run_key` of its cell
+        keys; a daemon names it by a caller-chosen id.
         """
-        return cls(Path(root) / f"service-{session}.jsonl")
+        return cls(Path(root) / f"{session}.jsonl")
 
     def load(self) -> "dict[str, dict]":
         """Completed cell-key -> record; {} when absent.

@@ -3,21 +3,23 @@
 Every (workload, GPU, strategy) cell of an experiment matrix is an
 independent simulation, which makes the figure harness embarrassingly
 parallel.  :func:`run_matrix_parallel` plans the same cell list as the
-serial :func:`~repro.experiments.runner.run_matrix`, spools each needed
-trace to disk once, and dispatches the cells over a
-:class:`~concurrent.futures.ProcessPoolExecutor` -- one future per
-cell, driven by the fault-tolerance loop in
-:mod:`repro.experiments.resilience` (bounded retries, per-cell
-timeouts, pool-crash recovery, in-process serial fallback) and
-journaled by :mod:`repro.experiments.manifest` so interrupted runs
-resume instead of restarting.
+serial :func:`~repro.experiments.runner.run_matrix`, skips the cells a
+previous interrupted run already finished, and submits the rest to one
+:class:`~repro.service.broker.Broker` -- the simulation service's own
+front to the pool: one spawn worker pool under a circuit breaker,
+bounded retries with deterministic backoff, per-attempt timeouts, pool-crash
+recovery, in-process degradation, and a session journal
+(:mod:`repro.experiments.manifest`) so interrupted runs resume instead
+of restarting.
 
 Determinism is a hard requirement ("parallel and cached runs produce
 bit-identical results to serial uncached runs"), so the design removes
 every source of divergence:
 
 * workers are started with the ``spawn`` context -- fresh interpreters
-  with no inherited caches, monkeypatches or RNG state;
+  with no inherited caches, monkeypatches or RNG state -- and refuse to
+  start when their engine fingerprint differs from the parent's, so
+  both sides compute the same keys for the same code;
 * workers never re-capture traces: the parent captures (or recalls) each
   trace exactly once and workers replay the identical ``.npz`` bytes;
 * the simulator itself is deterministic, so cell results are independent
@@ -35,26 +37,23 @@ entry writes are atomic, making concurrent writers safe.
 from __future__ import annotations
 
 import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro import obslog
 from repro.experiments import diskcache, faults, runner
 from repro.obs import sanitize, tracing
-from repro.experiments.manifest import RunManifest
-from repro.experiments.resilience import (
-    CellReport,
-    RetryPolicy,
-    RunReport,
-    run_resilient,
-)
+from repro.experiments.manifest import RunManifest, run_key
+from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import Cell, run_matrix
 from repro.gpu import GPUConfig, SimResult
 from repro.trace.events import KernelTrace
-from repro.trace.io import load_trace, save_trace
+from repro.trace.io import load_trace
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import MetricsRegistry
+    from repro.service.broker import Broker
 
 __all__ = [
     "JOBS_ENV",
@@ -139,11 +138,10 @@ def plan_cells(
 # from the parent's spool and kept by fingerprint, least recently used
 # evicted first, up to _WORKER_TRACE_SLOTS per worker.
 #
-# The service broker (repro.service.broker) reuses this exact worker
-# surface -- _worker_init as its pool initializer, _spool_path for its
-# trace spool, _run_spec as its task, _fallback_spec for in-process
-# degradation -- so daemon requests and matrix cells execute through one
-# code path and stay bit-identical.
+# The broker (repro.service.broker) drives this worker surface --
+# _worker_init as its pool initializer, _spool_path for its trace spool,
+# _run_spec as its task, _fallback_spec for in-process degradation -- for
+# daemon requests and matrix cells alike, so both stay bit-identical.
 # --------------------------------------------------------------------- #
 
 _worker_trace_dir: "Path | None" = None
@@ -156,8 +154,24 @@ _WORKER_TRACE_SLOTS = 16
 
 
 def _worker_init(trace_dir: str, cache_root: "str | None",
-                 cache_enabled: bool) -> None:
+                 cache_enabled: bool, engine: str) -> None:
+    """Pool initializer.  *engine* is the parent's
+    :func:`~repro.experiments.diskcache.engine_fingerprint`.
+
+    A worker started after the engine sources changed on disk (a pool
+    respawned mid-run, after an edit or a checkout) runs other code than
+    its parent and would key its results by it.  It refuses to start
+    instead: the pool breaks, and the broker runs the cells in-process,
+    on the parent's code and under the parent's keys.
+    """
     global _worker_trace_dir
+    own = diskcache.engine_fingerprint()
+    if own != engine:
+        raise RuntimeError(
+            f"engine sources changed since the parent started "
+            f"(worker {own[:12]}, parent {engine[:12]}): this worker "
+            "would simulate other code than its parent's cache keys name"
+        )
     _worker_trace_dir = Path(trace_dir)
     _worker_traces.clear()
     sanitize.maybe_install()
@@ -240,13 +254,6 @@ def _maybe_corrupt_entry(spec: CellSpec, trace: KernelTrace,
 # --------------------------------------------------------------------- #
 
 
-def _spool_traces(specs: "list[CellSpec]", directory: Path) -> None:
-    """Write each planned (memoized) trace once for workers to replay."""
-    for spec in {spec.trace_fingerprint: spec for spec in specs}.values():
-        save_trace(runner.get_trace(spec.workload),
-                   _spool_path(directory, spec.trace_fingerprint))
-
-
 def _fallback_spec(spec: CellSpec, attempt: int,
                    trace: KernelTrace) -> SimResult:
     """In-process serial execution for a cell that exhausted its pool
@@ -264,29 +271,33 @@ def run_matrix_parallel(
     jobs: "int | None" = None,
     skip_inapplicable: bool = True,
     policy: "RetryPolicy | None" = None,
-    report: "RunReport | None" = None,
+    metrics: "MetricsRegistry | None" = None,
     resume: bool = True,
 ) -> list[Cell]:
     """Parallel, fault-tolerant, bit-identical drop-in for
     :func:`run_matrix`.
 
-    Dispatches the matrix's cells across *jobs* worker processes
-    (default: ``REPRO_JOBS`` or all CPUs) under *policy* (default:
-    :meth:`RetryPolicy.from_env`): failed cells are retried with
-    deterministic backoff, hung cells time out, a crashed pool is
-    respawned with only unfinished cells requeued, and cells that
-    exhaust retries degrade to in-process serial execution.  Completed
-    cells are journaled (under the active disk cache root) so an
-    interrupted run resumes by re-simulating only the remainder; pass
-    ``resume=False`` to ignore and overwrite any existing journal.
+    Runs the matrix's cells through one :class:`~repro.service.broker.
+    Broker` with *jobs* workers (default: ``REPRO_JOBS`` or all CPUs)
+    under *policy* (default: :meth:`RetryPolicy.from_env`): failed
+    cells are retried with deterministic backoff, hung cells time out,
+    a crashed pool is respawned, and cells that exhaust retries degrade
+    to in-process serial execution.  The broker's session journal is
+    named after the matrix (:func:`~repro.experiments.manifest.run_key`)
+    and kept when the run is interrupted, so a rerun loads the finished
+    cells from the disk cache and simulates only the remainder; pass
+    ``resume=False`` to discard any existing journal first.
 
-    Pass a :class:`RunReport` as *report* to receive per-cell attempt
-    histories and recovery counters.  Results are returned in planning
-    (== serial) order and seeded into the parent's in-memory cache as
-    they arrive, so follow-up serial calls (``speedups_over_baseline``,
-    figure assembly) reuse them without re-simulating -- and so a
-    Ctrl-C loses nothing already computed.  With ``jobs=1`` this simply
-    delegates to the serial :func:`run_matrix`.
+    Pass a :class:`~repro.obs.metrics.MetricsRegistry` as *metrics* to
+    receive the broker's counters (attempt outcomes, degradations, pool
+    restarts).  Results are returned in planning (== serial) order and
+    seeded into the parent's in-memory cache as they arrive, so
+    follow-up serial calls (``speedups_over_baseline``, figure assembly)
+    reuse them without re-simulating -- and so a Ctrl-C loses nothing
+    already computed.  A cell that also fails its in-process fallback
+    raises :class:`~repro.service.request.RequestFailed` naming it.
+    With ``jobs=1`` this simply delegates to the serial
+    :func:`run_matrix`.
     """
     jobs = default_jobs() if jobs is None else jobs
     if jobs <= 0:
@@ -294,20 +305,14 @@ def run_matrix_parallel(
     if jobs == 1:
         return run_matrix(workloads, strategies, gpus,
                           skip_inapplicable=skip_inapplicable)
-    policy = RetryPolicy.from_env() if policy is None else policy
-    report = RunReport() if report is None else report
 
     specs = plan_cells(workloads, strategies, gpus,
                        skip_inapplicable=skip_inapplicable)
     if not specs:
         return []
 
-    cache = diskcache.active_cache()
-    cache_root = str(cache.root) if cache is not None else None
-
     # Content-address every cell up front (traces are memoized in the
-    # parent): the same keys address the disk cache, the run manifest
-    # and the per-cell reports.
+    # parent): the same keys address the disk cache and the journal.
     keys = [
         diskcache.result_key(
             spec.gpu,
@@ -316,84 +321,41 @@ def run_matrix_parallel(
         )
         for spec in specs
     ]
-    report.cells = [
-        CellReport(cell=spec.cell_id, key=key)
-        for spec, key in zip(specs, keys)
-    ]
+    session = run_key(keys)
     results: dict[int, SimResult] = {}
 
-    obslog.emit("run.start", cells=len(specs), jobs=jobs,
-                workloads=sorted(set(workloads)),
-                strategies=list(strategies),
-                gpus=[runner._gpu_by_name(gpu).name for gpu in gpus],
-                cache_root=cache_root, resume=resume)
-
-    manifest = None
+    cache = diskcache.active_cache()
+    journal = None
     if cache is not None:
-        manifest = RunManifest.for_run(cache.root / "manifests", keys)
-        if resume:
-            finished = manifest.load()
-            for index, key in enumerate(keys):
-                if key not in finished:
-                    continue
-                cached = cache.load(key)
-                if cached is not None:
-                    results[index] = cached
-                    report.cells[index].source = "manifest"
-                    obslog.emit("cell.skip", cell=specs[index].cell_id,
-                                reason="manifest-resume", key=key)
+        journal = RunManifest.for_session(cache.root / "manifests", session)
+        if not resume:
+            journal.discard()
+        finished = journal.load()
+        for index, key in enumerate(keys):
+            if key not in finished:
+                continue
+            cached = cache.load(key)
+            if cached is not None:
+                results[index] = cached
+                obslog.emit("cell.skip", cell=specs[index].cell_id,
+                            reason="manifest-resume", key=key)
 
     def on_result(index: int, result: SimResult) -> None:
         spec = specs[index]
         results[index] = result
         runner.seed_result(spec.workload, spec.gpu, spec.strategy, result)
-        if manifest is not None:
-            manifest.record(keys[index], {
-                "workload": spec.workload,
-                "gpu": spec.gpu.name,
-                "strategy": spec.strategy,
-            })
-        obslog.emit("cell.finish", cell=spec.cell_id, key=keys[index],
-                    source=report.cells[index].source,
-                    total_cycles=result.total_cycles)
         faults.on_completed(spec.cell_id)
 
     pending = [i for i in range(len(specs)) if i not in results]
     if pending:
-        with tempfile.TemporaryDirectory(prefix="repro-traces-") as spool:
-            _spool_traces([specs[i] for i in pending], Path(spool))
+        from repro.service.broker import Broker
 
-            def pool_factory():
-                return ProcessPoolExecutor(
-                    max_workers=min(jobs, len(pending)),
-                    mp_context=get_context("spawn"),
-                    initializer=_worker_init,
-                    initargs=(spool, cache_root, cache_root is not None),
-                )
-
-            run_resilient(
-                pending,
-                pool_factory=pool_factory,
-                submit=lambda pool, index, attempt: pool.submit(
-                    _run_spec, specs[index], attempt
-                ),
-                fallback=lambda index, attempt: _fallback_spec(
-                    specs[index], attempt,
-                    runner.get_trace(specs[index].workload),
-                ),
-                policy=policy,
-                report=report,
-                on_result=on_result,
-            )
-
-    if manifest is not None:
-        manifest.discard()
-
-    obslog.emit("run.finish", cells=len(specs),
-                simulated=report.simulated, resumed=report.resumed,
-                fallbacks=report.fallbacks, retries=report.retries,
-                timeouts=report.timeouts, crashes=report.crashes,
-                pool_restarts=report.pool_restarts)
+        broker = Broker(jobs=min(jobs, len(pending)),
+                        queue_depth=len(pending), policy=policy,
+                        session=session, metrics=metrics)
+        _run_to_completion(_drive(broker, specs, pending, on_result))
+    elif journal is not None:
+        journal.discard()
 
     cells = []
     for index, spec in enumerate(specs):
@@ -404,3 +366,82 @@ def run_matrix_parallel(
                  strategy=spec.strategy, result=result)
         )
     return cells
+
+
+def _run_to_completion(coro) -> None:
+    """``asyncio.run(coro)``; when this thread already runs an event loop
+    (a notebook cell calling the matrix), on a thread of its own, joined
+    before returning and re-raising whatever the coroutine raised.  A
+    Ctrl-C while joined cancels the coroutine, so the broker stops
+    undrained there too, before the interrupt propagates."""
+    import asyncio
+
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        asyncio.run(coro)
+        return
+    import threading
+
+    loop = asyncio.new_event_loop()
+    task = loop.create_task(coro)
+    raised: "list[BaseException]" = []
+
+    def run() -> None:
+        try:
+            loop.run_until_complete(task)
+        except BaseException as exc:  # re-raised in the calling thread
+            raised.append(exc)
+        finally:
+            loop.close()
+
+    thread = threading.Thread(target=run, name="repro-matrix")
+    thread.start()
+    try:
+        thread.join()
+    except BaseException:
+        try:
+            loop.call_soon_threadsafe(task.cancel)
+        except RuntimeError:
+            pass  # the loop closed: the coroutine already finished
+        thread.join()
+        raise
+    if raised:
+        raise raised[0]
+
+
+async def _drive(broker: "Broker", specs: "list[CellSpec]",
+                 pending: "list[int]", on_result) -> None:
+    """Submit the *pending* cells to *broker* in plan order and hand each
+    result to ``on_result(index, result)`` as it arrives.
+
+    ``on_result`` runs here, in this coroutine, so an exception it
+    raises -- the chaos ``interrupt`` fault's ``KeyboardInterrupt``
+    included -- is caught below before asyncio can re-raise it out of
+    the loop.  Any failure stops the broker undrained: the pool shuts
+    down with ``wait=False, cancel_futures=True`` and the journal stays
+    for the rerun.
+    """
+    import asyncio
+
+    from repro.service.request import SimRequest
+
+    async def one(index: int):
+        spec = specs[index]
+        response = await broker.submit(
+            SimRequest(spec.workload, spec.gpu, spec.strategy)
+        )
+        return index, response.result
+
+    await broker.start()
+    tasks = [asyncio.ensure_future(one(index)) for index in pending]
+    try:
+        for next_done in asyncio.as_completed(tasks):
+            on_result(*await next_done)
+    except BaseException:
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await broker.stop(drain=False)
+        raise
+    await broker.stop()

@@ -10,13 +10,11 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.experiments.diskcache import CacheStats
-    from repro.experiments.resilience import RunReport
 
 __all__ = [
     "format_table",
     "format_speedup_matrix",
     "format_cache_stats",
-    "format_run_report",
 ]
 
 
@@ -64,34 +62,6 @@ def format_cache_stats(stats: "CacheStats", title: str = "") -> str:
     return format_table(
         ["counter", "value"], rows, title=title or "disk cache"
     )
-
-
-def format_run_report(report: "RunReport", title: str = "") -> str:
-    """Render a fault-tolerant run's recovery history.
-
-    One summary line always; per-cell attempt detail only for cells that
-    needed recovery (retries, timeouts, crashes, fallbacks) -- a clean
-    run prints a single line, a chaotic one shows exactly where the
-    time went.
-    """
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(report.summary_line())
-    for cell in report.cells:
-        eventful = (
-            cell.source == "serial-fallback" or len(cell.attempts) > 1
-        )
-        if not eventful:
-            continue
-        history = ", ".join(
-            f"#{record.attempt} {record.outcome} "
-            f"({record.duration:.2f}s)"
-            + (f" [{record.error}]" if record.error else "")
-            for record in cell.attempts
-        )
-        lines.append(f"  {cell.cell} [{cell.source}]: {history}")
-    return "\n".join(lines)
 
 
 def format_speedup_matrix(

@@ -1,59 +1,35 @@
-"""Fault-tolerant driving of per-cell futures over a process pool.
+"""Retry policy shared by every execution path that drives the pool.
 
-:func:`repro.experiments.parallel.run_matrix_parallel` used to drive its
-pool with ``pool.map``: one crashed worker raised
-:class:`BrokenProcessPool` and discarded every completed cell, and one
-hung simulation blocked the run forever.  This module replaces that with
-per-future submission plus a recovery loop:
+One :class:`~repro.service.broker.Broker` executes both the service's
+requests and the cells of :func:`~repro.experiments.parallel.
+run_matrix_parallel`; :class:`RetryPolicy` is how hard it tries before
+giving up on a cell:
 
 * **bounded retries** with exponential backoff whose jitter is
   *deterministic* -- derived from the cell's content-address key and the
   attempt number, never from an RNG -- so reruns schedule identically;
-* **per-cell wall-clock timeouts**: a cell that exceeds
-  :attr:`RetryPolicy.timeout` is charged a failed attempt and the pool
-  (which cannot cancel a running task) is abandoned and respawned;
-* **pool-crash recovery**: :class:`BrokenProcessPool` respawns the pool
-  and requeues only unfinished cells -- completed results are kept;
-* **graceful degradation**: a cell that exhausts its worker attempts
-  runs once more *in process* (serial fallback), so a poisoned pool
-  environment cannot fail a cell the simulator itself can compute;
-* **clean interruption**: ``KeyboardInterrupt`` shuts the pool down with
-  ``cancel_futures`` and propagates; every result recorded before the
-  interrupt has already been delivered through ``on_result`` (the
-  caller seeds caches and the run manifest there, enabling resume).
+* **per-attempt wall-clock timeouts**: an attempt that exceeds
+  :attr:`RetryPolicy.timeout` is charged a failure and the pool (which
+  cannot cancel a running task) is abandoned and respawned;
+* after ``max_attempts`` worker attempts the cell gets one final
+  in-process attempt (graceful degradation).
 
 None of this touches *what* is computed -- recovery only ever re-runs
 the same deterministic simulation -- so the repo's bit-identical
 contract (serial == parallel == cached) holds on every path; the chaos
 suite (``tests/test_chaos.py``) proves it under injected faults.
-
-Every attempt is recorded in a structured :class:`RunReport`
-(per-cell attempts, outcomes, durations, sources) which the CLI and the
-benchmark harness surface after parallel runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
-from collections import deque
-from concurrent.futures import CancelledError, FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-
-from repro import obslog
-from repro.obs import metrics as obsmetrics
+from dataclasses import dataclass, replace
 
 __all__ = [
     "CELL_TIMEOUT_ENV",
     "MAX_ATTEMPTS_ENV",
-    "AttemptRecord",
-    "CellExecutionError",
-    "CellReport",
     "RetryPolicy",
-    "RunReport",
-    "run_resilient",
 ]
 
 MAX_ATTEMPTS_ENV = "REPRO_MAX_ATTEMPTS"
@@ -142,322 +118,3 @@ class RetryPolicy:
         digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
         unit = int.from_bytes(digest[:8], "big") / 2.0**64  # [0, 1)
         return raw * (1.0 + self.jitter * (unit - 0.5))
-
-
-@dataclass
-class AttemptRecord:
-    """One execution attempt of one cell."""
-
-    attempt: int
-    outcome: str  # "ok" | "error" | "crash" | "timeout" | "fallback-error"
-    duration: float
-    error: "str | None" = None
-
-    def as_dict(self) -> dict:
-        return {"attempt": self.attempt, "outcome": self.outcome,
-                "duration": self.duration, "error": self.error}
-
-
-@dataclass
-class CellReport:
-    """Execution history of one cell of the matrix."""
-
-    cell: str  # "workload|gpu|strategy"
-    key: str   # content-address (diskcache.result_key)
-    attempts: "list[AttemptRecord]" = field(default_factory=list)
-    #: "worker" | "serial-fallback" | "manifest" | "pending"
-    source: str = "pending"
-
-    def as_dict(self) -> dict:
-        return {
-            "cell": self.cell,
-            "key": self.key,
-            "source": self.source,
-            "attempts": [record.as_dict() for record in self.attempts],
-        }
-
-
-class RunReport:
-    """Structured outcome of one fault-tolerant matrix execution."""
-
-    def __init__(self):
-        self.cells: "list[CellReport]" = []
-        self.pool_restarts = 0
-        self.interrupted = False
-
-    def _count(self, source: str) -> int:
-        return sum(1 for cell in self.cells if cell.source == source)
-
-    @property
-    def simulated(self) -> int:
-        """Cells computed by pool workers this run."""
-        return self._count("worker")
-
-    @property
-    def resumed(self) -> int:
-        """Cells recovered from a prior interrupted run's manifest."""
-        return self._count("manifest")
-
-    @property
-    def fallbacks(self) -> int:
-        """Cells that degraded to in-process serial execution."""
-        return self._count("serial-fallback")
-
-    @property
-    def retries(self) -> int:
-        return sum(max(0, len(cell.attempts) - 1) for cell in self.cells)
-
-    def _outcomes(self, outcome: str) -> int:
-        return sum(
-            1
-            for cell in self.cells
-            for record in cell.attempts
-            if record.outcome == outcome
-        )
-
-    @property
-    def timeouts(self) -> int:
-        return self._outcomes("timeout")
-
-    @property
-    def crashes(self) -> int:
-        return self._outcomes("crash")
-
-    def as_dict(self) -> dict:
-        return {
-            "cells": [cell.as_dict() for cell in self.cells],
-            "pool_restarts": self.pool_restarts,
-            "interrupted": self.interrupted,
-            "summary": {
-                "total": len(self.cells),
-                "simulated": self.simulated,
-                "resumed": self.resumed,
-                "fallbacks": self.fallbacks,
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "crashes": self.crashes,
-            },
-        }
-
-    def summary_line(self) -> str:
-        return (
-            f"{len(self.cells)} cells: {self.simulated} simulated, "
-            f"{self.resumed} resumed, {self.fallbacks} serial fallback(s); "
-            f"{self.retries} retr(ies), {self.timeouts} timeout(s), "
-            f"{self.crashes} crash signal(s), "
-            f"{self.pool_restarts} pool restart(s)"
-        )
-
-
-class CellExecutionError(RuntimeError):
-    """A cell failed its worker attempts *and* the in-process fallback."""
-
-    def __init__(self, cell: str, report: RunReport):
-        super().__init__(
-            f"cell {cell} failed every worker attempt and the in-process "
-            "serial fallback; see the run report for per-attempt causes"
-        )
-        self.cell = cell
-        self.report = report
-
-
-def _count_attempt(outcome: str) -> None:
-    """Per-process attempt-outcome counter (pure in-memory)."""
-    obsmetrics.registry().counter(
-        "repro_retry_attempts_total", "Cell attempt outcomes",
-        labelnames=("outcome",),
-    ).inc(outcome=outcome)
-
-
-def _count_backoff(delay: float) -> None:
-    obsmetrics.registry().counter(
-        "repro_retry_backoff_seconds_total",
-        "Total deterministic backoff slept before retries",
-    ).inc(delay)
-
-
-def _abandon_pool(pool) -> None:
-    """Shut a (possibly broken or hung) pool down without waiting.
-
-    ``cancel_futures`` drains queued work; terminating the worker
-    processes frees any stuck in a hung task, which ``shutdown`` alone
-    would never reclaim.  (``_processes`` is executor-private, hence the
-    defensive ``getattr``: on interpreters without it the orphaned
-    worker leaks until its task ends, but the run still proceeds.)
-    """
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        process.terminate()
-
-
-def run_resilient(
-    pending: "list[int]",
-    *,
-    pool_factory,
-    submit,
-    fallback,
-    policy: RetryPolicy,
-    report: RunReport,
-    on_result,
-) -> None:
-    """Drive *pending* cell indices to completion, recovering failures.
-
-    ``pool_factory()`` builds a fresh executor; ``submit(pool, index,
-    attempt)`` returns the cell's future; ``fallback(index, attempt)``
-    computes the cell in-process.  ``on_result(index, result)`` is
-    invoked exactly once per newly computed cell, as soon as its result
-    arrives (this is where callers seed caches and append the manifest,
-    which is what makes an interrupt at any point resumable).
-    ``report.cells`` must already hold a :class:`CellReport` per cell
-    index.
-
-    Raises :class:`CellExecutionError` if a cell fails terminally and
-    re-raises ``KeyboardInterrupt`` after a clean ``cancel_futures``
-    shutdown.
-    """
-    queue: "deque[tuple[int, int]]" = deque((i, 1) for i in pending)
-    delayed: "list[tuple[float, int, int]]" = []  # (due, index, attempt)
-    inflight: dict = {}  # future -> (index, attempt, started, deadline)
-    pool = pool_factory()
-
-    def record(index: int, attempt: int, outcome: str, started: float,
-               error: "str | None" = None) -> None:
-        duration = time.monotonic() - started
-        report.cells[index].attempts.append(AttemptRecord(
-            attempt=attempt, outcome=outcome,
-            duration=duration, error=error,
-        ))
-        _count_attempt(outcome)
-        obslog.emit("cell.attempt", cell=report.cells[index].cell,
-                    attempt=attempt, outcome=outcome, duration=duration,
-                    error=error)
-
-    def respawn() -> None:
-        nonlocal pool
-        _abandon_pool(pool)
-        report.pool_restarts += 1
-        obsmetrics.registry().counter(
-            "repro_runner_pool_restarts_total",
-            "Parallel-runner pool respawns",
-        ).inc()
-        obslog.emit("pool.restart", restarts=report.pool_restarts)
-        pool = pool_factory()
-
-    def retry_or_fall_back(index: int, attempt: int) -> None:
-        cell = report.cells[index]
-        if attempt < policy.max_attempts:
-            delay = policy.delay(cell.key, attempt + 1)
-            due = time.monotonic() + delay
-            delayed.append((due, index, attempt + 1))
-            _count_backoff(delay)
-            obslog.emit("cell.retry", cell=cell.cell,
-                        attempt=attempt + 1, backoff=delay)
-            return
-        obslog.emit("cell.fallback", cell=cell.cell, attempt=attempt + 1)
-        # Graceful degradation: one in-process attempt, outside the pool.
-        started = time.monotonic()
-        final = attempt + 1
-        try:
-            result = fallback(index, final)
-        except KeyboardInterrupt:
-            raise
-        except Exception as exc:
-            record(index, final, "fallback-error", started, repr(exc))
-            raise CellExecutionError(cell.cell, report) from exc
-        record(index, final, "ok", started)
-        cell.source = "serial-fallback"
-        on_result(index, result)
-
-    try:
-        while queue or delayed or inflight:
-            now = time.monotonic()
-            delayed.sort()
-            while delayed and delayed[0][0] <= now:
-                _, index, attempt = delayed.pop(0)
-                queue.append((index, attempt))
-            while queue:
-                index, attempt = queue.popleft()
-                obslog.emit("cell.start", cell=report.cells[index].cell,
-                            attempt=attempt)
-                future = submit(pool, index, attempt)
-                started = time.monotonic()
-                deadline = (None if policy.timeout is None
-                            else started + policy.timeout)
-                inflight[future] = (index, attempt, started, deadline)
-            if not inflight:
-                # Only backoff delays remain; sleep until the earliest.
-                time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                continue
-
-            done, _ = wait(
-                list(inflight),
-                timeout=_next_wait(inflight, delayed),
-                return_when=FIRST_COMPLETED,
-            )
-            broken = False
-            for future in done:
-                index, attempt, started, _ = inflight.pop(future)
-                try:
-                    result = future.result(timeout=0)
-                except (BrokenProcessPool, CancelledError) as exc:
-                    broken = True
-                    record(index, attempt, "crash", started, repr(exc))
-                    retry_or_fall_back(index, attempt)
-                except Exception as exc:
-                    record(index, attempt, "error", started, repr(exc))
-                    retry_or_fall_back(index, attempt)
-                else:
-                    record(index, attempt, "ok", started)
-                    report.cells[index].source = "worker"
-                    on_result(index, result)
-            if broken:
-                # Unfinished work died with the pool: requeue at the same
-                # attempt number (those cells were never executed).
-                for index, attempt, _, _ in inflight.values():
-                    queue.append((index, attempt))
-                inflight.clear()
-                respawn()
-                continue
-
-            now = time.monotonic()
-            expired = [
-                future
-                for future, (_, _, _, deadline) in inflight.items()
-                if deadline is not None and deadline <= now
-            ]
-            if expired:
-                for future in expired:
-                    index, attempt, started, _ = inflight.pop(future)
-                    record(index, attempt, "timeout", started,
-                           f"exceeded {policy.timeout}s wall-clock limit")
-                    retry_or_fall_back(index, attempt)
-                # A running task cannot be cancelled; the hung worker
-                # takes the whole pool with it.  Unfinished cells are
-                # requeued unchanged.
-                for index, attempt, _, _ in inflight.values():
-                    queue.append((index, attempt))
-                inflight.clear()
-                respawn()
-        pool.shutdown(wait=True)
-    except KeyboardInterrupt:
-        report.interrupted = True
-        _abandon_pool(pool)
-        raise
-    except BaseException:
-        _abandon_pool(pool)
-        raise
-
-
-def _next_wait(inflight: dict, delayed: list) -> "float | None":
-    """Seconds until the nearest deadline or retry due time (None: none)."""
-    now = time.monotonic()
-    horizons = [
-        deadline - now
-        for (_, _, _, deadline) in inflight.values()
-        if deadline is not None
-    ]
-    horizons.extend(due - now for due, _, _ in delayed)
-    if not horizons:
-        return None
-    return max(0.0, min(horizons)) + 0.005

@@ -65,8 +65,8 @@ class LintConfig:
     engine_packages: tuple[str, ...] = ("core", "gpu", "trace")
     #: Package directories that drive experiment execution (worker
     #: pools, futures); the resilience rule scopes itself to these.
-    #: The service layer drives the same pools, so it is held to the
-    #: same discipline.
+    #: The service broker owns the one worker pool that matrix runs and
+    #: daemon requests share; ``experiments`` holds its worker tasks.
     experiment_packages: tuple[str, ...] = ("experiments", "service")
     #: Identifier suffixes marking nanosecond- and cycle-valued bindings.
     ns_suffixes: tuple[str, ...] = ("_ns", "_NS")

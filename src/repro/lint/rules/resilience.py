@@ -3,16 +3,16 @@
 The PR that introduced the parallel runner drove its pool with
 ``pool.map`` -- an all-or-nothing blocking wait where one crashed worker
 raised :class:`BrokenProcessPool` and discarded every completed cell,
-and one hung simulation blocked the run forever.  The fault-tolerance
-layer (:mod:`repro.experiments.resilience`) replaced that with
-per-future submission, bounded waits and recovery; this rule keeps the
-anti-pattern from creeping back into ``repro/experiments/``:
+and one hung simulation blocked the run forever.  Execution now goes
+through one pool owner, :class:`~repro.service.broker.Broker`, which submits
+per-cell futures and awaits each with a bounded per-attempt timeout;
+this rule keeps the anti-pattern from creeping back:
 
 * **executor ``.map`` calls** (receiver named like a pool/executor) --
   ``Executor.map`` yields results in submission order behind an
   unbounded wait and cannot attribute, retry or time out individual
-  cells.  Submit per-cell futures and drive them through
-  ``run_resilient`` (or ``concurrent.futures.wait`` with a timeout);
+  cells.  Submit the cells to the broker (or submit per-cell futures
+  and ``concurrent.futures.wait`` with a timeout);
 * **``.result()`` / ``.exception()`` without a timeout** -- an
   unbounded block on a single future: a hung worker hangs the whole
   run.  Pass a timeout (``timeout=0`` for futures already known done,
@@ -90,9 +90,9 @@ class ResilientExecution(Rule):
                     module, node.lineno,
                     "executor .map() is an all-or-nothing blocking wait: "
                     "one crashed worker discards every completed cell and "
-                    "one hung task blocks forever; submit per-cell "
-                    "futures and drive them through "
-                    "resilience.run_resilient (or wait() with a timeout)",
+                    "one hung task blocks forever; submit the cells "
+                    "to the service broker (or per-cell futures with "
+                    "wait() and a timeout)",
                 )
             elif (func.attr in _BLOCKING_FUTURE_METHODS
                     and not _has_timeout(node)):

@@ -3,12 +3,12 @@
 Two complementary channels:
 
 * :func:`emit` -- an append-only **JSONL event stream** (one JSON object
-  per line) recording what the run *did*: cell start/finish, cache
-  hit/miss/write/quarantine, retry/backoff, pool restarts, manifest
-  resume decisions, and the simulation service's request lifecycle
-  (``svc.accept`` / ``svc.coalesce`` / ``svc.shed`` / ``svc.degrade`` /
-  ``svc.breaker`` and friends from :mod:`repro.service` -- the daemon's
-  only telemetry channel, one line per admission decision).  The sink
+  per line) recording what the run *did*: cache
+  hit/miss/write/quarantine, journal resume decisions (``cell.skip``),
+  and the broker's request lifecycle for daemon requests and parallel
+  matrix cells alike (``svc.accept`` / ``svc.attempt`` /
+  ``svc.degrade`` / ``svc.breaker`` / ``svc.finish`` and friends from
+  :mod:`repro.service`, one line per decision).  The sink
   is a file named by the ``REPRO_OBSLOG`` environment variable (the
   CLI's ``--log`` sets it), which worker processes inherit across
   ``spawn`` -- so one run produces one stream no matter how many

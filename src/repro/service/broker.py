@@ -1,7 +1,10 @@
 """The request broker: admission control, coalescing, degradation.
 
 One :class:`Broker` fronts one persistent spawn worker pool with the
-robustness core of the simulation service:
+robustness core of the simulation service.  It is the only code that
+drives a worker pool: :func:`~repro.experiments.parallel.
+run_matrix_parallel` runs a matrix's cells through a broker of its
+own, so both paths share every mechanism below:
 
 * **fingerprinting** -- every request is content-addressed with the PR 1
   cache key (:func:`~repro.experiments.diskcache.result_key`), so "the
@@ -178,6 +181,7 @@ class Broker:
         self._paused = paused
         self._session = session if session is not None else f"pid{os.getpid()}"
         self._started = False
+        self._stopping = False
         self._inflight: "dict[str, _Entry]" = {}
         self._cells: "dict[tuple, _Cell]" = {}
         self._results: "dict[str, _Memo]" = {}
@@ -266,11 +270,15 @@ class Broker:
         spool_dir = self._spool.name
 
         def pool_factory():
+            # Workers check their own engine fingerprint against the
+            # parent's: one spawned after an edit to the engine sources
+            # must not cache its results under the parent's keys.
             return ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=get_context("spawn"),
                 initializer=parallel._worker_init,
-                initargs=(spool_dir, cache_root, cache_root is not None),
+                initargs=(spool_dir, cache_root, cache_root is not None,
+                          diskcache.engine_fingerprint()),
             )
 
         self._supervisor = PoolSupervisor(
@@ -290,7 +298,7 @@ class Broker:
             max_workers=1, thread_name_prefix="repro-svc-inproc"
         )
         if cache is not None:
-            self._journal = RunManifest.for_service(
+            self._journal = RunManifest.for_session(
                 cache.root / "manifests", self._session
             )
             # One journal read at startup, before any request is
@@ -301,23 +309,32 @@ class Broker:
             for _ in range(max(1, self.concurrency))
         ]
         self._started = True
+        self._stopping = False
         self.emit_event("svc.start", jobs=self.jobs,
                         queue_depth=self.queue_depth,
                         concurrency=self.concurrency, session=self._session)
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop dispatchers and the pool; optionally drain queued work."""
+        """Stop dispatchers and the pool; optionally drain queued work.
+
+        A drained stop completed every admitted request, so the session
+        journal has nothing left to resume and is discarded; an
+        undrained stop (an interrupt) keeps it for the rerun.
+        """
         if not self._started:
             return
         if drain:
             self.resume()
             await self._queue.join()
+        self._stopping = True
         for task in self._dispatchers:
             task.cancel()
         await asyncio.gather(*self._dispatchers, return_exceptions=True)
-        self._supervisor.shutdown()
+        # An undrained stop can leave cells running: terminate their
+        # workers rather than wait on them at interpreter exit.
+        self._supervisor.shutdown(terminate=not drain)
         self._inproc.shutdown(wait=False)
-        if self._journal is not None:
+        if drain and self._journal is not None:
             self._journal.discard()
         self._spool.cleanup()
         self._started = False
@@ -520,7 +537,7 @@ class Broker:
     # ----------------------------------------------------------------- #
 
     async def _dispatch_loop(self) -> None:
-        while True:
+        while not self._stopping:
             await self._gate.wait()
             entry = await self._queue.get()
             try:
@@ -547,7 +564,8 @@ class Broker:
                                cell=entry.cell, key=entry.key)
         self._refresh_gauges()
         last_error: "BaseException | str" = "no attempt ran"
-        for attempt in range(1, self.policy.max_attempts + 1):
+        attempt = 1
+        while attempt <= self.policy.max_attempts:
             deadline = entry.effective_deadline()
             remaining = (None if deadline is None
                          else deadline - self._clock())
@@ -570,6 +588,9 @@ class Broker:
                 return
             self._count["executions"].inc()
             cell_future = None
+            # None: the pool was lost under this cell through no fault
+            # of its own; it reruns at the same attempt, uncharged.
+            outcome = None
             try:
                 # submit() itself can raise: a worker crash elsewhere
                 # breaks the shared pool between acquire() and here.
@@ -581,36 +602,30 @@ class Broker:
                 )
             except asyncio.TimeoutError:
                 cell_future.cancel()
-                self._supervisor.fail("timeout")
+                self._supervisor.fail("timeout", pool)
                 last_error = f"attempt exceeded {policy.timeout:g}s"
                 outcome = "timeout"
             except asyncio.CancelledError:
-                if not cell_future.cancelled():
+                if self._stopping or not cell_future.cancelled():
                     attempt_span.end(outcome="cancelled")
                     raise  # our own task was cancelled (shutdown)
                 # The pool was abandoned under us by another dispatcher's
-                # failure; treat like a crash of our own future.
-                if self._recover_from_journal(entry, attempt_span):
-                    return
-                last_error = "pool abandoned mid-flight"
-                outcome = "crash"
+                # failure before this cell started.
             except BrokenProcessPool as exc:
-                self._supervisor.fail("crash")
-                if self._recover_from_journal(entry, attempt_span):
-                    return
-                last_error = exc
-                outcome = "crash"
+                # A worker crash breaks every cell running on the pool,
+                # and any of them may have caused it, so each is charged;
+                # a pool torn down for another cell's hang charges none.
+                incident = self._supervisor.fail("crash", pool)
+                if cell_future is not None and incident == "crash":
+                    last_error = exc
+                    outcome = "crash"
             except Exception as exc:
                 if cell_future is None:
                     # submit() failed before a future existed: the pool
                     # was abandoned by another dispatcher's failure
                     # ("cannot schedule new futures after shutdown") --
                     # a pool-level incident, not a cell failure.
-                    self._supervisor.fail("crash")
-                    if self._recover_from_journal(entry, attempt_span):
-                        return
-                    last_error = exc
-                    outcome = "crash"
+                    self._supervisor.fail("crash", pool)
                 else:
                     # Task-level error: the pool answered, so the
                     # breaker sees a healthy pool even though the cell
@@ -624,6 +639,14 @@ class Broker:
                 self._m_attempts.inc(outcome="ok")
                 self._complete(entry, result, "worker")
                 return
+            if outcome is None:
+                attempt_span.end(outcome="requeued")
+                if self._recover_from_journal(entry):
+                    return
+                continue
+            if outcome == "crash" and self._recover_from_journal(
+                    entry, attempt_span):
+                return
             self._count["failures"].inc()
             attempt_span.end(outcome=outcome)
             self._m_attempts.inc(outcome=outcome)
@@ -631,6 +654,7 @@ class Broker:
                             outcome=outcome, error=repr(last_error))
             if attempt < self.policy.max_attempts:
                 await asyncio.sleep(self.policy.delay(entry.key, attempt + 1))
+            attempt += 1
         await self._degrade_inproc(
             entry, self.policy.max_attempts + 1, "retries-exhausted",
             last_error,
@@ -641,8 +665,8 @@ class Broker:
                               last_error: "BaseException | str | None" = None,
                               ) -> None:
         """Serial in-process execution: the service's answer of last
-        resort, mirroring the resilience layer's fallback (and the
-        paper's own philosophy -- degrade, don't fail)."""
+        resort (the paper's own philosophy -- degrade, don't
+        fail)."""
         self._count["degraded"].inc(reason=reason)
         self.emit_event("svc.degrade", cell=entry.cell, reason=reason,
                         attempt=attempt)

@@ -30,12 +30,29 @@ from __future__ import annotations
 
 import asyncio
 import time
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 from repro import obslog
-from repro.experiments.resilience import _abandon_pool
 
 __all__ = ["CircuitBreaker", "PoolSupervisor"]
+
+
+def _abandon_pool(pool) -> None:
+    """Shut a (possibly broken or hung) pool down without waiting.
+
+    ``cancel_futures`` drains queued work; terminating the worker
+    processes frees any stuck in a hung task, which ``shutdown`` alone
+    would never reclaim.  The workers are listed *before* the shutdown,
+    which drops the executor's reference to them.  (``_processes`` is
+    executor-private, hence the defensive ``getattr``: on interpreters
+    without it the orphaned worker leaks until its task ends, but the
+    caller still proceeds.)
+    """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
 
 
 def _pool_probe() -> str:
@@ -139,6 +156,12 @@ class PoolSupervisor:
         )
         self.probe_timeout = probe_timeout
         self._pool = None
+        #: Why each abandoned pool was given up (``crash``, ``timeout``,
+        #: ``probe`` or ``shutdown``), for dispatchers that report a
+        #: failure of a pool that is already gone.
+        self._abandoned: "weakref.WeakKeyDictionary" = (
+            weakref.WeakKeyDictionary()
+        )
         self._probe_lock = asyncio.Lock()
         # The broker injects its elapsed_ms-stamping emitter so every
         # svc.* event shares one timing field; standalone supervisors
@@ -206,7 +229,7 @@ class PoolSupervisor:
         return self._pool
 
     def _probe_failed(self, error: str) -> None:
-        self._abandon()
+        self._abandon("probe")
         self.breaker.record_failure()
         self._m_probes.inc(outcome="failed")
         self._m_trips.inc()
@@ -214,19 +237,28 @@ class PoolSupervisor:
         self._emit("svc.breaker", state="open", reason="probe-failed",
                    error=error, backoff=self.breaker.open_backoff)
 
-    def fail(self, reason: str) -> None:
-        """A dispatcher observed a pool-level failure (crash/timeout).
+    def fail(self, reason: str, pool) -> str:
+        """A dispatcher observed a pool-level failure (crash/timeout) of
+        the *pool* it submitted to; returns the incident's reason.
 
-        The pool is always abandoned (it is broken or hosts a hung
-        worker either way).  While the breaker stays closed the pool is
-        respawned immediately; the failure that trips it leaves the pool
-        down until a half-open probe heals it.
+        One incident is counted once per pool.  The first report
+        abandons the pool (it is broken or hosts a hung worker either
+        way) and counts one breaker failure: while the breaker stays
+        closed the pool is respawned at once, and the failure that trips
+        it leaves the pool down until a half-open probe heals it.  A
+        report about a pool that is already gone -- every other cell
+        running on it sees it break -- changes nothing and returns the
+        reason that pool was given up for, so the dispatcher can tell a
+        worker crash that took its cell down from a pool torn down for
+        another cell's hang.
         """
-        self._abandon()
+        if pool is not self._pool:
+            return self._abandoned.get(pool, "shutdown")
+        self._abandon(reason)
         if self.breaker.state != "closed":
             # Already open: concurrent dispatchers reporting the same
             # incident must not extend the backoff.
-            return
+            return reason
         if self.breaker.record_failure():
             self._m_trips.inc()
             self._set_state_gauge()
@@ -237,13 +269,15 @@ class PoolSupervisor:
             )
         else:
             self._respawn()
+        return reason
 
     def ok(self) -> None:
         self.breaker.record_success()
         self._set_state_gauge()
 
-    def _abandon(self) -> None:
+    def _abandon(self, reason: str) -> None:
         if self._pool is not None:
+            self._abandoned[self._pool] = reason
             _abandon_pool(self._pool)
             self._pool = None
 
@@ -252,8 +286,13 @@ class PoolSupervisor:
         self._emit("svc.pool.restart", restarts=self._m_restarts.total())
         self._pool = self._pool_factory()
 
-    def shutdown(self) -> None:
-        if self._pool is not None:
+    def shutdown(self, terminate: bool = False) -> None:
+        """Shut the pool down without waiting; *terminate* also ends its
+        worker processes, so cells still running (an interrupted run)
+        neither keep the interpreter alive nor finish unobserved."""
+        if terminate:
+            self._abandon("shutdown")
+        elif self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 

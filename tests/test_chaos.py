@@ -1,19 +1,21 @@
 """Chaos suite: fault-injected proofs of the execution layer's contract.
 
-Every recovery path of :mod:`repro.experiments.resilience` is driven by
-a deterministic fault plan (:mod:`repro.experiments.faults`) and held to
-the repo's core invariant: recovery never changes results.  The
-acceptance proofs:
+Matrix runs execute through the service :class:`~repro.service.broker.
+Broker`; every recovery path is driven by a deterministic fault plan
+(:mod:`repro.experiments.faults`), observed through the broker's
+metrics registry and ``svc.*`` events, and held to the repo's core
+invariant: recovery never changes results.  The acceptance proofs:
 
 * **chaos determinism** -- a parallel sweep suffering a worker crash, a
-  hang past the per-cell timeout and a corrupted cache entry is
+  hang past the per-attempt timeout and a corrupted cache entry is
   bit-identical to a clean serial run, and a warm rerun quarantines the
   corrupt entry instead of serving or deleting it;
 * **resume** -- a run interrupted after K of N cells re-simulates only
-  the N-K remainder (asserted via the RunReport and the manifest);
+  the N-K remainder (asserted via the broker's admissions and the
+  journal);
 * **clean Ctrl-C** -- an interrupt shuts the pool down with
   ``cancel_futures``, and every completed cell is already seeded in the
-  caches and journaled in the manifest;
+  caches and recorded in the journal;
 * **bounded retries and graceful degradation** -- transient errors are
   retried with deterministic backoff, exhausted cells fall back to
   in-process execution, and only a cell that fails *that too* raises.
@@ -29,18 +31,18 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro import obslog
 from repro.experiments import diskcache, faults, runner
 from repro.experiments import parallel
 from repro.experiments.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.experiments.manifest import RunManifest, run_key
 from repro.experiments.parallel import plan_cells, run_matrix_parallel
-from repro.experiments.resilience import (
-    CellExecutionError,
-    RetryPolicy,
-    RunReport,
-)
+from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import clear_caches, run_matrix
 from repro.gpu import SIMULATED_GPUS
+from repro.obs.metrics import MetricsRegistry
+from repro.service import broker as broker_module
+from repro.service.request import RequestFailed, SimRequest
 from repro.trace import coalesced_trace, scattered_trace
 
 WORKLOADS = ["P1", "P2"]
@@ -94,6 +96,15 @@ def chaos_policy(timeout=None):
     )
 
 
+def counted(metrics, name, **labels):
+    """A broker counter's value (its total without *labels*); 0 when
+    the run never created the family (nothing was dispatched)."""
+    family = metrics.get(name)
+    if family is None:
+        return 0
+    return family.value(**labels) if labels else family.total()
+
+
 def serial_baseline(tmp_path, workloads=WORKLOADS):
     """Clean, uncached serial truth; leaves a fresh enabled disk cache."""
     diskcache.configure(enabled=False)
@@ -120,18 +131,19 @@ def test_chaos_run_is_bit_identical_to_clean_serial(fake_registry, tmp_path):
         FaultSpec(cell=HANG_CELL, kind="hang", times=2, seconds=20.0),
         FaultSpec(cell=CORRUPT_CELL, kind="corrupt-cache", times=3),
     )))
-    report = RunReport()
+    metrics = MetricsRegistry()
     chaotic = run_matrix_parallel(
         WORKLOADS, STRATEGIES, GPUS, jobs=2,
-        policy=chaos_policy(timeout=3.0), report=report,
+        policy=chaos_policy(timeout=3.0), metrics=metrics,
     )
     assert cell_tuples(chaotic) == cell_tuples(serial)
-    assert report.crashes >= 1
-    assert report.timeouts >= 1
-    assert report.pool_restarts >= 2
-    assert all(
-        cell.source in ("worker", "serial-fallback") for cell in report.cells
-    )
+    attempts = "repro_service_attempts_total"
+    assert counted(metrics, attempts, outcome="crash") >= 1
+    assert counted(metrics, attempts, outcome="timeout") >= 1
+    assert counted(metrics, "repro_service_pool_restarts_total") >= 2
+    completed = "repro_service_completed_total"
+    assert (counted(metrics, completed, source="worker")
+            + counted(metrics, completed, source="inproc")) == N_CELLS
 
     # Warm rerun: the corrupt entry is a quarantined miss, everything
     # else comes straight from disk, and the results are unchanged.
@@ -158,11 +170,9 @@ def test_interrupted_run_resumes_without_resimulating(fake_registry,
     faults.configure(FaultPlan((
         FaultSpec(cell=CRASH_CELL, kind="interrupt"),
     )))
-    report = RunReport()
     with pytest.raises(KeyboardInterrupt):
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
-                            policy=chaos_policy(), report=report)
-    assert report.interrupted
+                            policy=chaos_policy(), metrics=MetricsRegistry())
 
     cache = diskcache.active_cache()
     manifest_paths = list((cache.root / "manifests").glob("*.jsonl"))
@@ -173,38 +183,48 @@ def test_interrupted_run_resumes_without_resimulating(fake_registry,
 
     faults.configure(None)
     clear_caches()
-    resumed_report = RunReport()
+    metrics = MetricsRegistry()
     resumed = run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
-                                  policy=chaos_policy(),
-                                  report=resumed_report)
+                                  policy=chaos_policy(), metrics=metrics)
     assert cell_tuples(resumed) == cell_tuples(serial)
-    assert resumed_report.resumed == completed_before
-    assert resumed_report.simulated == N_CELLS - completed_before
+    remainder = N_CELLS - completed_before
+    assert counted(metrics, "repro_service_admitted_total") == remainder
+    assert counted(metrics, "repro_service_completed_total",
+                   source="worker") == remainder
     assert not list((cache.root / "manifests").glob("*.jsonl")), \
         "a completed run must discard its journal"
 
 
 def test_interrupt_shuts_pool_down_cleanly(fake_registry, tmp_path,
                                            monkeypatch):
-    """Ctrl-C cancels queued futures and loses no completed work: the
-    finished cells are seeded in memory, on disk, and in the manifest."""
+    """Ctrl-C cancels queued futures, ends the workers -- also one still
+    busy with a hung cell -- and loses no completed work: the finished
+    cells are seeded in memory, on disk, and in the journal."""
     serial_baseline(tmp_path)
     shutdowns = []
+    workers = []
 
     class SpyPool(ProcessPoolExecutor):
         def shutdown(self, wait=True, *, cancel_futures=False):
             shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+            workers.extend((self._processes or {}).values())
             return super().shutdown(wait, cancel_futures=cancel_futures)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(broker_module, "ProcessPoolExecutor", SpyPool)
     faults.configure(FaultPlan((
         FaultSpec(cell=CRASH_CELL, kind="interrupt"),
+        # Runs beside the interrupted cell and would outlive the test.
+        FaultSpec(cell=CORRUPT_CELL, kind="hang", seconds=60.0),
     )))
-    report = RunReport()
     with pytest.raises(KeyboardInterrupt):
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
-                            policy=chaos_policy(), report=report)
+                            policy=chaos_policy())
     assert {"wait": False, "cancel_futures": True} in shutdowns
+    assert workers
+    for process in workers:
+        process.join(timeout=10.0)
+    assert not [p for p in workers if p.is_alive()], \
+        "an interrupted run must not leave worker processes running"
 
     # The interrupted cell completed first: journaled under its
     # content-address key, entry on disk, and seeded into memory.
@@ -229,32 +249,53 @@ def test_interrupt_shuts_pool_down_cleanly(fake_registry, tmp_path,
 
 
 def test_transient_errors_retry_then_degrade_to_serial(fake_registry,
-                                                       tmp_path):
+                                                       tmp_path,
+                                                       monkeypatch):
     """Bounded retries recover a flaky cell; an exhausted cell falls
     back in-process -- both with results identical to clean serial."""
     serial = serial_baseline(tmp_path, workloads=["P1"])
+    log_path = tmp_path / "events.jsonl"
+    monkeypatch.setenv(obslog.OBSLOG_ENV, str(log_path))
+    flaky, exhausted = "P1|3060-Sim|baseline", "P1|3060-Sim|ARC-HW"
     faults.configure(FaultPlan((
-        FaultSpec(cell="P1|3060-Sim|baseline", kind="error", times=2),
-        FaultSpec(cell="P1|3060-Sim|ARC-HW", kind="error", times=3),
+        FaultSpec(cell=flaky, kind="error", times=2),
+        FaultSpec(cell=exhausted, kind="error", times=3),
     )))
-    report = RunReport()
+    metrics = MetricsRegistry()
     cells = run_matrix_parallel(["P1"], STRATEGIES, GPUS, jobs=2,
-                                policy=chaos_policy(), report=report)
+                                policy=chaos_policy(), metrics=metrics)
     assert cell_tuples(cells) == cell_tuples(serial)
 
-    by_cell = {cell.cell: cell for cell in report.cells}
-    flaky = by_cell["P1|3060-Sim|baseline"]
-    assert [r.outcome for r in flaky.attempts] == ["error", "error", "ok"]
-    assert flaky.source == "worker"
-    assert "InjectedFault" in flaky.attempts[0].error
+    events = obslog.read_events(log_path)
+    failed = {}
+    for event in events:
+        if event["event"] == "svc.attempt":
+            failed.setdefault(event["cell"], []).append(event)
+    sources = {event["cell"]: event["source"]
+               for event in events if event["event"] == "svc.finish"}
 
-    exhausted = by_cell["P1|3060-Sim|ARC-HW"]
-    assert [r.outcome for r in exhausted.attempts] == (
-        ["error"] * 3 + ["ok"]
+    # The flaky cell fails twice, then succeeds in a worker on attempt 3.
+    assert [(e["attempt"], e["outcome"]) for e in failed[flaky]] == [
+        (1, "error"), (2, "error")
+    ]
+    assert "InjectedFault" in failed[flaky][0]["error"]
+    assert sources[flaky] == "worker"
+
+    # The exhausted cell fails all three worker attempts and degrades.
+    assert [(e["attempt"], e["outcome"]) for e in failed[exhausted]] == [
+        (1, "error"), (2, "error"), (3, "error")
+    ]
+    [degrade] = [e for e in events if e["event"] == "svc.degrade"]
+    assert (degrade["cell"], degrade["reason"], degrade["attempt"]) == (
+        exhausted, "retries-exhausted", 4
     )
-    assert exhausted.source == "serial-fallback"
-    assert report.fallbacks == 1
-    assert report.retries >= 4
+    assert sources[exhausted] == "inproc"
+
+    attempts = "repro_service_attempts_total"
+    assert counted(metrics, attempts, outcome="error") == 5
+    assert counted(metrics, attempts, outcome="ok") == 1
+    assert counted(metrics, "repro_service_degraded_total",
+                   reason="retries-exhausted") == 1
 
 
 def test_cell_failing_even_the_fallback_raises(fake_registry, tmp_path):
@@ -262,14 +303,122 @@ def test_cell_failing_even_the_fallback_raises(fake_registry, tmp_path):
     faults.configure(FaultPlan((
         FaultSpec(cell="P1|3060-Sim|baseline", kind="error", times=10),
     )))
-    report = RunReport()
-    with pytest.raises(CellExecutionError) as excinfo:
+    metrics = MetricsRegistry()
+    with pytest.raises(RequestFailed) as excinfo:
         run_matrix_parallel(["P1"], ["baseline"], GPUS, jobs=2,
-                            policy=chaos_policy(), report=report)
+                            policy=chaos_policy(), metrics=metrics)
     assert excinfo.value.cell == "P1|3060-Sim|baseline"
-    attempts = excinfo.value.report.cells[0].attempts
-    assert attempts[-1].outcome == "fallback-error"
-    assert len(attempts) == 4  # 3 worker attempts + the fallback
+    assert isinstance(excinfo.value.cause, InjectedFault)
+    # 3 worker attempts, then the 1 in-process fallback attempt.
+    assert counted(metrics, "repro_service_attempts_total",
+                   outcome="error") == 3
+    assert counted(metrics, "repro_service_degraded_total",
+                   reason="retries-exhausted") == 1
+    assert counted(metrics, "repro_service_failures_total") == 4
+
+
+def test_undrained_stop_returns_with_pool_futures_pending(fake_registry,
+                                                         tmp_path):
+    """An undrained ``Broker.stop`` -- the matrix interrupt path -- ends
+    every dispatcher at once, also one whose pool future was still
+    pending and was cancelled with it: that is a shutdown, not a pool
+    abandoned under the dispatcher, so the cell is not retried."""
+    import asyncio
+
+    serial_baseline(tmp_path)
+    # One worker, held by a hang: the later submissions stay pending.
+    faults.configure(FaultPlan((
+        FaultSpec(cell=CRASH_CELL, kind="hang", seconds=3.0),
+    )))
+    broker = broker_module.Broker(jobs=1, concurrency=N_CELLS,
+                                  queue_depth=N_CELLS,
+                                  policy=chaos_policy())
+    executions = "repro_service_executions_total"
+
+    async def scenario():
+        await broker.start()
+        tasks = [
+            asyncio.ensure_future(broker.submit(
+                SimRequest(workload, "3060-Sim", strategy)))
+            for workload in WORKLOADS for strategy in STRATEGIES
+        ]
+        await asyncio.sleep(0.5)
+        submitted = counted(broker.metrics, executions)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.wait_for(broker.stop(drain=False), 2.0)
+        return submitted
+
+    assert asyncio.run(scenario()) == N_CELLS
+    assert counted(broker.metrics, executions) == N_CELLS
+
+
+def test_matrix_runs_from_inside_a_running_event_loop(fake_registry,
+                                                      tmp_path):
+    """A caller that already runs an event loop (a notebook cell) gets
+    the same cells; a failing cell still raises its typed error."""
+    import asyncio
+
+    serial = serial_baseline(tmp_path, workloads=["P1"])
+
+    async def notebook_cell():
+        return run_matrix_parallel(["P1"], STRATEGIES, GPUS, jobs=2,
+                                   policy=chaos_policy())
+
+    assert cell_tuples(asyncio.run(notebook_cell())) == cell_tuples(serial)
+
+    clear_caches()
+    faults.configure(FaultPlan((
+        FaultSpec(cell="P1|3060-Sim|baseline", kind="error", times=10),
+    )))
+    with pytest.raises(RequestFailed):
+        asyncio.run(notebook_cell())
+
+
+def test_ctrl_c_inside_a_running_event_loop_stops_the_broker(
+    fake_registry, tmp_path, monkeypatch,
+):
+    """A Ctrl-C while a caller's event loop waits on the matrix thread
+    cancels the run there too: the thread ends and no worker outlives
+    the interrupt, however long the cell it was running would hang."""
+    import asyncio
+    import signal
+    import threading
+
+    serial_baseline(tmp_path)
+    workers = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            workers.extend((self._processes or {}).values())
+            return super().shutdown(wait, cancel_futures=cancel_futures)
+
+    monkeypatch.setattr(broker_module, "ProcessPoolExecutor", SpyPool)
+    faults.configure(FaultPlan((
+        FaultSpec(cell=CRASH_CELL, kind="hang", seconds=60.0),
+    )))
+
+    async def notebook_cell():
+        return run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
+                                   policy=chaos_policy())
+
+    ctrl_c = threading.Timer(2.5, signal.pthread_kill,
+                             (threading.main_thread().ident, signal.SIGINT))
+    loop = asyncio.new_event_loop()
+    ctrl_c.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            loop.run_until_complete(notebook_cell())
+    finally:
+        ctrl_c.cancel()
+        loop.close()
+    assert not [t for t in threading.enumerate()
+                if t.name == "repro-matrix" and t.is_alive()]
+    assert workers
+    for process in workers:
+        process.join(timeout=10.0)
+    assert not [p for p in workers if p.is_alive()]
 
 
 # --------------------------------------------------------------------- #
@@ -400,7 +549,8 @@ def test_run_key_depends_on_cell_order_and_content():
 
 
 def test_manifest_records_survive_torn_and_foreign_lines(tmp_path):
-    manifest = RunManifest.for_run(tmp_path / "manifests", ["k1", "k2"])
+    manifest = RunManifest.for_session(tmp_path / "manifests",
+                                       run_key(["k1", "k2"]))
     assert manifest.load() == {}
     manifest.record("k1", {"workload": "P1"})
     manifest.record("k2", {"workload": "P2"})
@@ -437,6 +587,108 @@ def test_worker_trace_errors_name_workload_and_spool(tmp_path,
     message = str(excinfo.value)
     assert "'NV-SP'" in message
     assert str(tmp_path / f"{'f' * 64}.npz") in message
+
+
+def test_worker_init_refuses_a_foreign_engine_fingerprint(tmp_path,
+                                                         monkeypatch):
+    """A worker whose engine sources hash differently from its parent's
+    (spawned after an edit) refuses to start rather than key results by
+    code other than the parent's; its own fingerprint stays its own."""
+    monkeypatch.setattr(parallel, "_worker_trace_dir", None)
+    monkeypatch.setattr(parallel, "_worker_traces", {})
+    # _worker_init also calls faults.mark_worker(); undo that sticky
+    # flag so crash/hang faults stay parent-suppressed in later tests.
+    monkeypatch.setattr(faults, "_in_worker", faults._in_worker)
+    real = diskcache.engine_fingerprint()
+    with pytest.raises(RuntimeError, match="engine sources changed"):
+        parallel._worker_init(str(tmp_path), None, False, "0" * 64)
+    assert diskcache.engine_fingerprint() == real
+    assert parallel._worker_trace_dir is None
+
+    parallel._worker_init(str(tmp_path), None, False, real)
+    assert parallel._worker_trace_dir == tmp_path
+
+
+def test_workers_on_other_engine_code_never_write_the_cache(
+    fake_registry, tmp_path, monkeypatch,
+):
+    """The parent keys cells by one engine fingerprint, its workers hash
+    another (the sources changed after the parent started): no worker
+    writes a result under the parent's keys; every cell runs in-process
+    on the parent's code and is still bit-identical to clean serial."""
+    serial = serial_baseline(tmp_path, workloads=["P1"])
+    log_path = tmp_path / "events.jsonl"
+    monkeypatch.setenv(obslog.OBSLOG_ENV, str(log_path))
+    monkeypatch.setattr(diskcache, "_engine_fingerprint", "0" * 64)
+    metrics = MetricsRegistry()
+    cells = run_matrix_parallel(["P1"], STRATEGIES, GPUS, jobs=2,
+                                policy=chaos_policy(), metrics=metrics)
+    assert cell_tuples(cells) == cell_tuples(serial)
+
+    completed = "repro_service_completed_total"
+    assert counted(metrics, completed, source="worker") == 0
+    assert counted(metrics, completed, source="inproc") == len(serial)
+    parent_keys = {
+        diskcache.result_key(SIMULATED_GPUS["3060-Sim"],
+                             runner.get_trace("P1"),
+                             runner.make_strategy(strategy))
+        for strategy in STRATEGIES
+    }
+    writes = [event for event in obslog.read_events(log_path)
+              if event["event"] == "cache.write"]
+    assert {event["key"] for event in writes} == parent_keys
+    assert {event["pid"] for event in writes} == {__import__("os").getpid()}
+
+
+def test_a_hang_charges_only_the_hung_cell(fake_registry, tmp_path):
+    """A hang past the timeout tears the shared pool down under the
+    cells running beside it.  That is one pool incident: the breaker
+    counts it once and stays closed, the bystanders rerun their attempt
+    uncharged, and only the hung cell is charged (and retried)."""
+    import asyncio
+
+    serial = serial_baseline(tmp_path)
+    truth = {(c.workload, c.strategy): c.result.to_dict() for c in serial}
+    hung = ("P1", "baseline")
+    bystanders = [("P1", "ARC-HW"), ("P2", "baseline")]
+    faults.configure(FaultPlan((
+        FaultSpec(cell="P1|3060-Sim|baseline", kind="hang", seconds=60.0),
+        # Submitted 3.5 s after the hung cell, so still running when it
+        # times out at 6 s, each well within the timeout itself; the
+        # rerun at attempt 1 is as slow again.
+        *(FaultSpec(cell=f"{w}|3060-Sim|{s}", kind="hang", seconds=2.8)
+          for w, s in bystanders),
+    )))
+    metrics = MetricsRegistry()
+    broker = broker_module.Broker(jobs=3, queue_depth=4, metrics=metrics,
+                                  policy=chaos_policy(timeout=6.0))
+
+    def request(cell):
+        return broker.submit(SimRequest(cell[0], "3060-Sim", cell[1]))
+
+    async def scenario():
+        await broker.start()
+        first = asyncio.ensure_future(request(hung))
+        await asyncio.sleep(3.5)
+        responses = await asyncio.gather(
+            first, *(request(cell) for cell in bystanders))
+        snapshot = broker.snapshot()
+        await broker.stop()
+        return responses, snapshot
+
+    responses, snapshot = asyncio.run(scenario())
+    for cell, response in zip([hung, *bystanders], responses):
+        assert response.result.to_dict() == truth[cell]
+    assert snapshot["supervisor"]["breaker"]["state"] == "closed"
+    assert snapshot["supervisor"]["breaker"]["trips_total"] == 0
+    assert snapshot["supervisor"]["restarts"] == 1
+    attempts = "repro_service_attempts_total"
+    assert counted(metrics, attempts, outcome="timeout") == 1
+    assert counted(metrics, attempts, outcome="crash") == 0
+    assert counted(metrics, attempts, outcome="ok") == 3
+    assert counted(metrics, "repro_service_failures_total") == 1
+    assert counted(metrics, "repro_service_completed_total",
+                   source="worker") == 3
 
 
 def test_cell_spec_identity_matches_fault_addressing(fake_registry):

@@ -79,6 +79,8 @@ def test_default_jobs_honors_env(monkeypatch):
 
 
 def test_simulate_parallel_prints_run_report(small_registry, capsys):
+    """``--jobs 2`` runs the cells through the broker and prints its
+    registry with the reader ``repro serve --status`` uses."""
     assert main([
         "simulate", "-w", "3D-LE", "-g", "3060-Sim",
         "-s", "baseline", "ARC-HW", "--jobs", "2",
@@ -87,6 +89,32 @@ def test_simulate_parallel_prints_run_report(small_registry, capsys):
     assert "speedup" in out
     assert "execution" in out
     assert "2 cells" in out
+    lines = out.splitlines()
+    assert any(line.startswith("attempts ") and "ok=" in line
+               for line in lines)
+    assert any(line.startswith("pool ") and "breaker=closed" in line
+               for line in lines)
+
+
+def test_simulate_parallel_exits_1_naming_the_failed_cell(small_registry,
+                                                         capsys):
+    """A cell that fails every worker attempt and its in-process
+    fallback fails the command, and stderr names the cell."""
+    from repro.experiments import faults
+    from repro.experiments.faults import FaultPlan, FaultSpec
+
+    faults.configure(FaultPlan((
+        FaultSpec(cell="3D-LE|3060-Sim|baseline", kind="error", times=10),
+    )))
+    try:
+        code = main([
+            "simulate", "-w", "3D-LE", "-g", "3060-Sim",
+            "-s", "baseline", "--jobs", "2",
+        ])
+    finally:
+        faults.configure(None)
+    assert code == 1
+    assert "3D-LE|3060-Sim|baseline" in capsys.readouterr().err
 
 
 def test_train(small_registry, capsys):

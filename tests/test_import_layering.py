@@ -99,7 +99,8 @@ def test_spawn_worker_replays_without_renderer_stack(tmp_path, monkeypatch):
     with ProcessPoolExecutor(
         max_workers=1, mp_context=get_context("spawn"),
         initializer=parallel._worker_init,
-        initargs=(str(tmp_path), None, False),
+        initargs=(str(tmp_path), None, False,
+                  parallel.diskcache.engine_fingerprint()),
     ) as pool:
         result = pool.submit(parallel._run_spec, spec, 1).result(timeout=120)
         loaded = pool.submit(_forbidden_loaded).result(timeout=120)

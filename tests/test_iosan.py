@@ -224,7 +224,8 @@ def test_worker_init_installs_shim_when_armed(monkeypatch, tmp_path):
     # _worker_init also calls faults.mark_worker(); undo that sticky
     # flag so crash/hang faults stay parent-suppressed in later tests.
     monkeypatch.setattr(faults, "_in_worker", faults._in_worker)
-    parallel._worker_init(spool, None, False)
+    parallel._worker_init(spool, None, False,
+                          parallel.diskcache.engine_fingerprint())
     try:
         assert sanitize.installed()
     finally:

@@ -4,8 +4,9 @@ Unit tests pin the :mod:`repro.obslog` primitives (env-carried sink,
 append-only JSONL, torn-line tolerance); the integration tests drive
 :func:`~repro.experiments.parallel.run_matrix_parallel` -- including
 under the fault-injection harness -- and assert the promised event
-stream: every cell's start and finish, its cache disposition, retries,
-and resume decisions, deterministic across reruns.
+stream: the broker's ``svc.*`` admission, attempt and finish events for
+every cell, its cache disposition, and resume decisions, deterministic
+across reruns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro import obslog
 from repro.experiments import diskcache, faults, runner
 from repro.experiments.faults import FaultPlan, FaultSpec
 from repro.experiments.parallel import run_matrix_parallel
-from repro.experiments.resilience import RetryPolicy, RunReport
+from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import clear_caches
 from repro.trace import coalesced_trace
 
@@ -36,7 +37,7 @@ CELL_IDS = {
 #: deterministic contract covers everything else.
 VOLATILE_FIELDS = ("ts", "pid", "duration", "backoff", "cache_root",
                    "trace_id", "span_id", "parent_id", "start_unix",
-                   "dur_ms", "elapsed_ms")
+                   "dur_ms", "elapsed_ms", "exec_span_id")
 
 
 class FakeWorkload:
@@ -142,35 +143,40 @@ def test_read_events_on_missing_file(tmp_path):
 # Run-scoped event stream
 # --------------------------------------------------------------------- #
 
+def attempt_spans(grouped):
+    """The broker's per-attempt ``svc.attempt`` span records."""
+    return [span for span in grouped.get("span", ())
+            if span["name"] == "svc.attempt"]
+
+
 def test_parallel_run_logs_every_cell(fake_registry, obslog_sink):
-    """A clean parallel run journals the run envelope, every cell's
-    start/attempt/finish, and each cell's cache disposition."""
-    report = RunReport()
+    """A clean parallel run logs the broker session, every cell's
+    admission, attempt and finish, and each cell's cache disposition."""
     run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
-                        policy=quick_policy(), report=report)
+                        policy=quick_policy())
     grouped = events_by_name(obslog.read_events(obslog_sink))
 
-    assert len(grouped["run.start"]) == 1
-    start = grouped["run.start"][0]
-    assert start["cells"] == len(CELL_IDS) and start["jobs"] == 2
-    assert set(start["workloads"]) == set(WORKLOADS)
+    assert len(grouped["svc.start"]) == 1
+    start = grouped["svc.start"][0]
+    assert start["queue_depth"] == len(CELL_IDS) and start["jobs"] == 2
 
-    for name in ("cell.start", "cell.attempt", "cell.finish"):
+    for name in ("svc.accept", "svc.finish"):
         assert {event["cell"] for event in grouped[name]} == CELL_IDS, name
-    assert all(event["outcome"] == "ok"
-               for event in grouped["cell.attempt"])
+    assert {span["cell"] for span in attempt_spans(grouped)} == CELL_IDS
+    assert all(span["outcome"] == "ok" for span in attempt_spans(grouped))
+    assert "svc.attempt" not in grouped, "a clean run has no failed attempt"
 
     # Cold cache: every cell misses once and is written back once.  The
     # keyed writes let the log answer "where did this result come from".
-    cell_keys = {event["key"] for event in grouped["cell.finish"]}
+    cell_keys = {event["key"] for event in grouped["svc.finish"]}
     assert len(cell_keys) == len(CELL_IDS)
     assert {event["key"] for event in grouped["cache.miss"]} == cell_keys
     assert {event["key"] for event in grouped["cache.write"]} == cell_keys
 
-    finish = grouped["run.finish"][0]
-    assert finish["cells"] == len(CELL_IDS)
-    assert finish["simulated"] == len(CELL_IDS)
-    assert finish["resumed"] == 0
+    stop = grouped["svc.stop"][0]
+    assert stop["requests"] == len(CELL_IDS)
+    assert stop["completed"] == len(CELL_IDS)
+    assert "cell.skip" not in grouped
 
 
 def test_resumed_run_logs_skip_decisions(fake_registry, obslog_sink):
@@ -181,23 +187,23 @@ def test_resumed_run_logs_skip_decisions(fake_registry, obslog_sink):
     )))
     with pytest.raises(KeyboardInterrupt):
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
-                            policy=quick_policy(), report=RunReport())
+                            policy=quick_policy())
     first = events_by_name(obslog.read_events(obslog_sink))
-    completed = {event["cell"] for event in first.get("cell.finish", ())}
+    completed = {event["cell"] for event in first.get("svc.finish", ())}
     assert completed, "the interrupting cell finishes before raising"
 
     faults.configure(None)
     clear_caches()
     obslog_sink.unlink()
-    report = RunReport()
     run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
-                        policy=quick_policy(), report=report)
+                        policy=quick_policy())
     grouped = events_by_name(obslog.read_events(obslog_sink))
     skips = grouped["cell.skip"]
     assert {event["cell"] for event in skips} == completed
     assert all(event["reason"] == "manifest-resume" for event in skips)
-    assert grouped["run.finish"][0]["resumed"] == len(completed)
-    assert {event["cell"] for event in grouped["cell.finish"]} \
+    assert sum(stop["requests"] for stop in grouped.get("svc.stop", ())) \
+        == len(CELL_IDS) - len(completed)
+    assert {event["cell"] for event in grouped.get("svc.finish", ())} \
         == CELL_IDS - completed
 
 
@@ -228,17 +234,18 @@ def test_event_set_is_deterministic_under_fault_injection(
         obslog_sink.write_text("")
         with diskcache.isolated(tmp_path / f"cache-{attempt}"):
             run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
-                                policy=quick_policy(), report=RunReport())
+                                policy=quick_policy())
         streams.append(stripped(obslog.read_events(obslog_sink)))
     assert streams[0] == streams[1]
 
     grouped = events_by_name(
         [json.loads(line) for line in streams[0]]
     )
-    assert {event["cell"] for event in grouped["cell.retry"]} \
-        == {"P1|3060-Sim|baseline"}
-    outcomes = [event["outcome"] for event in grouped["cell.attempt"]
-                if event["cell"] == "P1|3060-Sim|baseline"]
+    assert {(event["cell"], event["outcome"])
+            for event in grouped["svc.attempt"]} \
+        == {("P1|3060-Sim|baseline", "error")}
+    outcomes = [span["outcome"] for span in attempt_spans(grouped)
+                if span["cell"] == "P1|3060-Sim|baseline"]
     assert sorted(outcomes) == ["error", "ok"]
 
 

@@ -155,7 +155,8 @@ def test_worker_trace_cache_is_a_bounded_lru(tmp_path, monkeypatch):
     # _worker_init also calls faults.mark_worker(); undo that sticky
     # flag so crash/hang faults stay parent-suppressed in later tests.
     monkeypatch.setattr(faults, "_in_worker", faults._in_worker)
-    parallel._worker_init(str(spool), None, False)
+    parallel._worker_init(str(spool), None, False,
+                          parallel.diskcache.engine_fingerprint())
 
     def run(name):
         spec = parallel.CellSpec(name, SIMULATED_GPUS["3060-Sim"],

@@ -570,7 +570,7 @@ def test_crash_recovers_journaled_completion_without_reexecuting(
     strategy = runner.make_strategy("baseline")
     persisted = simulate_cell(trace, config, strategy)  # stores on disk
     key = diskcache.result_key(config, trace, strategy)
-    journal = RunManifest.for_service(cache.root / "manifests", "recov")
+    journal = RunManifest.for_session(cache.root / "manifests", "recov")
     journal.record(key, {"workload": "S1", "gpu": "3060-Sim",
                          "strategy": "baseline"})
     faults.configure(FaultPlan((
@@ -918,7 +918,7 @@ def test_reply_bytes_match_plain_encoding_for_every_source(
     # attempt errors, so it degrades in process.
     cache = diskcache.active_cache()
     config = SIMULATED_GPUS["3060-Sim"]
-    journal = RunManifest.for_service(cache.root / "manifests", "bytes")
+    journal = RunManifest.for_session(cache.root / "manifests", "bytes")
     plan = []
     for strategy, _ in rounds:
         made = runner.make_strategy(strategy)
