@@ -24,10 +24,10 @@ failures those proofs need, at exactly chosen points:
   against the dispatchers.
 * ``loop-block``    -- the broker's admission path blocks the event loop
   (a plain ``time.sleep`` on the loop thread) for the targeted cell's
-  admission, proving the async-safety cross-check end to end: the static
-  analysis flags the hook's call site (ARC013, suppressed as deliberate)
-  and the runtime sanitizer (:mod:`repro.obs.sanitize`) attributes the
-  observed stall to the same frame.
+  admission, proving the loop-stall check end to end: the runtime
+  sanitizer (:mod:`repro.obs.sanitize`) attributes the observed stall
+  to this hook's frame, which its ``LOOP_IO_FRAMES`` table declares as
+  the one deliberate stall.
 
 The first three double as *service-level* faults: the daemon's workers
 run the same task wrapper, so a ``crash`` spec kills a worker mid-request
@@ -184,9 +184,9 @@ def active_plan() -> "FaultPlan | None":
     """The configured plan, else the one in ``REPRO_FAULTS``, else None."""
     # The parent-written global is a parent-side fast path only; workers
     # intentionally fall through to the REPRO_FAULTS env fallback below,
-    # which configure() exports before any pool exists (spawn-carry set).
-    if _plan is not None:  # arclint: disable=ARC010
-        return _plan  # arclint: disable=ARC010
+    # which configure() exports before any pool exists.
+    if _plan is not None:
+        return _plan
     raw = os.environ.get(FAULTS_ENV, "").strip()
     if not raw:
         return None
@@ -248,10 +248,9 @@ def on_admission(cell: str, arrival: int) -> None:
     admission: a deliberate synchronous sleep on the event-loop thread.
 
     The broker calls this at admission time.  The sleep is exactly the
-    bug class ARC013 forbids, injected on purpose so the chaos suite
-    can prove both halves of the async-safety cross-check catch it:
-    statically at the broker's call site, and at runtime as a stall
-    the sanitizer attributes to this very frame.
+    bug class the loop must never have, injected on purpose so the
+    chaos suite can prove the runtime sanitizer catches it, as a stall
+    attributed to this very frame.
     """
     plan = active_plan()
     if plan is None:
@@ -269,7 +268,7 @@ def corrupt_entry(path: Path) -> bool:
         return False
     # Deliberately unsound: this *is* the torn write the corrupt-cache
     # fault simulates, so the quarantine path gets exercised.
-    path.write_bytes(data[: max(1, len(data) // 2)])  # arclint: disable=ARC009
+    path.write_bytes(data[: max(1, len(data) // 2)])
     return True
 
 

@@ -11,14 +11,15 @@ ordered cell-key list), so a rerun of the same matrix finds the
 journal, loads each finished cell straight from the disk cache, and
 dispatches only the remainder; a drained broker stop discards it.
 
-Appends are atomic at the line level: each record is written with a
-single ``os.write`` to an ``O_APPEND`` descriptor, so concurrent or
-killed writers can at worst leave one torn *trailing* line, which
-:meth:`RunManifest.load` skips (any malformed line is ignored rather
-than poisoning the journal).  Resume correctness never depends on the
-journal alone -- a listed cell is only skipped when the disk cache
-still holds its content-addressed entry, so a cleared or corrupted
-cache simply degrades to re-simulation.
+A journal is a JSONL stream written and read by the same primitive as
+the obslog: :func:`repro.obslog.emit` appends each record with a single
+``os.write`` to an ``O_APPEND`` descriptor, so concurrent or killed
+writers can at worst leave one torn *trailing* line, and
+:func:`repro.obslog.read_events` skips it (any malformed line is
+ignored rather than poisoning the journal).  Resume correctness never
+depends on the journal alone -- a listed cell is only skipped when the
+disk cache still holds its content-addressed entry, so a cleared or
+corrupted cache simply degrades to re-simulation.
 
 Journals live under ``<cache root>/manifests/`` and exist only between
 an interruption and the completing rerun.
@@ -27,9 +28,9 @@ an interruption and the completing rerun.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from pathlib import Path
+
+from repro import obslog
 
 __all__ = ["RunManifest", "run_key"]
 
@@ -71,46 +72,37 @@ class RunManifest:
     def load(self) -> "dict[str, dict]":
         """Completed cell-key -> record; {} when absent.
 
-        Malformed lines (a torn trailing append, editor damage) are
-        skipped: losing a record merely re-simulates that cell.
+        Malformed lines (a torn trailing append, editor damage) and
+        records of another format are skipped: losing a record merely
+        re-simulates that cell.  An unreadable journal reads as empty.
         """
         try:
-            text = self.path.read_text(encoding="utf-8")
+            events = obslog.read_events(self.path)
         except OSError:
             return {}
         records: dict[str, dict] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for record in events:
+            if not isinstance(record, dict) \
+                    or record.get("format") != _FORMAT_VERSION:
                 continue
-            try:
-                record = json.loads(line)
-                if record.get("format") != _FORMAT_VERSION:
-                    continue
-                records[record["key"]] = record
-            except (ValueError, KeyError, TypeError):
-                continue
+            key = record.get("key")
+            if isinstance(key, str):
+                records[key] = record
         return records
 
     def record(self, key: str, cell: dict) -> None:
-        """Append one completed cell (best-effort, atomic line write)."""
-        line = json.dumps(
-            {"format": _FORMAT_VERSION, "key": key, "cell": cell},
-            sort_keys=True, separators=(",", ":"),
-        ) + "\n"
+        """Append one completed cell (best-effort, atomic line write).
+
+        An unwritable cache directory degrades to no resumability,
+        exactly like the disk cache it lives beside; the failed append
+        logs one warning through :func:`repro.obslog.emit`.
+        """
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
         except OSError:
-            # An unwritable cache directory degrades to no resumability,
-            # exactly like the disk cache it lives beside.
-            return
+            pass  # emit reports the append it then cannot make
+        obslog.emit("journal.cell", sink=str(self.path),
+                    format=_FORMAT_VERSION, key=key, cell=cell)
 
     def discard(self) -> None:
         """Remove the journal (the run it tracked is complete)."""

@@ -217,11 +217,10 @@ def _run_spec(spec: CellSpec, attempt: int) -> SimResult:
     """Worker task: simulate one cell (with fault hooks around it).
 
     The whole task is wrapped in a ``cell.execute`` span parented on
-    the session root context carried through ``REPRO_TRACE`` (declared
-    in the spawn-carry set; per-request context cannot reach workers --
-    they snapshot the environment at pool construction).  The stitcher
-    correlates worker spans with the broker's per-attempt spans by
-    ``(cell, attempt)``.  With no obslog sink armed the span emission
+    the session root context carried through ``REPRO_TRACE``
+    (per-request context cannot reach workers -- they snapshot the
+    environment at pool construction).  The stitcher correlates worker
+    spans with the broker's per-attempt spans by ``(cell, attempt)``.  With no obslog sink armed the span emission
     is a no-op, so the fault/simulate path stays byte-identical.
     """
     cell = spec.cell_id
@@ -386,6 +385,7 @@ def _run_to_completion(coro) -> None:
     loop = asyncio.new_event_loop()
     task = loop.create_task(coro)
     raised: "list[BaseException]" = []
+    finished = threading.Event()
 
     def run() -> None:
         try:
@@ -394,6 +394,7 @@ def _run_to_completion(coro) -> None:
             raised.append(exc)
         finally:
             loop.close()
+            finished.set()
 
     thread = threading.Thread(target=run, name="repro-matrix")
     thread.start()
@@ -404,7 +405,10 @@ def _run_to_completion(coro) -> None:
             loop.call_soon_threadsafe(task.cancel)
         except RuntimeError:
             pass  # the loop closed: the coroutine already finished
-        thread.join()
+        # Not a second join(): on CPython 3.11 a join that an interrupt
+        # broke marks the thread stopped (bpo-45274), so it would return
+        # at once while the broker is still stopping.
+        finished.wait()
         raise
     if raised:
         raise raised[0]

@@ -3,7 +3,7 @@
 The tier-1 test suite checks *numbers*; this package checks the
 *invariants those numbers silently depend on* -- the bug class PR 1's
 review cycles were spent on.  An AST-based rule framework
-(:mod:`repro.lint.registry`, :mod:`repro.lint.engine`) runs twelve
+(:mod:`repro.lint.registry`, :mod:`repro.lint.engine`) runs eight
 domain rules (:mod:`repro.lint.rules`):
 
 ========  ===========================================================
@@ -24,17 +24,6 @@ ARC007    event-tie determinism: engine heap events carry a monotonic
           sequence tiebreaker (runtime twin: ``REPRO_SANITIZE=1``)
 ARC008    cache-key taint: fields excluded from a fingerprint are
           never read in result-influencing engine positions
-ARC009    shared-file write protocol: writes to multi-process files
-          (cache entries, manifests, obslog) are atomic temp+rename
-          or single-``write`` ``O_APPEND``, never torn
-ARC010    spawn-global carry: a module global written only in the
-          parent is never read in worker context (``spawn`` workers
-          do not inherit parent globals)
-ARC011    env mutation discipline: no ``os.environ`` writes after a
-          pool exists; worker env reads stay in the spawn-carry set
-ARC012    resource protocol agreement: all writers of one resource
-          class (cache root, quarantine, manifest, obslog) use the
-          same sound protocol
 ========  ===========================================================
 
 ARC003/006/008 are built on a project-wide dataflow layer
@@ -44,14 +33,10 @@ dataclass fields to a fixpoint.  The same layer's import graph powers
 ``repro lint --changed``, which re-checks only the files a diff touched
 plus their transitive importers.
 
-ARC009-012 add two more analyses on that layer
-(:mod:`repro.lint.dataflow.procctx`,
-:mod:`repro.lint.dataflow.resources`): a process-context lattice
-(parent / worker / both) derived from the executor submission graph,
-and an escape analysis attributing file accesses to shared resource
-classes and write protocols.  Their runtime twin is the
-``REPRO_SANITIZE`` sanitizer (:mod:`repro.obs.sanitize`), whose recorded
-writes the chaos suite diffs against the static model.
+Which files several processes write, and which frames may block the
+service's event loop, are not lint rules: the ``REPRO_SANITIZE``
+runtime sanitizer (:mod:`repro.obs.sanitize`) records both and checks
+them against the tables it declares.
 
 Findings are suppressed inline (``# arclint: disable=ARC001``) or
 grandfathered in a checked-in, content-addressed baseline

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.lint.dataflow.asyncctx import AsyncContexts
 from repro.lint.dataflow.callgraph import (
     CallGraph,
     module_imports,
@@ -39,7 +38,6 @@ if TYPE_CHECKING:
     from repro.lint.engine import LintContext
 
 __all__ = [
-    "AsyncContexts",
     "CallGraph",
     "ClassSymbol",
     "Conflict",

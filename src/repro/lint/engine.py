@@ -31,12 +31,6 @@ from typing import Sequence
 from repro.lint.baseline import diff_against_baseline, load_baseline
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import all_rules
-from repro.obs.sanitize import (
-    RESOURCE_CACHE_QUARANTINE,
-    RESOURCE_CACHE_RESULTS,
-    RESOURCE_MANIFEST,
-    RESOURCE_OBSLOG,
-)
 
 __all__ = [
     "LintConfig",
@@ -73,86 +67,6 @@ class LintConfig:
     cycle_suffixes: tuple[str, ...] = ("_cycles",)
     #: Names whose presence in a term marks a clock-domain conversion.
     clock_names: tuple[str, ...] = ("clock_ghz",)
-    #: Package directories in scope for the process-safety analyses
-    #: (ARC009-ARC012): code that runs on both sides of the spawn pool.
-    procsafety_packages: tuple[str, ...] = ("experiments", "obs",
-                                            "service")
-    #: Module stems (filenames sans ``.py``) outside those packages that
-    #: the process-safety analyses also cover -- the obslog sink is
-    #: written from parent and workers alike.
-    procsafety_module_stems: tuple[str, ...] = ("obslog",)
-    #: Environment variables deliberately carried across the spawn
-    #: boundary (exported before pool construction, or inherited via the
-    #: OS environment snapshot); worker-context reads of any *other*
-    #: ``REPRO_*`` key are ARC011 findings.
-    spawn_carry_env: tuple[str, ...] = (
-        "REPRO_OBSLOG",
-        "REPRO_FAULTS",
-        "REPRO_CACHE_DIR",
-        "REPRO_NO_DISK_CACHE",
-        "REPRO_CACHE_SWEEP_AGE",
-        "REPRO_SANITIZE",
-        "REPRO_SANITIZE_LOG",
-        "REPRO_LOG_LEVEL",
-        "REPRO_TRACE",
-    )
-    #: Env-key prefixes the spawn-carry discipline applies to; reads of
-    #: foreign variables (``HOME``, ``PATH``) are not ours to police.
-    env_prefixes: tuple[str, ...] = ("REPRO_",)
-    #: (identifier substring, resource class) seeds for the shared-file
-    #: escape analysis: an expression mentioning the substring is
-    #: attributed to the class, and the class then propagates through
-    #: aliases, call returns and one level of parameter passing.
-    resource_patterns: tuple[tuple[str, str], ...] = (
-        ("quarantine", RESOURCE_CACHE_QUARANTINE),
-        ("manifest", RESOURCE_MANIFEST),
-        ("obslog", RESOURCE_OBSLOG),
-        ("results_dir", RESOURCE_CACHE_RESULTS),
-        ("entry_path", RESOURCE_CACHE_RESULTS),
-    )
-    #: Package directories in scope for the async-safety rules
-    #: (ARC013-ARC016): code that runs on (or right next to) the
-    #: service's asyncio event loop.
-    asyncsafety_packages: tuple[str, ...] = ("obs", "service")
-    #: Alias-resolved call paths that block the calling thread -- the
-    #: seeds of the blocking-call classifier.  These are the project's
-    #: *real* blockers (sync file I/O, sleeps, subprocesses, sockets,
-    #: numpy trace spooling), not a generic deny-list.
-    async_blocking_calls: tuple[str, ...] = (
-        "open",
-        "io.open",
-        "os.open",
-        "os.replace",
-        "os.rename",
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-        "socket.create_connection",
-        "numpy.load",
-        "numpy.savez",
-        "numpy.savez_compressed",
-    )
-    #: Method names that denote synchronous file I/O on any receiver
-    #: (the pathlib idiom used by the disk cache and manifest).
-    async_blocking_methods: tuple[str, ...] = (
-        "read_text",
-        "read_bytes",
-        "write_text",
-        "write_bytes",
-    )
-    #: Coroutine-reachable project callees exempt from ARC013: audited
-    #: appends whose single O_APPEND write is measured in microseconds
-    #: and whose loss would cost more than the stall (telemetry, the
-    #: crash-recovery journal).  Exemption is not invisibility -- these
-    #: stay in the static model the runtime loop sanitizer checks
-    #: observed stalls against.
-    async_blocking_allowlist: tuple[str, ...] = (
-        "repro.obslog.emit",
-        "repro.experiments.manifest.RunManifest.record",
-    )
 
 
 class ModuleInfo:

@@ -11,20 +11,16 @@ Importing this package registers every rule with
 * ``ARC006`` interprocedural unit contracts (:mod:`.interproc`)
 * ``ARC007`` event-tie determinism (:mod:`.event_ties`)
 * ``ARC008`` cache-key taint (:mod:`.cachekeys`)
-* ``ARC009``-``ARC012`` process-safety (:mod:`.concurrency`)
-* ``ARC013``-``ARC016`` async-safety (:mod:`.asyncsafety`)
 
 ARC003/006/008 share one :class:`repro.lint.dataflow.DataflowAnalysis`
-per run, built lazily on first use and cached on the lint context;
-ARC009-012 layer the process-context and shared-resource analyses on
-top of the same instance, and ARC013-016 layer the coroutine-context
-analysis on it the same way.
+per run, built lazily on first use and cached on the lint context.
+The stack's process- and loop-safety disciplines are not lint rules:
+the ``REPRO_SANITIZE`` runtime sanitizer checks them against the
+tables it declares (:mod:`repro.obs.sanitize`).
 """
 
 from repro.lint.rules import (
-    asyncsafety,
     cachekeys,
-    concurrency,
     determinism,
     event_ties,
     fingerprints,
@@ -35,9 +31,7 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "asyncsafety",
     "cachekeys",
-    "concurrency",
     "determinism",
     "event_ties",
     "fingerprints",

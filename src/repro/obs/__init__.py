@@ -14,15 +14,13 @@ Three submodules, one story:
 * :mod:`repro.obs.sanitize` -- the ``REPRO_SANITIZE`` interposition
   shim: one record per file-I/O or sleep hit (with loop-thread timing
   and frame attribution), written and read through obslog, folded into
-  the observations that cross-check the static ARC009-013 models.
-  Not imported here: its users (the pool initializer, the daemon, the
-  lint layer's protocol vocabulary) import it directly.
+  observations checked against its two declared tables
+  (``SHARED_WRITES``, ``LOOP_IO_FRAMES``).  Not imported here: its
+  users (the pool initializer, the daemon) import it directly.
 
-This package sits in both arclint safety scopes: process-safety
-(ARC009-012 -- it adds no file-write sites; spans and sanitizer records
-ride :func:`repro.obslog.emit`) and async-safety (ARC013-016 -- metric
-updates are pure in-memory, span emission routes through the
-allowlisted obslog writer).
+This package adds no shared-file writer and no loop-thread I/O site of
+its own: spans and sanitizer records ride :func:`repro.obslog.emit`,
+and metric updates are pure in-memory.
 """
 
 from repro.obs import metrics, tracing

@@ -12,8 +12,7 @@ Design constraints, in order:
 
 * **Non-blocking by construction.**  Instruments are plain dict/float
   updates -- no locks, no I/O, no syscalls -- so they are legal to call
-  from coroutine context under arclint's ARC013 loop-blocking rule
-  without any allowlisting.  (The asyncio event loop is single-threaded,
+  from coroutine context without ever blocking the event loop.  (The asyncio event loop is single-threaded,
   so dict updates from broker coroutines need no lock; spawn workers
   have their *own* registry instance and report through the obslog
   stream instead.)

@@ -1,13 +1,15 @@
 """Runtime sanitizer: record what processes *actually* do to files and
-to the event loop, so the static lint models can be cross-checked.
+to the event loop, and check it against two declared tables.
 
-Two static models back the stack's bit-identity claims, and both drift:
-the ARC009-012 write-protocol model (:mod:`repro.lint.rules.concurrency`:
-which writes reach shared files, and by which protocol) and the ARC013
-coroutine-blocking model (:mod:`repro.lint.rules.asyncsafety`: which
-blocking calls are reachable on the event loop).  This module is their
-runtime ground truth, the way ARC007's heap-tie assert backs its static
-rule.  With ``REPRO_SANITIZE=1`` and a log path in ``REPRO_SANITIZE_LOG``,
+The stack's bit-identity claims rest on two disciplines: shared files
+(cache entries, the quarantine, run journals, the obslog sink) are
+written only through a sound protocol, and the service's event loop
+blocks only at audited sites.  :data:`SHARED_WRITES` declares the
+``(resource class, write protocol)`` pairs the stack performs, and
+:data:`LOOP_IO_FRAMES` the repro frames allowed to do I/O on the loop
+thread.  This module records the ground truth those tables are held
+against, the way the engine's heap-tie assert backs ARC007.  With
+``REPRO_SANITIZE=1`` and a log path in ``REPRO_SANITIZE_LOG``,
 :func:`maybe_install` wraps one table of primitives:
 
 * ``builtins.open`` / ``io.open`` (``pathlib`` I/O and numpy's savez
@@ -20,27 +22,26 @@ rule.  With ``REPRO_SANITIZE=1`` and a log path in ``REPRO_SANITIZE_LOG``,
 Each primitive hit writes **one** record.  I/O hits always carry ``op``,
 ``path`` and ``pid`` (plus ``mode``/``flags``/``src``); on a thread
 running an event loop the same record also carries the innermost repro
-``frame`` on the stack (``module.Qual.name``, the lint layer's
-qualified-name vocabulary), the measured ``duration_ms`` and a
-``stalled`` verdict against :data:`SLOW_MS`.  Sleeps are recorded only on
-the loop thread -- worker threads and executors may block freely, that
-is what they are for.  :func:`arm_loop` (daemon only) additionally wraps
-``asyncio.Handle._run`` to record any callback overrunning the threshold,
-and aligns the loop's own ``slow_callback_duration`` with it.
+``frame`` on the stack (``module.Qual.name``), the measured
+``duration_ms`` and a ``stalled`` verdict against :data:`SLOW_MS`.
+Sleeps are recorded only on the loop thread -- worker threads and
+executors may block freely, that is what they are for.
+:func:`arm_loop` (daemon only) additionally wraps ``asyncio.Handle._run``
+to record any callback overrunning the threshold, and aligns the loop's
+own ``slow_callback_duration`` with it.
 
 Records go through :func:`repro.obslog.emit`'s ``O_APPEND`` line writer
 (a thread-local guard keeps the shim from recording its own writes) and
 come back through :func:`repro.obslog.read_events`.  Both env vars travel
 across ``spawn``, and the pool initializer calls :func:`maybe_install`,
 so parent and worker accesses land in one stream tagged by pid.
-:func:`observed_protocols` folds that stream into the static model's
-``(resource class, protocol)`` pairs, and :func:`observed_frames` /
-:func:`stalled_frames` into blocking frames; the chaos suite asserts each
-fold is covered by its static model.
+:func:`observed_protocols` folds that stream into ``(resource class,
+protocol)`` pairs, and :func:`observed_frames` / :func:`stalled_frames`
+into blocking frames; the chaos suite asserts each fold against its
+table.
 
-The write-protocol names are defined here, once; the lint layer imports
-them (runtime code never imports ``repro.lint``).  ``asyncio`` is looked
-up in ``sys.modules``, never imported: spawn workers do not load it.
+``asyncio`` is looked up in ``sys.modules``, never imported: spawn
+workers do not load it.
 """
 
 from __future__ import annotations
@@ -56,18 +57,18 @@ from pathlib import Path
 from repro import obslog
 
 __all__ = [
+    "LOOP_IO_FRAMES",
     "PROTOCOL_APPEND",
     "PROTOCOL_ATOMIC_RENAME",
     "PROTOCOL_BUFFERED_APPEND",
     "PROTOCOL_RAW_WRITE",
-    "PROTOCOL_TEMP",
     "RESOURCE_CACHE_QUARANTINE",
     "RESOURCE_CACHE_RESULTS",
-    "RESOURCE_CLASSES",
     "RESOURCE_MANIFEST",
     "RESOURCE_OBSLOG",
     "SANITIZE_ENV",
     "SANITIZE_LOG_ENV",
+    "SHARED_WRITES",
     "SLOW_MS",
     "arm_loop",
     "classify_path",
@@ -89,23 +90,58 @@ SANITIZE_LOG_ENV = "REPRO_SANITIZE_LOG"
 #: the ``stalled`` verdict is unambiguous on both sides.
 SLOW_MS = 100.0
 
-# Write protocols: the vocabulary the static model
-# (repro.lint.dataflow.resources) and observed_protocols share.
+# Write protocols a recorded write folds into.
 PROTOCOL_ATOMIC_RENAME = "atomic-rename"
 PROTOCOL_APPEND = "o-append"
-PROTOCOL_TEMP = "temp-file"
 PROTOCOL_RAW_WRITE = "raw-write"
 PROTOCOL_BUFFERED_APPEND = "buffered-append"
 
-# Shared-resource classes: the vocabulary the static pattern table
-# (repro.lint.engine.LintConfig.resource_patterns) and classify_path share.
+# Shared-resource classes: files several processes write at once.
 RESOURCE_CACHE_RESULTS = "cache-results"
 RESOURCE_CACHE_QUARANTINE = "cache-quarantine"
 RESOURCE_MANIFEST = "manifest"
 RESOURCE_OBSLOG = "obslog"
-RESOURCE_CLASSES = frozenset({
-    RESOURCE_CACHE_RESULTS, RESOURCE_CACHE_QUARANTINE, RESOURCE_MANIFEST,
-    RESOURCE_OBSLOG,
+
+#: Every shared-file write the stack performs, as (resource class,
+#: protocol).  Each class has one writer protocol, and each is sound:
+#: readers of an atomic-rename entry see the old or the new file, never
+#: a mix, and a single ``write`` to an ``O_APPEND`` descriptor lands
+#: whole.  Mixing protocols on one class is not sound either: an append
+#: landing between a rewriter's read and its rename is lost.  The one
+#: deliberate exception is the chaos suite's torn write
+#: (``faults.corrupt_entry``), a ``raw-write`` to ``cache-results``.
+SHARED_WRITES = frozenset({
+    (RESOURCE_CACHE_RESULTS, PROTOCOL_ATOMIC_RENAME),
+    (RESOURCE_CACHE_QUARANTINE, PROTOCOL_ATOMIC_RENAME),
+    (RESOURCE_MANIFEST, PROTOCOL_APPEND),
+    (RESOURCE_OBSLOG, PROTOCOL_APPEND),
+})
+
+#: The audited repro frames that may do I/O on the service's loop
+#: thread, as the innermost repro frame :func:`observed_frames` reports.
+#: Anything else observed there is a new stall and fails the check.
+LOOP_IO_FRAMES = frozenset({
+    # A single O_APPEND line: telemetry, spans and the run journal.
+    "repro.obslog.emit",
+    # Run-journal read, once at broker start and on crash recovery.
+    "repro.obslog.read_events",
+    # Engine-source hash behind every cell key; memoized per process.
+    "repro.experiments.diskcache.engine_fingerprint",
+    # Crash recovery serves a journalled cell from the disk cache ...
+    "repro.experiments.diskcache.DiskCache.load",
+    # ... and moves a corrupt entry it meets there aside.
+    "repro.experiments.diskcache.DiskCache._quarantine",
+    # Once-per-trace spool write that pool workers load the trace from.
+    "repro.trace.io.save_trace",
+    # Creating the trace spool directory at startup (a process's first
+    # tempfile call also probes the temp directory with a test file).
+    "repro.service.broker.Broker.start",
+    # The first submit starts the pool's spawn workers (pipe fds).
+    "repro.service.broker.Broker._execute",
+    # Removing the trace spool directory at shutdown.
+    "repro.service.broker.Broker.stop",
+    # The chaos suite's deliberate ``loop-block`` fault.
+    "repro.experiments.faults.on_admission",
 })
 
 #: Top-level directory under the cache root -> resource class.
@@ -331,7 +367,7 @@ def mode_protocol(mode: str) -> "str | None":
 def classify_path(
     path: str, cache_root, obslog_path: "str | None"
 ) -> "str | None":
-    """Resource class of *path*, mirroring the static pattern table.
+    """Resource class of *path* (``None`` when it is not shared).
 
     Writer temp files (``.<prefix>-*.tmp``) classify as ``None``: they
     are the private half of an atomic-rename write, not shared state.
@@ -374,8 +410,7 @@ def observed_protocols(
     """(resource class, write protocol) pairs a recorded stream shows.
 
     ``mkstemp``'s ``os.open`` of a dot-tmp file classifies to no
-    resource and drops out, same as the static model's ``temp-file``
-    exclusion; the commit is seen at its ``os.replace``.
+    resource and drops out; the commit is seen at its ``os.replace``.
     """
     observed: set[tuple[str, str]] = set()
     for event in events:

@@ -11,9 +11,9 @@ with ``event == "span"``, which buys three properties for free:
 * one merged stream across every contributing process (O_APPEND line
   writes), torn-line tolerant via :func:`repro.obslog.read_events`;
 * zero new I/O sites: span emission *is* :func:`repro.obslog.emit`,
-  which is both in arclint's ARC009-012 static write model and on the
-  ARC013 coroutine allowlist -- tracing from broker coroutines is legal
-  by construction;
+  which is a declared writer (``sanitize.SHARED_WRITES``) and a
+  declared loop-thread site (``sanitize.LOOP_IO_FRAMES``) -- tracing
+  from broker coroutines is legal by construction;
 * zero overhead when off: no sink, no record, and :class:`Span` itself
   is two ``perf_counter`` reads.
 
@@ -23,12 +23,12 @@ Trace context crosses process boundaries two ways, deliberately split:
   ``{"trace": {"trace_id": ..., "span_id": ...}}`` on the ``simulate``
   op; :class:`repro.service.request.SimRequest` forwards it into the
   broker.  Per-request context must *not* travel through the
-  environment -- workers snapshot env at pool construction (arclint
-  ARC011), so env can only carry session-scoped facts.
+  environment -- workers snapshot env at pool construction, so env can
+  only carry session-scoped facts.
 * **Per-session (env):** :func:`arm_session` exports one root context
   as ``REPRO_TRACE`` *before* the daemon builds its pool; workers read
-  it via :func:`carried` and parent their ``cell.execute`` spans on it.
-  ``REPRO_TRACE`` is declared in ``LintConfig.spawn_carry_env``.
+  it via :func:`carried` and parent their ``cell.execute`` spans on it
+  (``tests/test_chaos.py`` checks that a spawned worker sees it).
 
 Span ids are random (this is the wall-clock domain -- determinism of
 *results* is untouched; the chaos suite proves tracing-on bit-identical
@@ -180,7 +180,7 @@ def arm_session(context: "SpanContext | None" = None) -> SpanContext:
     """Export a session root context for spawn workers to inherit.
 
     Must run before any worker pool is constructed (workers snapshot
-    the environment then -- arclint ARC011 enforces the ordering).
+    the environment then).
     Idempotent: an already-armed session keeps its context.
     """
     existing = carried()

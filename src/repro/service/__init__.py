@@ -17,8 +17,8 @@ package turns them into a *long-running* service:
   JSON-lines daemon and its client (:class:`ServiceDaemon`,
   :func:`call`).
 
-Everything the service persists flows through writer sites the
-ARC009-012 process-safety model already certifies (atomic-rename cache
+Everything the service persists flows through the writers
+:data:`repro.obs.sanitize.SHARED_WRITES` declares (atomic-rename cache
 entries, O_APPEND journal and obslog lines); the service layer itself
 opens no shared file.
 """

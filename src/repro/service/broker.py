@@ -31,15 +31,14 @@ own, so both paths share every mechanism below:
   breaker is open or retries are exhausted.  Recovery never changes
   *what* is computed, so responses stay bit-identical to serial runs.
 
-Process-safety (ARC009-012) shapes the I/O: the broker itself performs
-**no direct writes** to any shared file.  Results reach the disk cache
-through the worker's existing atomic-rename writer, completions reach
-the session journal through :class:`~repro.experiments.manifest.
-RunManifest`'s single ``O_APPEND`` write, and telemetry flows through
-:func:`repro.obslog.emit` -- all writer sites that the static
-process-safety model already proves sound, so the runtime sanitizer
-(:mod:`repro.obs.sanitize`) observes nothing new when the daemon runs
-under ``REPRO_SANITIZE=1``.
+Process safety shapes the I/O: the broker itself performs **no direct
+writes** to any shared file.  Results reach the disk cache through the
+worker's existing atomic-rename writer, and completions (the session
+journal, :class:`~repro.experiments.manifest.RunManifest`) and
+telemetry both go through :func:`repro.obslog.emit`'s single
+``O_APPEND`` write -- the writers :data:`repro.obs.sanitize.SHARED_WRITES`
+declares, so the runtime sanitizer observes nothing new when the daemon
+runs under ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
@@ -303,7 +302,7 @@ class Broker:
             )
             # One journal read at startup, before any request is
             # admitted: nothing is queued yet, so nothing can stall.
-            self._journalled = set(self._journal.load())  # arclint: disable=ARC013
+            self._journalled = set(self._journal.load())
         self._dispatchers = [
             self._loop.create_task(self._dispatch_loop())
             for _ in range(max(1, self.concurrency))
@@ -412,7 +411,7 @@ class Broker:
         # The content address hashes the engine fingerprint, whose
         # source read is process-wide memoized: only the first
         # resolution ever touches disk.
-        key = diskcache.result_key(config, trace, strategy)  # arclint: disable=ARC013
+        key = diskcache.result_key(config, trace, strategy)
         record = _Cell(spec, spec.cell_id, key, trace)
         self._cells[coord] = record
         return record
@@ -452,9 +451,9 @@ class Broker:
         arrival = self._arrivals.get(cell, 0) + 1
         self._arrivals[cell] = arrival
         # Deliberate chaos hook: a planned loop-block fault sleeps on
-        # the loop thread right here, so the suite can prove the static
-        # rule and the runtime loop sanitizer both catch the stall.
-        faults.on_admission(cell, arrival)  # arclint: disable=ARC013
+        # the loop thread right here, so the suite can prove the runtime
+        # loop sanitizer catches the stall.
+        faults.on_admission(cell, arrival)
         if self._queue.full() or faults.planned_queue_full(cell, arrival):
             raise self._shed(cell, key, deadline)
 
@@ -526,10 +525,10 @@ class Broker:
         if fingerprint in self._spooled:
             return
         # Once-per-trace spool write; amortized across every request
-        # for that trace and measured in the smoke suite.  Loopsan
-        # still observes it -- it is in the static model, not hidden.
+        # for that trace and measured in the smoke suite.  The
+        # sanitizer still observes it, as a declared LOOP_IO_FRAMES site.
         path = parallel._spool_path(Path(self._spool.name), fingerprint)
-        save_trace(trace, path)  # arclint: disable=ARC013
+        save_trace(trace, path)
         self._spooled.add(fingerprint)
 
     # ----------------------------------------------------------------- #
@@ -690,7 +689,7 @@ class Broker:
         if entry.key not in self._journalled and self._journal is not None:
             # Crash-recovery path only: the pool just died, every
             # in-flight request is already stalled on its restart.
-            self._journalled = set(self._journal.load())  # arclint: disable=ARC013
+            self._journalled = set(self._journal.load())
         if entry.key not in self._journalled:
             return False
         cache = diskcache.active_cache()
@@ -698,7 +697,7 @@ class Broker:
             return False
         # Same crash-recovery path: one cache read replaces a full
         # re-execution through a freshly respawned pool.
-        result = cache.load(entry.key)  # arclint: disable=ARC013
+        result = cache.load(entry.key)
         if result is None:
             return False
         self._count["journal_recoveries"].inc()

@@ -22,17 +22,17 @@ The ``simulate`` op additionally accepts a ``"trace"`` object
 (``{"trace_id": ..., "span_id": ...}``): the client's span context,
 carried in-band so the broker's ``svc.request`` span joins the client's
 trace.  Trace context never travels through the environment -- spawn
-workers snapshot env at pool construction (arclint ARC011), so only the
-session-scoped ``REPRO_TRACE`` root rides that path.
+workers snapshot env at pool construction, so only the session-scoped
+``REPRO_TRACE`` root rides that path.
 
 A unix socket (not TCP) keeps the trust boundary at filesystem
 permissions, and line-delimited JSON keeps the protocol debuggable with
 ``nc -U``.  The daemon installs the runtime sanitizer
 (:mod:`repro.obs.sanitize`) when ``REPRO_SANITIZE=1`` is set, exactly
-like the test harness: its one record stream cross-checks both the
-static ARC009-012 write-protocol model and the static ARC013
-coroutine-blocking model, with ``loop.slow_callback_duration`` armed to
-the sanitizer's stall threshold.
+like the test harness: its one record stream is checked against both of
+the sanitizer's declared tables (``SHARED_WRITES`` and
+``LOOP_IO_FRAMES``), with ``loop.slow_callback_duration`` armed to the
+sanitizer's stall threshold.
 """
 
 from __future__ import annotations

@@ -412,364 +412,7 @@ _ARC008 = [
 ]
 
 
-# --------------------------------------------------------------------- #
-# ARC009 shared-write protocols
-# --------------------------------------------------------------------- #
-
-_ARC009 = [
-    FixtureCase("ARC009", "positive", "raw-write-to-cache-entry", {
-        "experiments/publish.py": (
-            "def publish(entry_path, payload):\n"
-            "    with open(entry_path, 'w') as handle:\n"
-            "        handle.write(payload)\n"
-        ),
-    }, expect="raw in-place write"),
-    FixtureCase("ARC009", "positive", "buffered-append-to-obslog", {
-        "experiments/logsink.py": (
-            "def log_line(obslog_path, line):\n"
-            "    with open(obslog_path, 'a') as handle:\n"
-            "        handle.write(line)\n"
-        ),
-    }, expect="buffered append"),
-    FixtureCase("ARC009", "negative", "atomic-rename-and-o-append", {
-        "experiments/publish.py": (
-            "import os\n"
-            "import tempfile\n"
-            "def publish(entry_path, payload):\n"
-            "    fd, tmp = tempfile.mkstemp(dir=entry_path.parent)\n"
-            "    with os.fdopen(fd, 'w') as handle:\n"
-            "        handle.write(payload)\n"
-            "    os.replace(tmp, entry_path)\n"
-            "def log_line(obslog_path, line):\n"
-            "    fd = os.open(obslog_path,\n"
-            "                 os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)\n"
-            "    try:\n"
-            "        os.write(fd, line.encode('utf-8'))\n"
-            "    finally:\n"
-            "        os.close(fd)\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC010 spawn-global carry
-# --------------------------------------------------------------------- #
-
-_ARC010 = [
-    FixtureCase("ARC010", "positive", "parent-global-read-in-worker", {
-        "experiments/pipeline.py": (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "_config = None\n"
-            "def set_config(value):\n"
-            "    global _config\n"
-            "    _config = value\n"
-            "def _task(index):\n"
-            "    return (_config, index)\n"
-            "def run(values):\n"
-            "    set_config(values)\n"
-            "    out = []\n"
-            "    with ProcessPoolExecutor(max_workers=2) as pool:\n"
-            "        futures = [pool.submit(_task, i) for i in range(3)]\n"
-            "        for future in futures:\n"
-            "            out.append(future.result(timeout=60))\n"
-            "    return out\n"
-        ),
-    }, expect="_config"),
-    FixtureCase("ARC010", "negative", "initializer-carries-global", {
-        "experiments/pipeline.py": (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "_config = None\n"
-            "def _init(value):\n"
-            "    global _config\n"
-            "    _config = value\n"
-            "def _task(index):\n"
-            "    return (_config, index)\n"
-            "def run(values):\n"
-            "    out = []\n"
-            "    with ProcessPoolExecutor(max_workers=2,\n"
-            "                             initializer=_init,\n"
-            "                             initargs=(values,)) as pool:\n"
-            "        futures = [pool.submit(_task, i) for i in range(3)]\n"
-            "        for future in futures:\n"
-            "            out.append(future.result(timeout=60))\n"
-            "    return out\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC011 spawn-env discipline
-# --------------------------------------------------------------------- #
-
-_ARC011 = [
-    FixtureCase("ARC011", "positive", "env-mutation-after-pool", {
-        "experiments/late_env.py": (
-            "import os\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "def run(values):\n"
-            "    out = []\n"
-            "    with ProcessPoolExecutor(max_workers=2) as pool:\n"
-            "        os.environ['REPRO_MODE'] = 'late'\n"
-            "        futures = [pool.submit(str, v) for v in values]\n"
-            "        for future in futures:\n"
-            "            out.append(future.result(timeout=60))\n"
-            "    return out\n"
-        ),
-    }, expect="after a worker pool"),
-    FixtureCase("ARC011", "positive", "undeclared-worker-env-read", {
-        "experiments/knobs.py": (
-            "import os\n"
-            "def _task(index):\n"
-            "    knob = os.environ.get('REPRO_SECRET_KNOB', '')\n"
-            "    return (knob, index)\n"
-            "def run(pool, values):\n"
-            "    futures = [pool.submit(_task, v) for v in values]\n"
-            "    return [future.result(timeout=60) for future in futures]\n"
-        ),
-    }, expect="REPRO_SECRET_KNOB"),
-    FixtureCase("ARC011", "negative", "declared-carry-and-early-export", {
-        "experiments/knobs.py": (
-            "import os\n"
-            "FAULTS_ENV = 'REPRO_FAULTS'\n"
-            "def set_mode(flag):\n"
-            "    if flag:\n"
-            "        os.environ[FAULTS_ENV] = 'on'\n"
-            "    else:\n"
-            "        os.environ.pop(FAULTS_ENV, None)\n"
-            "def _task(index):\n"
-            "    raw = os.environ.get(FAULTS_ENV, '')\n"
-            "    return (raw, index)\n"
-            "def run(pool, values):\n"
-            "    futures = [pool.submit(_task, v) for v in values]\n"
-            "    return [future.result(timeout=60) for future in futures]\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC012 per-resource protocol agreement
-# --------------------------------------------------------------------- #
-
-_ARC012 = [
-    FixtureCase("ARC012", "positive", "append-vs-rename-on-manifest", {
-        "experiments/journal.py": (
-            "import os\n"
-            "import tempfile\n"
-            "def append_record(manifest_path, line):\n"
-            "    fd = os.open(manifest_path,\n"
-            "                 os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)\n"
-            "    try:\n"
-            "        os.write(fd, line.encode('utf-8'))\n"
-            "    finally:\n"
-            "        os.close(fd)\n"
-            "def rewrite(manifest_path, payload):\n"
-            "    fd, tmp = tempfile.mkstemp(dir=manifest_path.parent)\n"
-            "    with os.fdopen(fd, 'w') as handle:\n"
-            "        handle.write(payload)\n"
-            "    os.replace(tmp, manifest_path)\n"
-        ),
-    }, expect="mixed atomicity"),
-    FixtureCase("ARC012", "negative", "all-writers-append", {
-        "experiments/journal.py": (
-            "import os\n"
-            "def append_record(manifest_path, line):\n"
-            "    fd = os.open(manifest_path,\n"
-            "                 os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)\n"
-            "    try:\n"
-            "        os.write(fd, line.encode('utf-8'))\n"
-            "    finally:\n"
-            "        os.close(fd)\n"
-            "def append_note(manifest_path, note):\n"
-            "    fd = os.open(manifest_path,\n"
-            "                 os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)\n"
-            "    try:\n"
-            "        os.write(fd, note.encode('utf-8'))\n"
-            "    finally:\n"
-            "        os.close(fd)\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC013 no blocking call in coroutine context
-# --------------------------------------------------------------------- #
-
-_ARC013 = [
-    FixtureCase("ARC013", "positive", "sleep-on-the-loop", {
-        "service/gateway.py": (
-            "import time\n"
-            "async def admit(request):\n"
-            "    time.sleep(0.01)\n"
-            "    return request\n"
-        ),
-    }, expect="blocking primitive time.sleep()"),
-    FixtureCase("ARC013", "positive", "transitive-file-read", {
-        "experiments/blob.py": (
-            "def read_blob(path):\n"
-            "    return path.read_text()\n"
-        ),
-        "service/gateway.py": (
-            "from experiments.blob import read_blob\n"
-            "async def admit(path):\n"
-            "    return read_blob(path)\n"
-        ),
-    }, expect="blocks the event loop"),
-    FixtureCase("ARC013", "negative", "routed-through-executor", {
-        "service/gateway.py": (
-            "import asyncio\n"
-            "def read_blob(path):\n"
-            "    with open(path) as handle:\n"
-            "        return handle.read()\n"
-            "async def admit(path):\n"
-            "    return await asyncio.to_thread(read_blob, path)\n"
-        ),
-    }),
-    FixtureCase("ARC013", "negative", "blocking-helper-stays-sync", {
-        "service/gateway.py": (
-            "import time\n"
-            "def warm_up():\n"
-            "    time.sleep(0.01)\n"
-            "async def admit(request):\n"
-            "    return request\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC014 await discipline
-# --------------------------------------------------------------------- #
-
-_ARC014 = [
-    FixtureCase("ARC014", "positive", "unawaited-coroutine", {
-        "service/gateway.py": (
-            "async def flush():\n"
-            "    pass\n"
-            "async def admit(request):\n"
-            "    flush()\n"
-            "    return request\n"
-        ),
-    }, expect="never awaited"),
-    FixtureCase("ARC014", "positive", "dropped-task-handle", {
-        "service/gateway.py": (
-            "import asyncio\n"
-            "async def flush():\n"
-            "    pass\n"
-            "async def admit(request):\n"
-            "    asyncio.create_task(flush())\n"
-            "    return request\n"
-        ),
-    }, expect="handle is dropped"),
-    FixtureCase("ARC014", "negative", "awaited-and-retained", {
-        "service/gateway.py": (
-            "import asyncio\n"
-            "async def flush():\n"
-            "    pass\n"
-            "async def admit(request):\n"
-            "    task = asyncio.create_task(flush())\n"
-            "    await task\n"
-            "    return request\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC015 deadline taint
-# --------------------------------------------------------------------- #
-
-_ARC015 = [
-    FixtureCase("ARC015", "positive", "unclamped-policy-timeout", {
-        "service/gateway.py": (
-            "import asyncio\n"
-            "class Gateway:\n"
-            "    def __init__(self, policy):\n"
-            "        self.policy = policy\n"
-            "    async def fetch(self, waiter, deadline):\n"
-            "        return await asyncio.wait_for(\n"
-            "            waiter, self.policy.timeout\n"
-            "        )\n"
-        ),
-    }, expect="shared policy default"),
-    FixtureCase("ARC015", "positive", "unbounded-event-wait", {
-        "service/gateway.py": (
-            "async def fetch(gate, deadline):\n"
-            "    await gate.wait()\n"
-            "    return deadline\n"
-        ),
-    }, expect="unbounded await"),
-    FixtureCase("ARC015", "negative", "clamped-wait-for", {
-        "service/gateway.py": (
-            "import asyncio\n"
-            "async def fetch(gate, deadline, policy):\n"
-            "    clamped = policy.clamped(deadline)\n"
-            "    await asyncio.wait_for(gate.wait(), clamped.timeout)\n"
-            "    return deadline\n"
-        ),
-    }),
-    FixtureCase("ARC015", "negative", "no-deadline-no-taint", {
-        "service/gateway.py": (
-            "async def fetch(gate):\n"
-            "    await gate.wait()\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC016 cancellation safety
-# --------------------------------------------------------------------- #
-
-_ARC016 = [
-    FixtureCase("ARC016", "positive", "queue-get-unbalanced", {
-        "service/gateway.py": (
-            "async def drain(task_queue):\n"
-            "    item = await task_queue.get()\n"
-            "    return item\n"
-        ),
-    }, expect="task_done"),
-    FixtureCase("ARC016", "positive", "acquire-without-finally", {
-        "service/gateway.py": (
-            "async def guard(state_lock, work):\n"
-            "    await state_lock.acquire()\n"
-            "    result = await work\n"
-            "    state_lock.release()\n"
-            "    return result\n"
-        ),
-    }, expect="release"),
-    FixtureCase("ARC016", "positive", "unshielded-journal-write", {
-        "service/gateway.py": (
-            "async def persist(journal, entry):\n"
-            "    await journal.record(entry)\n"
-        ),
-    }, expect="shield"),
-    FixtureCase("ARC016", "negative", "task-done-in-finally", {
-        "service/gateway.py": (
-            "async def drain(task_queue):\n"
-            "    item = await task_queue.get()\n"
-            "    try:\n"
-            "        return item\n"
-            "    finally:\n"
-            "        task_queue.task_done()\n"
-        ),
-    }),
-    FixtureCase("ARC016", "negative", "shielded-journal-write", {
-        "service/gateway.py": (
-            "import asyncio\n"
-            "async def persist(journal, entry):\n"
-            "    await asyncio.shield(journal.record(entry))\n"
-        ),
-    }),
-]
-
-
 CASES: "list[FixtureCase]" = [
     *_ARC001, *_ARC002, *_ARC003, *_ARC004,
     *_ARC005, *_ARC006, *_ARC007, *_ARC008,
-    *_ARC009, *_ARC010, *_ARC011, *_ARC012,
-    *_ARC013, *_ARC014, *_ARC015, *_ARC016,
 ]

@@ -385,6 +385,8 @@ def test_ctrl_c_inside_a_running_event_loop_stops_the_broker(
     import asyncio
     import signal
     import threading
+    import time
+    from multiprocessing.connection import wait
 
     serial_baseline(tmp_path)
     workers = []
@@ -416,9 +418,15 @@ def test_ctrl_c_inside_a_running_event_loop_stops_the_broker(
     assert not [t for t in threading.enumerate()
                 if t.name == "repro-matrix" and t.is_alive()]
     assert workers
-    for process in workers:
-        process.join(timeout=10.0)
-    assert not [p for p in workers if p.is_alive()]
+    # Wait on each worker's sentinel: the executor's management thread
+    # reaps the same children, and a Popen.poll() (behind join() and
+    # is_alive()) that loses that race reads ECHILD as "alive".
+    pending = {process.sentinel: process for process in workers}
+    deadline = time.monotonic() + 10.0
+    while pending and time.monotonic() < deadline:
+        for ready in wait(list(pending), deadline - time.monotonic()):
+            del pending[ready]
+    assert not pending, f"workers outlived the interrupt: {pending}"
 
 
 # --------------------------------------------------------------------- #
@@ -567,6 +575,121 @@ def test_manifest_records_survive_torn_and_foreign_lines(tmp_path):
     manifest.discard()  # idempotent
 
 
+def test_manifest_resumes_a_journal_of_the_older_line_writer(tmp_path):
+    """Journals written before records went through ``obslog.emit``
+    (compact lines without ``event``/``ts``/``pid``) still resume, and
+    new appends land in the same file."""
+    manifest = RunManifest.for_session(tmp_path, "older")
+    manifest.path.write_text(
+        '{"cell":{"workload":"P1"},"format":1,"key":"k1"}\n',
+        encoding="utf-8",
+    )
+    manifest.record("k2", {"workload": "P2"})
+    records = manifest.load()
+    assert sorted(records) == ["k1", "k2"]
+    assert records["k1"]["cell"] == {"workload": "P1"}
+    assert records["k2"]["cell"] == {"workload": "P2"}
+
+
+def test_manifest_on_an_unusable_path_degrades_with_one_warning(tmp_path,
+                                                                caplog):
+    """A journal path that cannot be read or appended reads as empty,
+    and a failed append logs one warning instead of raising."""
+    manifest = RunManifest(tmp_path / "taken.jsonl")
+    manifest.path.mkdir()  # a directory where the journal file belongs
+    assert manifest.load() == {}
+    with caplog.at_level("WARNING", logger="repro"):
+        manifest.record("k1", {"workload": "P1"})
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert str(manifest.path) in warnings[0].getMessage()
+
+
+# --------------------------------------------------------------------- #
+# What crosses the spawn boundary
+# --------------------------------------------------------------------- #
+
+#: Every REPRO_* variable a pool worker inherits from its parent.
+CARRIED_ENV = (
+    "REPRO_OBSLOG", "REPRO_FAULTS", "REPRO_CACHE_DIR", "REPRO_NO_DISK_CACHE",
+    "REPRO_CACHE_SWEEP_AGE", "REPRO_SANITIZE", "REPRO_SANITIZE_LOG",
+    "REPRO_LOG_LEVEL", "REPRO_TRACE",
+)
+
+
+def _worker_view() -> dict:
+    """Pool task: the carried environment and what this worker's code
+    derives from it (or from the pool initializer's arguments)."""
+    import os
+
+    from repro.obs import sanitize, tracing
+
+    plan = faults.active_plan()
+    cache = diskcache.active_cache()
+    return {
+        "env": {name: os.environ.get(name) for name in CARRIED_ENV},
+        "obslog": obslog.obslog_path(),
+        "faults": plan.to_json() if plan is not None else None,
+        "cache_root": str(cache.root) if cache is not None else None,
+        "sweep_age": diskcache.sweep_age_seconds(),
+        "sanitize": sanitize.installed(),
+        "trace": tracing.carried(),
+    }
+
+
+def test_pool_workers_see_what_the_parent_carried(tmp_path, monkeypatch):
+    """A spawned broker worker sees each carried variable as the parent
+    set it before the pool existed.  Its cache comes from the
+    initializer's arguments, so REPRO_CACHE_DIR and REPRO_NO_DISK_CACHE
+    never redirect a worker away from the parent's cache."""
+    import asyncio
+
+    from repro.obs import sanitize, tracing
+    from repro.obs.tracing import SpanContext, new_span_id, new_trace_id
+
+    cache = diskcache.configure(root=tmp_path / "cache", enabled=True)
+    context = SpanContext(new_trace_id(), new_span_id())
+    values = {
+        "REPRO_OBSLOG": str(tmp_path / "obslog.jsonl"),
+        "REPRO_CACHE_DIR": str(tmp_path / "elsewhere"),
+        "REPRO_NO_DISK_CACHE": "1",
+        "REPRO_CACHE_SWEEP_AGE": "123",
+        "REPRO_SANITIZE": "1",
+        "REPRO_SANITIZE_LOG": str(tmp_path / "sanitize.jsonl"),
+        "REPRO_LOG_LEVEL": "DEBUG",
+        "REPRO_TRACE": context.encode(),
+    }
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+    plan = FaultPlan((FaultSpec(cell="none|g|s", kind="error"),))
+    faults.configure(plan)  # exports REPRO_FAULTS
+    values["REPRO_FAULTS"] = plan.to_json()
+
+    async def scenario():
+        broker = broker_module.Broker(jobs=1, paused=True,
+                                      policy=chaos_policy(),
+                                      session="carry")
+        await broker.start()
+        try:
+            pool = await broker._supervisor.acquire()
+            return await asyncio.wait_for(
+                asyncio.wrap_future(pool.submit(_worker_view)), 60.0)
+        finally:
+            await broker.stop(drain=False)
+
+    try:
+        view = asyncio.run(scenario())
+    finally:
+        sanitize.uninstall()
+    assert view["env"] == {name: values[name] for name in CARRIED_ENV}
+    assert view["obslog"] == values["REPRO_OBSLOG"]
+    assert view["faults"] == plan.to_json()
+    assert view["cache_root"] == str(cache.root)
+    assert view["sweep_age"] == 123.0
+    assert view["sanitize"] is True
+    assert view["trace"] == tracing.carried() == context
+
+
 # --------------------------------------------------------------------- #
 # Worker error paths
 # --------------------------------------------------------------------- #
@@ -697,32 +820,8 @@ def test_cell_spec_identity_matches_fault_addressing(fake_registry):
 
 
 # --------------------------------------------------------------------- #
-# Runtime cross-check of the static process-safety model (REPRO_SANITIZE)
+# Shared-file writes against the declared table (REPRO_SANITIZE)
 # --------------------------------------------------------------------- #
-
-
-def _static_write_model():
-    """(resource, protocol) pairs the lint escape analysis derives for
-    the shipped tree -- the model ARC009/ARC012 reason about."""
-    from pathlib import Path
-
-    import repro
-    from repro.lint.engine import (
-        LintConfig,
-        LintContext,
-        collect_files,
-        parse_module,
-    )
-    from repro.lint.rules.concurrency import _analyses
-
-    root = Path(repro.__file__).parent
-    modules = []
-    for path, file_root in collect_files([root]):
-        module, error = parse_module(path, file_root)
-        if error is None:
-            modules.append(module)
-    _, _, resources = _analyses(LintContext(LintConfig(), modules))
-    return {(a.resource, a.protocol) for a in resources.writes()}
 
 
 def test_iosan_observations_match_static_model(fake_registry, tmp_path,
@@ -730,9 +829,9 @@ def test_iosan_observations_match_static_model(fake_registry, tmp_path,
     """The REPRO_SANITIZE I/O shim records every shared-file access a
     faulted parallel run performs, across parent and spawned workers;
     folding those observations into (resource, protocol) pairs must
-    reproduce the static model exactly.  An unmodeled runtime writer
-    (analysis unsoundness) or a modeled-but-never-exercised protocol
-    both fail here."""
+    give exactly the declared ``SHARED_WRITES`` plus the injected torn
+    write.  An undeclared writer and a declared-but-never-exercised
+    protocol both fail here."""
     from repro.obs import sanitize
     from repro.obslog import read_events
 
@@ -769,26 +868,22 @@ def test_iosan_observations_match_static_model(fake_registry, tmp_path,
     observed = sanitize.observed_protocols(
         events, cache.root, str(obslog_path)
     )
-    static = _static_write_model()
-    unexplained = observed - static
-    assert not unexplained, (
-        "runtime writes the static process-safety model does not "
-        f"explain (analysis unsoundness): {sorted(unexplained)}"
+    # The injected torn write (faults.corrupt_entry) is the one unsound
+    # protocol, and the shim must see it happen for real; the faulted
+    # run and the quarantining rerun exercise every declared writer.
+    torn = ("cache-results", sanitize.PROTOCOL_RAW_WRITE)
+    assert observed == sanitize.SHARED_WRITES | {torn}, (
+        f"undeclared writes: {sorted(observed - sanitize.SHARED_WRITES)}; "
+        "declared but unexercised: "
+        f"{sorted(sanitize.SHARED_WRITES - observed)}"
     )
-    # The injected torn write is the one unsound protocol in the model
-    # (the suppressed ARC009 in faults.corrupt_entry) -- the shim must
-    # see it happen for real.
-    assert ("cache-results", sanitize.PROTOCOL_RAW_WRITE) in observed
-    # And the faulted run + quarantining rerun exercise every modeled
-    # writer, so observed and static coincide exactly.
-    assert observed == static
 
 
 def test_iosan_clean_run_uses_only_sound_protocols(fake_registry, tmp_path,
                                                    monkeypatch):
-    """Without fault injection, every recorded shared-file write follows
-    a sound protocol: the raw-write pair is the fault injector's doing,
-    not the production stack's."""
+    """Without fault injection, every recorded shared-file write is a
+    declared sound one: the raw-write pair is the fault injector's
+    doing, not the production stack's."""
     from repro.obs import sanitize
     from repro.obslog import read_events
 
@@ -807,8 +902,7 @@ def test_iosan_clean_run_uses_only_sound_protocols(fake_registry, tmp_path,
     observed = sanitize.observed_protocols(
         read_events(log_path), cache.root
     )
-    sound = {sanitize.PROTOCOL_ATOMIC_RENAME, sanitize.PROTOCOL_APPEND}
-    unsound = {pair for pair in observed if pair[1] not in sound}
+    unsound = observed - sanitize.SHARED_WRITES
     assert not unsound, f"clean run performed unsound writes: {unsound}"
     assert ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME) in observed
     assert ("manifest", sanitize.PROTOCOL_APPEND) in observed

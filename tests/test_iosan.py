@@ -1,7 +1,7 @@
 """Unit tests for the I/O half of the REPRO_SANITIZE runtime sanitizer
 (:mod:`repro.obs.sanitize`).
 
-The end-to-end cross-check against the static process-safety model
+The end-to-end check against the declared ``SHARED_WRITES`` table
 lives in ``tests/test_chaos.py``; the loop-thread half is in
 ``tests/test_loopsan.py``.  These tests cover the shim's own contract
 -- arming conditions, install/uninstall hygiene, what each traced
@@ -148,8 +148,6 @@ def test_recording_survives_unwritable_log(monkeypatch, tmp_path):
 
 
 def test_classify_path_mirrors_static_pattern_table(tmp_path):
-    from repro.lint.engine import LintConfig
-
     root = tmp_path / "cache"
     obslog = str(tmp_path / "events.jsonl")
 
@@ -168,12 +166,11 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
     assert classify(root) is None
     assert sanitize.classify_path(str(root / "results" / "x.json"),
                                   None, None) is None
-    # One vocabulary: the lint table's classes are the sanitizer's.
-    assert {cls for _, cls in LintConfig().resource_patterns} \
-        == sanitize.RESOURCE_CLASSES
+    # One vocabulary: every class a path maps to has a declared writer.
     assert {classify(root / d / "x") for d in ("results", "quarantine",
                                                "manifests")} \
-        | {classify(obslog)} == sanitize.RESOURCE_CLASSES
+        | {classify(obslog)} \
+        == {resource for resource, _ in sanitize.SHARED_WRITES}
 
 
 def test_observed_protocols_folds_and_excludes_temps(tmp_path):

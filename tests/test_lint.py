@@ -286,6 +286,18 @@ def test_arc003_cycles_stored_into_ns_table(tmp_path):
     assert rules_found(report) == {"ARC003"}
 
 
+def test_arc003_sees_through_await(tmp_path):
+    """An awaited cycles-valued call added to a nanosecond binding is
+    still a unit conflict."""
+    report = lint(tmp_path, {"core/mod.py": (
+        "async def wait_cycles(n):\n"
+        "    return n\n"
+        "async def total(a_ns, b):\n"
+        "    return a_ns + await wait_cycles(b)\n"
+    )})
+    assert "ARC003" in rules_found(report)
+
+
 # --------------------------------------------------------------------- #
 # ARC004 strategy-conformance
 # --------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Loop-thread half of the REPRO_SANITIZE runtime sanitizer
-(:mod:`repro.obs.sanitize`) and its cross-check against the static
-ARC013 coroutine-blocking model.
+(:mod:`repro.obs.sanitize`) and its check against the declared
+``LOOP_IO_FRAMES`` table.
 
 Layered like the I/O half (``tests/test_iosan.py``): shim-mechanics
 units first (install / uninstall in any order, loop-thread gating, frame
@@ -8,12 +8,10 @@ attribution, one record per hit, callback overrun tracking), then the
 two chaos proofs:
 
 * a **clean** REPRO_SANITIZE=1 service run observes no loop-thread
-  blocking frame the static model does not already contain;
+  blocking frame outside the declared table;
 * an **injected** ``loop-block`` fault is caught by both layers -- the
   runtime shim attributes the stall to the fault hook's frame, and the
-  same qualified name is a member of the static blocking model (with
-  the lint-level suppressed finding pinned in
-  ``tests/test_lint_asyncsafety.py``).
+  table declares that exact qualified name as the deliberate stall.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ import pytest
 from repro import obslog
 from repro.experiments import faults
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.lint.engine import LintConfig
 from repro.obs import sanitize
 from repro.obslog import read_events
 from repro.service import Broker, SimRequest
-from tests.test_lint_asyncsafety import real_tree_ctx
 from tests.test_service import (
     fake_registry,  # noqa: F401  (fixture re-export)
     fast_policy,
@@ -67,15 +63,19 @@ def arm(monkeypatch, tmp_path, slow_ms=None):
 # --------------------------------------------------------------------- #
 
 
-def test_shared_gate_and_spawn_carry():
+def test_shared_gate_and_spawn_carry(monkeypatch, tmp_path):
     """The sanitizer has two knobs: the ``REPRO_SANITIZE`` gate it
-    shares with the engine's heap-tie assert, and one log path.  The
-    worker-spawn env carry-list forwards both, so child processes arm
-    too, and carries no other sanitizer knob."""
+    shares with the engine's heap-tie assert, and one log path; it arms
+    only with both.  Spawned workers inherit both through the
+    environment (the chaos suite's ``>= 2 pids`` check)."""
     assert sanitize.SANITIZE_ENV == "REPRO_SANITIZE"
-    carried = {name for name in LintConfig().spawn_carry_env
-               if "SAN" in name}
-    assert carried == {sanitize.SANITIZE_ENV, sanitize.SANITIZE_LOG_ENV}
+    assert sanitize.SANITIZE_LOG_ENV == "REPRO_SANITIZE_LOG"
+    monkeypatch.setenv(sanitize.SANITIZE_ENV, "1")
+    monkeypatch.delenv(sanitize.SANITIZE_LOG_ENV, raising=False)
+    assert not sanitize.enabled()
+    monkeypatch.setenv(sanitize.SANITIZE_LOG_ENV,
+                       str(tmp_path / "sanitize.jsonl"))
+    assert sanitize.enabled()
 
 
 def test_disabled_without_env(monkeypatch):
@@ -235,23 +235,15 @@ def test_callback_overrun_records_without_frame(monkeypatch, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Chaos cross-check against the static ARC013 model
+# Chaos check against the declared loop-thread I/O table
 # --------------------------------------------------------------------- #
-
-
-def _static_blocking_model() -> set:
-    from repro.lint.rules.asyncsafety import _analyses
-
-    _, contexts = _analyses(real_tree_ctx())
-    return contexts.blocking_model()
 
 
 def test_clean_service_run_blocks_only_inside_static_model(
         fake_registry, tmp_path, monkeypatch, obslog_sink):  # noqa: F811
     """Under REPRO_SANITIZE=1 a clean coalescing service run performs
-    no loop-thread blocking call the static ARC013 model does not
-    explain: every observed frame is a modeled (suppressed or
-    allowlisted) blocker."""
+    no loop-thread blocking call outside ``sanitize.LOOP_IO_FRAMES``:
+    every observed frame is an audited site."""
     truth = serial_truth(tmp_path, ["S1", "S2"], ["baseline"])
     log_path = arm(monkeypatch, tmp_path)
     requests = [
@@ -270,10 +262,10 @@ def test_clean_service_run_blocks_only_inside_static_model(
     assert events, "armed shim must observe the run's loop-thread I/O"
     observed = sanitize.observed_frames(events)
     assert observed, "journal/obslog writes happen on the loop thread"
-    unexplained = observed - _static_blocking_model()
+    unexplained = observed - sanitize.LOOP_IO_FRAMES
     assert not unexplained, (
-        "loop-thread blocking frames the static ARC013 model does not "
-        f"explain: {sorted(unexplained)}"
+        "loop-thread blocking frames outside LOOP_IO_FRAMES: "
+        f"{sorted(unexplained)}"
     )
 
 
@@ -281,10 +273,8 @@ def test_injected_loop_block_fault_is_caught_by_both_layers(
         fake_registry, tmp_path, monkeypatch, obslog_sink):  # noqa: F811
     """A planned ``loop-block`` fault stalls the loop inside the
     admission path.  The runtime shim must attribute the stall to the
-    fault hook's frame, and the static model must already contain that
-    exact qualified name (the lint finding itself -- suppressed with an
-    inline justification at the broker call site -- is pinned in
-    tests/test_lint_asyncsafety.py)."""
+    fault hook's frame, and the declared table must name that exact
+    frame as the deliberate stall it is."""
     serial_truth(tmp_path, ["S1"], ["baseline"])
     log_path = arm(monkeypatch, tmp_path, slow_ms=50)
     faults.configure(FaultPlan((
@@ -309,9 +299,12 @@ def test_injected_loop_block_fault_is_caught_by_both_layers(
     sleeps = [e for e in events
               if e["op"] == "sleep" and e.get("frame") == hook]
     assert sleeps and all(e["duration_ms"] >= 200 for e in sleeps)
-    assert hook in _static_blocking_model(), (
-        "static layer missed the injected stall: the fault hook must be "
-        "a member of the coroutine-blocking model"
+    assert stalled <= sanitize.LOOP_IO_FRAMES, (
+        "undeclared stalls: "
+        f"{sorted(stalled - sanitize.LOOP_IO_FRAMES)}"
+    )
+    assert hook in sanitize.LOOP_IO_FRAMES, (
+        "the fault hook's deliberate stall must be a declared site"
     )
 
 

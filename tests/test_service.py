@@ -23,7 +23,7 @@ request computes.  The acceptance proofs:
   bit-identical to serial while planned faults crash workers, hang a
   cell past its timeout and saturate the queue;
 * **sanitizer cross-check** -- a REPRO_SANITIZE=1 service run performs no
-  shared-file write the static ARC009-012 model does not explain.
+  shared-file write outside the declared ``sanitize.SHARED_WRITES``.
 
 Pool-driving tests spawn real worker processes; paused-broker admission
 tests and the state-machine units stay in-process and cheap.
@@ -432,6 +432,38 @@ def test_deadline_expires_typed_while_queued(fake_registry, tmp_path,
     broker = Broker(jobs=1, paused=True, policy=fast_policy(),
                     session="deadline")
     asyncio.run(scenario(broker))
+    assert stats(broker)["deadline_misses"] >= 1
+    assert events_named(obslog_sink, "svc.deadline")
+
+
+def test_deadline_expires_typed_while_executing(fake_registry, tmp_path,
+                                                obslog_sink):
+    """A request's deadline bounds its wait on a running cell even when
+    the policy sets no per-attempt timeout: a hung worker costs the
+    waiter its remaining budget, not the length of the hang."""
+    import time
+
+    serial_truth(tmp_path, ["S1"], ["baseline"])
+    faults.configure(FaultPlan((
+        FaultSpec(cell="S1|3060-Sim|baseline", kind="hang", seconds=5.0),
+    )))
+    request = SimRequest(workload="S1", gpu="3060-Sim",
+                         strategy="baseline", deadline=0.5)
+
+    async def scenario(broker):
+        await broker.start()
+        try:
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                await broker.submit(request)
+            return time.monotonic() - started
+        finally:
+            await broker.stop(drain=False)
+
+    broker = Broker(jobs=1, policy=fast_policy(timeout=None),
+                    session="deadline-exec")
+    waited = asyncio.run(scenario(broker))
+    assert waited < 2.5, f"waiter outlived its 0.5 s deadline: {waited:.2f}s"
     assert stats(broker)["deadline_misses"] >= 1
     assert events_named(obslog_sink, "svc.deadline")
 
@@ -1003,17 +1035,16 @@ def test_reply_bytes_match_plain_encoding_for_every_source(
 
 
 # --------------------------------------------------------------------- #
-# Runtime cross-check of the static process-safety model
+# Shared-file writes against the declared table
 # --------------------------------------------------------------------- #
 
 
 def test_service_iosan_writes_match_static_model(fake_registry, tmp_path,
                                                  monkeypatch, obslog_sink):
     """Under REPRO_SANITIZE=1 a service run performs no shared-file
-    write the ARC009-012 static model does not explain: the daemon layer
-    adds observability without adding writer sites."""
+    write outside ``sanitize.SHARED_WRITES``: the daemon layer adds
+    observability without adding writer sites."""
     from repro.obs import sanitize
-    from tests.test_chaos import _static_write_model
 
     serial_truth(tmp_path, ["S1", "S2"], ["baseline"])
     log_path = tmp_path / "sanitize.jsonl"
@@ -1041,13 +1072,12 @@ def test_service_iosan_writes_match_static_model(fake_registry, tmp_path,
     observed = sanitize.observed_protocols(
         events, cache.root, str(obslog_sink)
     )
-    unexplained = observed - _static_write_model()
+    unexplained = observed - sanitize.SHARED_WRITES
     assert not unexplained, (
-        "service runtime writes the static process-safety model does "
-        f"not explain: {sorted(unexplained)}"
+        f"service runtime writes outside SHARED_WRITES: {sorted(unexplained)}"
     )
     # The three shared files a service run touches, each through its
-    # modeled sound protocol.
+    # declared sound protocol.
     assert ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME) in observed
     assert ("manifest", sanitize.PROTOCOL_APPEND) in observed
     assert ("obslog", sanitize.PROTOCOL_APPEND) in observed
