@@ -13,14 +13,15 @@ Thin wrappers over the library for the common one-off questions:
   running one with ``--status`` / ``--stop``).
 * ``request``    -- submit one simulation request to a running daemon.
 * ``cache``      -- inspect or clear the persistent simulation cache.
-* ``lint``       -- arclint domain-invariant static analysis (ARC001-12).
+* ``lint``       -- arclint domain-invariant static analysis (ARC001,
+  ARC002, ARC004).
 
 ``simulate`` accepts ``--jobs N`` to fan cells across worker processes
 (default from ``REPRO_JOBS``) and ``--no-cache`` to bypass the
 persistent disk cache; both paths are bit-identical to a serial
 uncached run.  Parallel runs are fault tolerant (retries, per-cell
 timeouts via ``REPRO_CELL_TIMEOUT``, pool-crash recovery, resumable
-manifests) and print a recovery report after the table.
+manifests) and print the run's metrics summary after the table.
 
 Observability: ``simulate --timeline out.json`` saves a per-strategy
 telemetry timeline, ``profile --perfetto out.trace.json`` writes a
@@ -31,8 +32,8 @@ machine-readable results; ``--log FILE`` streams structured JSONL run
 events (cells, cache, retries) and ``-v``/``REPRO_LOG_LEVEL`` raise
 stderr diagnostic verbosity.
 
-``lint`` dispatches before the simulation stack is imported: pre-commit
-hooks run ``repro lint --changed`` on every commit, so its startup cost
+``lint`` dispatches before the simulation stack is imported: the
+pre-commit hook runs ``repro lint`` on every commit, so its startup cost
 is numpy-free.  The other commands import what they need lazily.
 """
 
@@ -349,9 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run arclint, the domain-invariant static analysis "
-             "(fingerprint-completeness, determinism, unit-safety, "
-             "strategy-conformance, interprocedural units, event ties, "
-             "cache-key taint, process-safety/race detection)",
+             "(fingerprint-completeness, determinism, "
+             "strategy-conformance)",
     )
     _add_lint_arguments(lint)
     return parser
@@ -368,28 +368,6 @@ def _add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default: text); sarif emits a SARIF 2.1.0 "
              "document for code-scanning upload",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None,
-        metavar="BASE",
-        help="lint only the files changed relative to BASE (a git "
-             "revision, default HEAD) plus every module that "
-             "transitively imports them",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=".arclint-baseline.json",
-        help="baseline file of grandfathered findings "
-             "(default: .arclint-baseline.json in the working directory)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--fix-baseline", action="store_true",
-        help="rewrite the baseline from the current findings (sorted, "
-             "content-addressed; byte-stable for identical findings), "
-             "pruning entries that no longer fire, and exit 0",
     )
 
 
@@ -1084,36 +1062,9 @@ def _cmd_lint(args) -> int:
     from pathlib import Path
 
     import repro
-    from repro.lint import refresh_baseline, run_lint
+    from repro.lint import run_lint
 
-    paths = args.paths or [Path(repro.__file__).parent]
-    restrict = None
-    if args.changed is not None:
-        from repro.lint.changed import GitError, changed_files
-
-        try:
-            restrict = changed_files(args.changed)
-        except GitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not restrict:
-            print(f"no python files changed relative to {args.changed}; "
-                  "nothing to lint")
-            return 0
-    if args.fix_baseline:
-        # Rewrite from what currently fires: new entries are added,
-        # entries that no longer fire are pruned.  A --changed run only
-        # touches entries for the files it actually re-checked.
-        report = run_lint(paths, baseline_path=None, restrict_to=restrict)
-        checked = set(report.checked_paths) if restrict is not None else None
-        total, added, pruned = refresh_baseline(
-            args.baseline, report.new, checked_paths=checked
-        )
-        print(f"baseline {args.baseline}: {total} entr(ies) "
-              f"({added} added, {pruned} pruned)")
-        return 0
-    baseline = None if args.no_baseline else args.baseline
-    report = run_lint(paths, baseline_path=baseline, restrict_to=restrict)
+    report = run_lint(args.paths or [Path(repro.__file__).parent])
     if args.format == "json":
         print(report.render_json())
     elif args.format == "sarif":
@@ -1123,9 +1074,8 @@ def _cmd_lint(args) -> int:
         print(report.render_text())
         if report.new:
             print(
-                "\nnew findings fail the build: fix them, add an inline "
-                "`# arclint: disable=<RULE>` with a justification, or "
-                "grandfather them via `repro lint --fix-baseline`."
+                "\nnew findings fail the build: fix them, or add an inline "
+                "`# arclint: disable=<RULE>` with a justification."
             )
     return report.exit_code
 

@@ -174,6 +174,8 @@ def _worker_init(trace_dir: str, cache_root: "str | None",
         )
     _worker_trace_dir = Path(trace_dir)
     _worker_traces.clear()
+    # The carried REPRO_LOG_LEVEL and the parent's stderr format.
+    obslog.setup_logging()
     sanitize.maybe_install()
     faults.mark_worker()
     if cache_enabled and cache_root is not None:

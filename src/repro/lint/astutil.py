@@ -18,7 +18,6 @@ __all__ = [
     "identifier_names",
     "called_name",
     "qualified_call",
-    "walk_functions",
 ]
 
 
@@ -115,9 +114,3 @@ def identifier_names(node: ast.AST) -> Iterator[str]:
         elif isinstance(child, ast.Attribute):
             yield child.attr
 
-
-def walk_functions(node: ast.AST) -> Iterator[ast.FunctionDef]:
-    """Every (sync) function definition under *node*, including nested."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.FunctionDef):
-            yield child

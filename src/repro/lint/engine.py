@@ -1,5 +1,5 @@
-"""arclint driver: parse a tree, run every rule, apply suppressions and
-the baseline, and package the outcome as a :class:`LintReport`.
+"""arclint driver: parse a tree, run every rule, apply suppressions,
+and package the outcome as a :class:`LintReport`.
 
 The pipeline per run:
 
@@ -10,13 +10,10 @@ The pipeline per run:
    instead of aborting the run;
 3. run every registered rule: per-module checks first, then the
    cross-module :meth:`~repro.lint.registry.Rule.finalize` hooks;
-4. drop findings suppressed by an inline ``# arclint: disable=RULE``
-   comment on the flagged line;
-5. split the remainder against the baseline file into *new* vs
-   *grandfathered*, flagging stale baseline entries.
+4. set aside findings suppressed by an inline
+   ``# arclint: disable=RULE`` comment on the flagged line.
 
-Only step 5's outcome decides the exit code: new findings or stale
-baseline entries fail, grandfathered and suppressed ones do not.
+Every finding that survives step 4 is *new* and fails the run.
 """
 
 from __future__ import annotations
@@ -28,12 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import diff_against_baseline, load_baseline
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import all_rules
 
 __all__ = [
-    "LintConfig",
     "ModuleInfo",
     "LintContext",
     "LintReport",
@@ -50,34 +45,16 @@ _SUPPRESS_RE = re.compile(r"#\s*arclint:\s*disable=([A-Za-z0-9_,\s]*)")
 PARSE_ERROR_RULE = "ARC000"
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """Knobs shared by every rule in one run."""
-
-    #: Package directories whose modules feed simulation or fingerprint
-    #: state; determinism/conformance rules scope themselves to these.
-    engine_packages: tuple[str, ...] = ("core", "gpu", "trace")
-    #: Package directories that drive experiment execution (worker
-    #: pools, futures); the resilience rule scopes itself to these.
-    #: The service broker owns the one worker pool that matrix runs and
-    #: daemon requests share; ``experiments`` holds its worker tasks.
-    experiment_packages: tuple[str, ...] = ("experiments", "service")
-    #: Identifier suffixes marking nanosecond- and cycle-valued bindings.
-    ns_suffixes: tuple[str, ...] = ("_ns", "_NS")
-    cycle_suffixes: tuple[str, ...] = ("_cycles",)
-    #: Names whose presence in a term marks a clock-domain conversion.
-    clock_names: tuple[str, ...] = ("clock_ghz",)
+def _ordered(findings: "list[Finding]") -> "list[Finding]":
+    return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
 class ModuleInfo:
     """One parsed source file plus everything rules need to report on it."""
 
-    def __init__(self, path: Path, rel_path: str, source: str,
-                 tree: "ast.Module | None"):
-        self.path = path
+    def __init__(self, rel_path: str, source: str, tree: "ast.Module | None"):
         self.rel_path = rel_path
         self.rel_parts = tuple(Path(rel_path).parts)
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         #: (rule, path, snippet) -> occurrences handed out so far.
@@ -111,60 +88,37 @@ class ModuleInfo:
 
 
 class LintContext:
-    """Run-wide state rules use to communicate across modules."""
+    """Run-wide scratch space: facts a rule records in
+    :meth:`~repro.lint.registry.Rule.check_module` for its
+    :meth:`~repro.lint.registry.Rule.finalize`, namespaced by rule id."""
 
-    def __init__(self, config: LintConfig, modules: "list[ModuleInfo]"):
-        self.config = config
-        self.modules = modules
-        #: Free-form scratch space, namespaced by rule id.
+    def __init__(self):
         self.shared: dict[str, object] = {}
 
 
 @dataclass
 class LintReport:
-    """Everything one run produced, pre-split against the baseline."""
+    """Everything one run produced."""
 
     new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    stale_baseline: list[dict] = field(default_factory=list)
     files_checked: int = 0
-    #: Lint-root-relative paths actually checked (equals every parsed
-    #: file on a full run; the changed-set expansion on ``--changed``).
-    checked_paths: list[str] = field(default_factory=list)
-
-    @property
-    def findings(self) -> list[Finding]:
-        """Every unsuppressed finding (new + grandfathered)."""
-        return self.new + self.baselined
 
     @property
     def exit_code(self) -> int:
-        """1 when the run must fail: new findings or a stale baseline."""
-        return 1 if self.new or self.stale_baseline else 0
+        """1 when the run must fail: any unsuppressed finding."""
+        return 1 if self.new else 0
 
     def summary_line(self) -> str:
         return (
             f"{self.files_checked} files checked: "
             f"{len(self.new)} new finding(s), "
-            f"{len(self.baselined)} baselined, "
-            f"{len(self.suppressed)} suppressed, "
-            f"{len(self.stale_baseline)} stale baseline entr(ies)"
+            f"{len(self.suppressed)} suppressed"
         )
 
     def render_text(self) -> str:
         """Human-readable report (what ``repro lint`` prints)."""
-        blocks: list[str] = []
-        for finding in sorted(
-            self.new, key=lambda f: (f.path, f.line, f.rule)
-        ):
-            blocks.append(finding.render())
-        for entry in self.stale_baseline:
-            blocks.append(
-                f"stale baseline entry {entry['id']} "
-                f"({entry.get('rule', '?')} in {entry.get('path', '?')}): "
-                "the flagged line changed; rerun `repro lint --fix-baseline`"
-            )
+        blocks = [finding.render() for finding in _ordered(self.new)]
         blocks.append(self.summary_line())
         return "\n".join(blocks)
 
@@ -174,26 +128,11 @@ class LintReport:
             "version": 1,
             "summary": {
                 "files_checked": self.files_checked,
-                "checked_paths": self.checked_paths,
                 "new": len(self.new),
-                "baselined": len(self.baselined),
                 "suppressed": len(self.suppressed),
-                "stale_baseline": len(self.stale_baseline),
                 "exit_code": self.exit_code,
             },
-            "findings": [
-                f.to_dict()
-                for f in sorted(
-                    self.new, key=lambda f: (f.path, f.line, f.rule)
-                )
-            ],
-            "baselined": [
-                f.to_dict()
-                for f in sorted(
-                    self.baselined, key=lambda f: (f.path, f.line, f.rule)
-                )
-            ],
-            "stale_baseline": self.stale_baseline,
+            "findings": [f.to_dict() for f in _ordered(self.new)],
         }
 
     def render_json(self) -> str:
@@ -247,124 +186,47 @@ def parse_module(path: Path, root: Path) -> "tuple[ModuleInfo, Finding | None]":
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
-        error = None
     except SyntaxError as exc:
-        tree = None
-        module = ModuleInfo(path, rel_path, source, None)
-        error = Finding(
+        module = ModuleInfo(rel_path, source, None)
+        line = exc.lineno or 1
+        return module, Finding(
             rule=PARSE_ERROR_RULE,
             severity=Severity.ERROR,
             path=rel_path,
-            line=exc.lineno or 1,
+            line=line,
             message=f"file does not parse: {exc.msg}",
-            snippet=module.line_text(exc.lineno or 1),
+            snippet=module.line_text(line),
         )
-        return module, error
-    return ModuleInfo(path, rel_path, source, tree), error
+    return ModuleInfo(rel_path, source, tree), None
 
 
-def run_lint(
-    paths: Sequence["str | Path"],
-    baseline_path: "str | Path | None" = None,
-    config: "LintConfig | None" = None,
-    restrict_to: "Sequence[str | Path] | None" = None,
-) -> LintReport:
-    """Run every registered rule over *paths* and diff the baseline.
-
-    With *restrict_to* (a collection of changed file paths), the whole
-    tree is still parsed and analyzed -- the dataflow layer and
-    cross-module rules need the complete picture to stay sound -- but
-    per-module checks and reported findings are limited to the changed
-    files plus every module that (transitively) imports one of them.
-    The baseline's stale-entry check is likewise limited to that set: a
-    partial run cannot know whether entries for unvisited files still
-    fire.
-    """
+def run_lint(paths: Sequence["str | Path"]) -> LintReport:
+    """Run every registered rule over *paths*."""
     # Importing the rules package registers the rule classes.
     import repro.lint.rules  # noqa: F401  (registration side effect)
 
-    config = config or LintConfig()
     modules: list[ModuleInfo] = []
-    parse_errors: list[tuple[Path, Finding]] = []
+    raw_findings: list[Finding] = []
     for path, root in collect_files(paths):
         module, error = parse_module(path, root)
         if error is not None:
-            parse_errors.append((path.resolve(), error))
+            raw_findings.append(error)
             continue
         modules.append(module)
 
-    ctx = LintContext(config, modules)
-
-    selected: "set[int] | None" = None
-    if restrict_to is not None:
-        changed = {Path(p).resolve() for p in restrict_to}
-        selected = _select_modules(ctx, changed)
-        parse_errors = [
-            (path, error) for path, error in parse_errors
-            if path in changed
-        ]
-
-    raw_findings: list[Finding] = [error for _, error in parse_errors]
-    checked = [
-        module for module in modules
-        if selected is None or id(module) in selected
-    ]
+    ctx = LintContext()
     for rule in all_rules():
-        rule.configure(config)
-        # Rules whose finalize() cross-references facts from the whole
-        # tree scan every module even in a restricted run; their
-        # findings are filtered back to the selection below.
-        scan = (modules if selected is not None and rule.needs_all_modules
-                else checked)
-        for module in scan:
+        for module in modules:
             if rule.applies_to(module):
                 raw_findings.extend(rule.check_module(module, ctx))
         raw_findings.extend(rule.finalize(ctx))
 
-    checked_paths = {module.rel_path for module in checked} | {
-        error.path for _, error in parse_errors
-    }
-    if selected is not None:
-        raw_findings = [
-            finding for finding in raw_findings
-            if finding.path in checked_paths
-        ]
-
     by_path = {module.rel_path: module for module in modules}
-    report = LintReport(files_checked=len(checked))
-    report.checked_paths = sorted(checked_paths)
-    kept: list[Finding] = []
+    report = LintReport(files_checked=len(modules))
     for finding in raw_findings:
         module = by_path.get(finding.path)
         if module is not None and module.is_suppressed(finding):
             report.suppressed.append(finding)
         else:
-            kept.append(finding)
-
-    baseline = load_baseline(baseline_path)
-    report.new, report.baselined, report.stale_baseline = (
-        diff_against_baseline(
-            kept, baseline,
-            checked_paths=checked_paths if selected is not None else None,
-        )
-    )
+            report.new.append(finding)
     return report
-
-
-def _select_modules(ctx: LintContext, changed: "set[Path]") -> set[int]:
-    """ids of the modules a change set makes worth re-checking."""
-    from repro.lint.dataflow import (
-        analysis_for,
-        module_imports,
-        reverse_dependents,
-    )
-
-    table = analysis_for(ctx).table
-    roots = {
-        table.name_of(module) for module in ctx.modules
-        if module.path.resolve() in changed
-    }
-    if not roots:
-        return set()
-    names = reverse_dependents(module_imports(table), roots)
-    return {id(table.module_names[name]) for name in names}

@@ -3,9 +3,10 @@
 A :class:`Finding` pins one invariant violation to a source location.  Its
 :attr:`~Finding.content_id` is *content-addressed*: it hashes the rule, the
 file's path relative to the lint root, the stripped text of the offending
-line and an occurrence counter -- never the line number.  Inserting code
-above a grandfathered finding therefore does not invalidate the baseline
-entry, while editing the flagged line itself (presumably to fix it) does.
+line and an occurrence counter -- never the line number.  SARIF reports
+carry it as the finding's fingerprint, so inserting code above a finding
+keeps its code-scanning alert identity, while editing the flagged line
+itself (presumably to fix it) does not.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ __all__ = ["Rule", "register", "all_rules", "rule_ids"]
 class Rule:
     """Base class for one invariant checker."""
 
-    #: Stable identifier used in reports, suppressions and baselines.
+    #: Stable identifier used in reports and suppressions.
     rule_id: str = "ARC000"
     #: Default severity of this rule's findings.
     severity: Severity = Severity.ERROR
@@ -36,25 +36,12 @@ class Rule:
     #: style listings and the docs).
     invariant: str = ""
     #: Rule family, surfaced as a SARIF rule property so code-scanning
-    #: dashboards can slice findings (``determinism``, ``unit-safety``,
-    #: ``process-safety``, ...).
+    #: dashboards can slice findings (``determinism``,
+    #: ``cache-integrity``, ``api-conformance``).
     category: str = "domain"
     #: Restrict the rule to modules inside these top-level packages
     #: (relative to the lint root); ``None`` means every module.
     packages: "tuple[str, ...] | None" = None
-    #: Whether :meth:`finalize` cross-references facts recorded from the
-    #: *whole* tree.  Such rules keep scanning every module in a
-    #: ``--changed`` run (their per-module pass is what records the
-    #: facts); rules that only report locally can skip unchanged files.
-    needs_all_modules: bool = False
-
-    def configure(self, config) -> None:
-        """Adopt run-wide :class:`~repro.lint.engine.LintConfig` knobs.
-
-        Called once per run before any check; rules that scope themselves
-        to the engine packages read them from *config* here.
-        """
-        self.config = config
 
     def applies_to(self, module: "ModuleInfo") -> bool:
         """Whether *module* is in this rule's scope."""

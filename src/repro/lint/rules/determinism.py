@@ -3,8 +3,8 @@
 The paper's claims are queueing-model numbers; the reproduction's value
 rests on bit-identical reruns (serial == parallel == cached, across
 processes and machines).  Inside the engine packages
-(``repro/{core,gpu,trace}`` by default) this rule bans the constructs
-that silently break that:
+(``repro/{core,gpu,trace}``, :data:`ENGINE_PACKAGES`) this rule bans
+the constructs that silently break that:
 
 * **unseeded / global RNG** -- any :mod:`random` stdlib use (global,
   process-seeded state), legacy ``np.random.*`` module functions (shared
@@ -33,7 +33,11 @@ from repro.lint.registry import Rule, register
 if TYPE_CHECKING:
     from repro.lint.engine import LintContext, ModuleInfo
 
-__all__ = ["Determinism"]
+__all__ = ["ENGINE_PACKAGES", "Determinism"]
+
+#: Package directories whose modules feed simulation or fingerprint
+#: state: the rule's scope.
+ENGINE_PACKAGES = ("core", "gpu", "trace")
 
 #: Legacy numpy global-generator entry points (non-exhaustive spot list is
 #: unnecessary: everything under ``numpy.random.`` except the seeded
@@ -80,15 +84,12 @@ class Determinism(Rule):
 
     rule_id = "ARC002"
     category = "determinism"
+    packages = ENGINE_PACKAGES
     invariant = (
         "engine packages produce bit-identical results across processes: "
         "no global/unseeded RNG, no wall-clock reads, no iteration whose "
         "order depends on hashing or insertion history"
     )
-
-    def configure(self, config) -> None:
-        super().configure(config)
-        self.packages = config.engine_packages
 
     def check_module(
         self, module: "ModuleInfo", ctx: "LintContext"

@@ -101,7 +101,6 @@ class FingerprintCompleteness(Rule):
 
     rule_id = "ARC001"
     category = "cache-integrity"
-    needs_all_modules = True  # finalize() matches schemas to dataclasses
     invariant = (
         "every dataclass field is reachable from the fingerprint / key "
         "schema that caches results computed from it"

@@ -198,7 +198,6 @@ class StrategyConformance(Rule):
 
     rule_id = "ARC004"
     category = "api-conformance"
-    needs_all_modules = True  # finalize() walks inheritance + exports
     invariant = (
         "every concrete AtomicStrategy is exported, implements plan_batch "
         "or plan_shape, binds a report name, and takes scalar-only "

@@ -6,17 +6,15 @@ scanning ingests; ``repro lint --format sarif`` emits one run with:
 * the full rule catalog under ``tool.driver.rules`` (id, invariant,
   default level), so viewers can show what each ``ARC00x`` protects;
 * one ``result`` per finding.  *New* findings carry no suppressions and
-  fail CI as usual; *baselined* findings are included with an
-  ``external`` suppression (the checked-in baseline is exactly that) and
-  inline-suppressed ones with ``inSource``, so the dashboard shows
-  accepted debt without alerting on it;
+  fail CI as usual; inline-suppressed ones are included with an
+  ``inSource`` suppression, so the dashboard shows accepted exceptions
+  without alerting on them;
 * the finding's content id as a ``partialFingerprints`` entry, which
-  keeps GitHub's alert identity stable across unrelated line churn for
-  the same reason the baseline keys on it.
+  keeps GitHub's alert identity stable across unrelated line churn.
 
 The document is rendered with sorted keys and sorted results, so
 identical findings produce byte-identical SARIF -- diffable in CI
-artifacts just like the baseline file.
+artifacts.
 """
 
 from __future__ import annotations
@@ -81,7 +79,6 @@ def _sorted(findings: Iterable[Finding]) -> list[Finding]:
 def report_to_sarif(report: "LintReport") -> dict:
     """*report* as a SARIF 2.1.0 document (a plain dict, JSON-ready)."""
     results = [_result(f, None) for f in _sorted(report.new)]
-    results += [_result(f, "external") for f in _sorted(report.baselined)]
     results += [_result(f, "inSource") for f in _sorted(report.suppressed)]
     return {
         "$schema": SARIF_SCHEMA,

@@ -8,7 +8,7 @@ blocks only at audited sites.  :data:`SHARED_WRITES` declares the
 ``(resource class, write protocol)`` pairs the stack performs, and
 :data:`LOOP_IO_FRAMES` the repro frames allowed to do I/O on the loop
 thread.  This module records the ground truth those tables are held
-against, the way the engine's heap-tie assert backs ARC007.  With
+against, as the engine's heap-tie assert does for its event order.  With
 ``REPRO_SANITIZE=1`` and a log path in ``REPRO_SANITIZE_LOG``,
 :func:`maybe_install` wraps one table of primitives:
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 class FixtureCase:
     """One seeded source tree and the verdict arclint must reach on it."""
 
-    rule: str               #: rule id, e.g. ``"ARC003"``
+    rule: str               #: rule id, e.g. ``"ARC002"``
     kind: str               #: ``"positive"`` (must flag) / ``"negative"``
     name: str               #: short slug, unique within (rule, kind)
     files: dict = field(default_factory=dict)  #: rel path -> source
@@ -132,43 +132,6 @@ _ARC002 = [
 
 
 # --------------------------------------------------------------------- #
-# ARC003 unit-safety (flow-sensitive since v2)
-# --------------------------------------------------------------------- #
-
-_ARC003 = [
-    FixtureCase("ARC003", "positive", "direct-ns-plus-cycles", {
-        "mod.py": (
-            "def total(service_ns, issue_cycles):\n"
-            "    return service_ns + issue_cycles\n"
-        ),
-    }, expect="clock_ghz"),
-    # v2: the ns tag travels through a neutrally named local before the
-    # mix -- invisible to the v1 suffix scan, provable by the dataflow.
-    FixtureCase("ARC003", "positive", "aliased-ns-plus-cycles", {
-        "mod.py": (
-            "def total(service_ns, issue_cycles):\n"
-            "    latency = service_ns\n"
-            "    return latency + issue_cycles\n"
-        ),
-    }),
-    FixtureCase("ARC003", "positive", "literal-into-ns-table", {
-        "mod.py": (
-            "DOMAIN_NS = {'atomic': 0.95}\n"
-            "def padded():\n"
-            "    return DOMAIN_NS['atomic'] + 0.5\n"
-        ),
-    }, expect="literal"),
-    FixtureCase("ARC003", "negative", "clock-converted-alias", {
-        "mod.py": (
-            "def total(service_ns, issue_cycles, clock_ghz):\n"
-            "    latency = service_ns * clock_ghz\n"
-            "    return latency + issue_cycles\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
 # ARC004 strategy-conformance
 # --------------------------------------------------------------------- #
 
@@ -244,175 +207,4 @@ _ARC004 = [
 ]
 
 
-# --------------------------------------------------------------------- #
-# ARC005 resilient-execution
-# --------------------------------------------------------------------- #
-
-_ARC005 = [
-    FixtureCase("ARC005", "positive", "executor-map", {
-        "experiments/run.py": (
-            "def run(pool, cells):\n"
-            "    return list(pool.map(simulate, cells))\n"
-        ),
-    }, expect=".map()"),
-    FixtureCase("ARC005", "negative", "timeouts-everywhere", {
-        "experiments/run.py": (
-            "def run(futures):\n"
-            "    done = futures[0].result(timeout=0)\n"
-            "    late = futures[1].result(30.0)\n"
-            "    return done, late\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC006 interprocedural unit contracts
-# --------------------------------------------------------------------- #
-
-_ARC006 = [
-    # A ns-valued return (by the callee's own name contract) flows into
-    # a function whose name promises cycles.
-    FixtureCase("ARC006", "positive", "return-mismatch", {
-        "core/timing.py": (
-            "def service_time_ns(width):\n"
-            "    return width * 0.25\n"
-            "def total_cycles(width):\n"
-            "    return service_time_ns(width)\n"
-        ),
-    }, expect="total_cycles"),
-    # A ns-tagged value crosses a call boundary into a *_cycles param.
-    FixtureCase("ARC006", "positive", "arg-mismatch", {
-        "core/pipe.py": (
-            "def issue(width_cycles):\n"
-            "    return width_cycles * 2\n"
-            "def drive(service_ns):\n"
-            "    return issue(service_ns)\n"
-        ),
-    }, expect="width_cycles"),
-    # The mismatch can hide an arbitrary number of calls deep: the
-    # fixpoint converges helper returns before call sites are judged.
-    FixtureCase("ARC006", "positive", "two-hop-chain", {
-        "core/chain.py": (
-            "def base_latency_ns(width):\n"
-            "    return width * 0.4\n"
-            "def padded(width):\n"
-            "    return base_latency_ns(width) + 1.5\n"
-            "def issue(width_cycles):\n"
-            "    return width_cycles * 2\n"
-            "def drive(width):\n"
-            "    return issue(padded(width))\n"
-        ),
-    }, expect="width_cycles"),
-    FixtureCase("ARC006", "negative", "clock-converted-call", {
-        "core/pipe.py": (
-            "def issue(width_cycles):\n"
-            "    return width_cycles * 2\n"
-            "def drive(service_ns, clock_ghz):\n"
-            "    return issue(service_ns * clock_ghz)\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC007 event-tie determinism
-# --------------------------------------------------------------------- #
-
-_ARC007 = [
-    FixtureCase("ARC007", "positive", "tuple-without-seq", {
-        "gpu/sched.py": (
-            "import heapq\n"
-            "def run(events):\n"
-            "    heap = []\n"
-            "    for t, payload in events:\n"
-            "        heapq.heappush(heap, (t, payload))\n"
-            "    return heap\n"
-        ),
-    }, expect="push_seq"),
-    # Seeding the heap by append before the event loop is still a push.
-    FixtureCase("ARC007", "positive", "append-seeded-heap", {
-        "gpu/sched.py": (
-            "import heapq\n"
-            "def seed(pending):\n"
-            "    heap = []\n"
-            "    for t in pending:\n"
-            "        heap.append((t, 'issue'))\n"
-            "    heapq.heappush(heap, (0.0, 'drain'))\n"
-            "    return heap\n"
-        ),
-    }),
-    FixtureCase("ARC007", "negative", "tuple-with-seq-counter", {
-        "gpu/sched.py": (
-            "import heapq\n"
-            "def run(events):\n"
-            "    heap = []\n"
-            "    push_seq = 0\n"
-            "    for t, payload in events:\n"
-            "        heapq.heappush(heap, (t, push_seq, payload))\n"
-            "        push_seq += 1\n"
-            "    return heap\n"
-        ),
-    }),
-    FixtureCase("ARC007", "negative", "scalar-pushes", {
-        "gpu/sched.py": (
-            "import heapq\n"
-            "def run(times):\n"
-            "    heap = []\n"
-            "    for t in times:\n"
-            "        heapq.heappush(heap, t)\n"
-            "    return heap\n"
-        ),
-    }),
-]
-
-
-# --------------------------------------------------------------------- #
-# ARC008 cache-key taint
-# --------------------------------------------------------------------- #
-
-# The fingerprint excludes `name` deliberately (cosmetic), with the
-# ARC001 suppression that decision requires on the def line.
-_TAGGED_TRACE = (
-    "from dataclasses import dataclass\n"
-    "@dataclass\n"
-    "class Trace:\n"
-    "    name: str\n"
-    "    width: int\n"
-    "    def fingerprint(self):  # arclint: disable=ARC001\n"
-    "        return str(self.width)\n"
-)
-
-_ARC008 = [
-    FixtureCase("ARC008", "positive", "excluded-field-branches", {
-        "core/mod.py": _TAGGED_TRACE + (
-            "def issue(trace: Trace):\n"
-            "    if trace.name == 'hot':\n"
-            "        return trace.width * 2\n"
-            "    return trace.width\n"
-        ),
-    }, expect="Trace.name"),
-    FixtureCase("ARC008", "positive", "excluded-field-via-self", {
-        "core/mod.py": _TAGGED_TRACE + (
-            "class Engine:\n"
-            "    def __init__(self, trace: Trace):\n"
-            "        self.trace = trace\n"
-            "    def cost(self):\n"
-            "        return len(self.trace.name) * self.trace.width\n"
-        ),
-    }),
-    FixtureCase("ARC008", "negative", "label-only-reads", {
-        "core/mod.py": _TAGGED_TRACE + (
-            "def describe(trace: Trace, render):\n"
-            "    return render(trace_name=trace.name, width=trace.width)\n"
-            "def banner(trace: Trace):\n"
-            "    return f'trace {trace.name}: width={trace.width}'\n"
-        ),
-    }),
-]
-
-
-CASES: "list[FixtureCase]" = [
-    *_ARC001, *_ARC002, *_ARC003, *_ARC004,
-    *_ARC005, *_ARC006, *_ARC007, *_ARC008,
-]
+CASES: "list[FixtureCase]" = [*_ARC001, *_ARC002, *_ARC004]

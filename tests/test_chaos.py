@@ -27,6 +27,7 @@ the bottom cover the plan/policy/manifest primitives in-process.
 from __future__ import annotations
 
 import json
+import logging
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -621,6 +622,7 @@ def _worker_view() -> dict:
     """Pool task: the carried environment and what this worker's code
     derives from it (or from the pool initializer's arguments)."""
     import os
+    import sys
 
     from repro.obs import sanitize, tracing
 
@@ -634,6 +636,9 @@ def _worker_view() -> dict:
         "sweep_age": diskcache.sweep_age_seconds(),
         "sanitize": sanitize.installed(),
         "trace": tracing.carried(),
+        "log_level": obslog.logger.level,
+        "log_on_stderr": [getattr(handler, "stream", None) is sys.stderr
+                        for handler in obslog.logger.handlers],
     }
 
 
@@ -688,6 +693,10 @@ def test_pool_workers_see_what_the_parent_carried(tmp_path, monkeypatch):
     assert view["sweep_age"] == 123.0
     assert view["sanitize"] is True
     assert view["trace"] == tracing.carried() == context
+    # The worker logs through the parent's stderr handler, at the
+    # carried REPRO_LOG_LEVEL.
+    assert view["log_level"] == logging.DEBUG
+    assert view["log_on_stderr"] == [True]
 
 
 # --------------------------------------------------------------------- #

@@ -27,9 +27,10 @@ from repro.experiments.diskcache import (
     strategy_fingerprint,
 )
 from repro.experiments.runner import clear_caches, get_result, seed_trace
-from repro.gpu import RTX3060_SIM, RTX4090_SIM
+from repro.gpu import RTX3060_SIM, RTX4090_SIM, simulate_kernel
 from repro.gpu.config import CostModel, EnergyModel
-from repro.trace import coalesced_trace
+from repro.trace import coalesced_trace, mixed_locality_trace
+from tests.test_engine_dispatch import fold_gpu, fold_trace
 
 BASE_TRACE = coalesced_trace(n_batches=64, num_params=4, seed=7, name="base")
 BASE_STRATEGY = ArcSWButterfly(8)
@@ -115,6 +116,28 @@ def test_key_changes_with_trace_content():
 def test_trace_name_is_cosmetic():
     renamed = dataclasses.replace(BASE_TRACE, name="renamed")
     assert result_key(RTX3060_SIM, renamed, BASE_STRATEGY) == base_key()
+
+
+@pytest.mark.parametrize("strategy", sorted(runner.STRATEGY_FACTORIES))
+def test_trace_name_never_reaches_a_simulated_number(strategy):
+    """The result half of the test above: the key leaves ``name`` out, so
+    a renamed trace must simulate to the same numbers under every
+    strategy, with only the ``trace_name`` label differing.  Two traces:
+    busy batches under LSU contention, and idle batches folded into
+    their neighbours' events."""
+    cases = ((mixed_locality_trace(n_batches=48, num_params=4, seed=5),
+              RTX3060_SIM),
+             (fold_trace(), fold_gpu()))
+    for trace, gpu in cases:
+        renamed = dataclasses.replace(trace, name="renamed")
+        results = [
+            dataclasses.asdict(simulate_kernel(
+                t, gpu, runner.STRATEGY_FACTORIES[strategy]()))
+            for t in (trace, renamed)
+        ]
+        assert [r.pop("trace_name") for r in results] == [
+            trace.name, "renamed"]
+        assert results[0] == results[1]
 
 
 def test_key_changes_with_strategy_parameters():

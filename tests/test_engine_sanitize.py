@@ -1,11 +1,12 @@
-"""The runtime half of ARC007: ``REPRO_SANITIZE=1`` event-order checks.
+"""``REPRO_SANITIZE=1`` event-order checks in the engine.
 
-The static rule proves every heap push carries a ``push_seq``
-tiebreaker; the sanitizer is its dynamic complement -- an assert in the
-engine's pop loop that the popped event stream is strictly increasing.
-These tests pin the property the sanitizer must have to stay on in CI:
-it changes no results (same heap, same pops, only an extra comparison
-per pop), across strategies with very different event patterns.
+Every tuple the engine pushes onto its ready heap ends in a monotonic
+``push_seq`` tiebreaker, so equal-time events pop in a fixed order.  The
+sanitizer asserts in the pop loop that the popped event stream is
+strictly increasing.  These tests pin that the assert fires when a push
+goes back in time, and that it changes no results (same heap, same
+pops, only an extra comparison per pop), across strategies with very
+different event patterns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.core import LAB, ArcHW, BaselineAtomic
-from repro.gpu import RTX4090_SIM, simulate_kernel
+from repro.gpu import RTX4090_SIM, engine, simulate_kernel
 from repro.trace import mixed_locality_trace, scattered_trace
 from tests.test_engine_dispatch import fold_gpu, fold_trace
 
@@ -56,3 +57,21 @@ def test_sanitizer_zero_means_off(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "0")
     result = simulate_kernel(trace, small_gpu(), BaselineAtomic())
     assert result.total_cycles > 0
+
+
+def test_sanitizer_catches_a_push_that_goes_back_in_time(monkeypatch):
+    real_heappush = engine.heappush
+
+    def backwards(heap, item):
+        # Every ready-heap push lands before the kernel started.
+        if isinstance(item, tuple):
+            item = (-1.0, *item[1:])
+        real_heappush(heap, item)
+
+    monkeypatch.setattr(engine, "heappush", backwards)
+    trace = mixed_locality_trace(n_batches=120, seed=3)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    simulate_kernel(trace, small_gpu(), BaselineAtomic())
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    with pytest.raises(AssertionError, match="event-tie order violated"):
+        simulate_kernel(trace, small_gpu(), BaselineAtomic())

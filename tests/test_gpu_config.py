@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.gpu import RTX3060_SIM, RTX4090_SIM, SIMULATED_GPUS, CostModel, GPUConfig
+from repro.gpu.config import MEMORY_DOMAIN_NS
 
 
 def test_presets_match_paper_table1():
@@ -103,3 +104,24 @@ def test_fingerprint_cache_not_inherited_by_copies():
     config.fingerprint()
     ablated = config.with_cost(atomic_service=99.0)
     assert ablated.fingerprint() != config.fingerprint()
+
+
+@pytest.mark.parametrize("gpu", list(SIMULATED_GPUS.values()),
+                         ids=lambda gpu: gpu.name)
+def test_presets_convert_memory_domain_ns_at_their_clock(gpu):
+    """The ns domain enters the simulator at one site: each memory-domain
+    cost is its nanosecond time times the preset's shader clock, and
+    every other cost keeps its cycle default."""
+    default = CostModel()
+    for field in dataclasses.fields(CostModel):
+        value = getattr(gpu.cost, field.name)
+        if field.name in MEMORY_DOMAIN_NS:
+            assert value == MEMORY_DOMAIN_NS[field.name] * gpu.clock_ghz
+        else:
+            assert value == getattr(default, field.name), field.name
+
+
+@pytest.mark.parametrize("clock_ghz", [0.0, -1.0])
+def test_scaled_to_clock_rejects_non_positive_clock(clock_ghz):
+    with pytest.raises(ValueError, match="clock_ghz"):
+        CostModel.scaled_to_clock(clock_ghz)

@@ -2,9 +2,9 @@
 
 Each rule gets at least one positive fixture (a tiny tree seeded with the
 violation) and one negative (the compliant spelling of the same code).
-The suppression and baseline machinery are exercised through both the
-library API and the ``repro lint`` CLI, and a meta-test asserts the live
-tree is clean against the checked-in baseline.
+Inline suppressions are exercised through both the library API and the
+``repro lint`` CLI (text, JSON and SARIF), and a meta-test asserts the
+live tree is clean apart from its one justified suppression.
 """
 
 from __future__ import annotations
@@ -12,15 +12,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
-from repro.lint import load_baseline, run_lint, write_baseline
+from repro.lint import rule_ids, run_lint
 from repro.lint.findings import Finding, Severity
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REPO_SRC = REPO_ROOT / "src" / "repro"
-REPO_BASELINE = REPO_ROOT / ".arclint-baseline.json"
 
 
 def make_tree(root: Path, files: dict[str, str]) -> Path:
@@ -32,8 +29,8 @@ def make_tree(root: Path, files: dict[str, str]) -> Path:
     return root
 
 
-def lint(tmp_path: Path, files: dict[str, str], baseline=None):
-    return run_lint([make_tree(tmp_path, files)], baseline_path=baseline)
+def lint(tmp_path: Path, files: dict[str, str]):
+    return run_lint([make_tree(tmp_path, files)])
 
 
 def rules_found(report) -> set[str]:
@@ -239,66 +236,6 @@ def test_arc002_single_file_keeps_package_scope(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# ARC003 unit-safety
-# --------------------------------------------------------------------- #
-
-
-def test_arc003_ns_plus_cycles(tmp_path):
-    report = lint(tmp_path, {"mod.py": (
-        "def total(service_ns, issue_cycles):\n"
-        "    return service_ns + issue_cycles\n"
-    )})
-    assert rules_found(report) == {"ARC003"}
-
-
-def test_arc003_clock_converted_term_passes(tmp_path):
-    report = lint(tmp_path, {"mod.py": (
-        "def total(service_ns, issue_cycles, clock_ghz):\n"
-        "    return service_ns * clock_ghz + issue_cycles\n"
-    )})
-    assert report.new == []
-
-
-def test_arc003_same_unit_sums_pass(tmp_path):
-    report = lint(tmp_path, {"mod.py": (
-        "def total(a_cycles, b_cycles):\n"
-        "    return a_cycles + b_cycles\n"
-    )})
-    assert report.new == []
-
-
-def test_arc003_literal_added_to_ns_table(tmp_path):
-    report = lint(tmp_path, {"mod.py": (
-        "DOMAIN_NS = {'atomic': 0.95}\n"
-        "def padded():\n"
-        "    return DOMAIN_NS['atomic'] + 0.5\n"
-    )})
-    assert rules_found(report) == {"ARC003"}
-    assert "literal" in report.new[0].message
-
-
-def test_arc003_cycles_stored_into_ns_table(tmp_path):
-    report = lint(tmp_path, {"mod.py": (
-        "DOMAIN_NS = {'atomic': 0.95}\n"
-        "def poison(extra_cycles):\n"
-        "    DOMAIN_NS['atomic'] = extra_cycles\n"
-    )})
-    assert rules_found(report) == {"ARC003"}
-
-
-def test_arc003_sees_through_await(tmp_path):
-    """An awaited cycles-valued call added to a nanosecond binding is
-    still a unit conflict."""
-    report = lint(tmp_path, {"core/mod.py": (
-        "async def wait_cycles(n):\n"
-        "    return n\n"
-        "async def total(a_ns, b):\n"
-        "    return a_ns + await wait_cycles(b)\n"
-    )})
-    assert "ARC003" in rules_found(report)
-
-
-# --------------------------------------------------------------------- #
 # ARC004 strategy-conformance
 # --------------------------------------------------------------------- #
 
@@ -386,53 +323,6 @@ def test_arc004_inherited_interface_through_internal_base(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# ARC005 resilient-execution
-# --------------------------------------------------------------------- #
-
-
-def test_arc005_flags_executor_map_in_experiments(tmp_path):
-    report = lint(tmp_path, {"experiments/run.py": (
-        "def run(pool, cells):\n"
-        "    return list(pool.map(simulate, cells))\n"
-    )})
-    assert rules_found(report) == {"ARC005"}
-    assert ".map()" in report.new[0].message
-
-
-def test_arc005_flags_unbounded_future_waits(tmp_path):
-    report = lint(tmp_path, {"experiments/run.py": (
-        "def drain(futures):\n"
-        "    first = futures[0].result()\n"
-        "    why = futures[1].exception()\n"
-        "    return first, why\n"
-    )})
-    assert rules_found(report) == {"ARC005"}
-    assert len(report.new) == 2
-    assert all("timeout" in f.message for f in report.new)
-
-
-def test_arc005_timeout_and_non_executor_map_pass(tmp_path):
-    report = lint(tmp_path, {"experiments/run.py": (
-        "def run(executor, futures, series):\n"
-        "    done = futures[0].result(timeout=0)\n"
-        "    late = futures[1].result(30.0)\n"
-        "    mapped = series.map(str)\n"  # not a pool/executor receiver
-        "    return done, late, mapped\n"
-    )})
-    assert report.new == []
-
-
-def test_arc005_is_scoped_to_experiment_packages(tmp_path):
-    # The same anti-pattern outside the experiment-execution packages is
-    # out of scope (workloads/benchmarks do not drive worker pools).
-    report = lint(tmp_path, {"workloads/run.py": (
-        "def run(pool, cells):\n"
-        "    return list(pool.map(simulate, cells))\n"
-    )})
-    assert report.new == []
-
-
-# --------------------------------------------------------------------- #
 # Suppressions
 # --------------------------------------------------------------------- #
 
@@ -465,13 +355,13 @@ def test_suppression_for_other_rule_does_not_apply(tmp_path):
         "import numpy as np\n"
         "def sample():\n"
         "    return np.random.default_rng().random()"
-        "  # arclint: disable=ARC003\n"
+        "  # arclint: disable=ARC004\n"
     )})
     assert rules_found(report) == {"ARC002"}
 
 
 # --------------------------------------------------------------------- #
-# Baseline machinery
+# Finding identity
 # --------------------------------------------------------------------- #
 
 _RNG_VIOLATION = {
@@ -481,69 +371,6 @@ _RNG_VIOLATION = {
         "    return np.random.default_rng().random()\n"
     )
 }
-
-
-def test_baseline_grandfathers_findings(tmp_path):
-    tree = make_tree(tmp_path / "tree", _RNG_VIOLATION)
-    baseline = tmp_path / "baseline.json"
-    first = run_lint([tree])
-    assert first.exit_code == 1
-    write_baseline(baseline, first.new)
-    second = run_lint([tree], baseline_path=baseline)
-    assert second.exit_code == 0
-    assert second.new == []
-    assert len(second.baselined) == 1
-
-
-def test_baseline_survives_line_shifts(tmp_path):
-    tree = make_tree(tmp_path / "tree", _RNG_VIOLATION)
-    baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, run_lint([tree]).new)
-    # Insert lines above the violation: ids are content-addressed, so
-    # the entry must still match.
-    path = tree / "core/mod.py"
-    path.write_text("import numpy as np\n\n\n# shifted\n"
-                    + path.read_text().split("\n", 1)[1])
-    report = run_lint([tree], baseline_path=baseline)
-    assert report.new == []
-    assert report.stale_baseline == []
-    assert len(report.baselined) == 1
-
-
-def test_stale_baseline_entry_fails_the_run(tmp_path):
-    tree = make_tree(tmp_path / "tree", _RNG_VIOLATION)
-    baseline = tmp_path / "baseline.json"
-    write_baseline(baseline, run_lint([tree]).new)
-    # Fix the violation: its baseline entry is now stale and must fail.
-    (tree / "core/mod.py").write_text(
-        "import numpy as np\n"
-        "def sample(seed):\n"
-        "    return np.random.default_rng(seed).random()\n"
-    )
-    report = run_lint([tree], baseline_path=baseline)
-    assert report.new == []
-    assert len(report.stale_baseline) == 1
-    assert report.exit_code == 1
-
-
-def test_baseline_is_byte_deterministic(tmp_path):
-    tree = make_tree(tmp_path / "tree", {
-        **_RNG_VIOLATION,
-        "core/other.py": "def f(a_ns, b_cycles):\n    return a_ns + b_cycles\n",
-    })
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
-    write_baseline(first, run_lint([tree]).new)
-    write_baseline(second, run_lint([tree]).new)
-    assert first.read_bytes() == second.read_bytes()
-    entries = json.loads(first.read_text())["entries"]
-    assert entries == sorted(entries, key=lambda entry: entry["id"])
-
-
-def test_load_baseline_rejects_unknown_version(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"version": 99, "entries": []}')
-    with pytest.raises(ValueError, match="baseline version"):
-        load_baseline(path)
 
 
 def test_finding_ids_are_stable_and_distinct():
@@ -572,7 +399,7 @@ def test_syntax_error_becomes_arc000_finding(tmp_path):
 
 def test_cli_lint_reports_and_fails(tmp_path, capsys):
     tree = make_tree(tmp_path / "tree", _RNG_VIOLATION)
-    assert main(["lint", str(tree), "--no-baseline"]) == 1
+    assert main(["lint", str(tree)]) == 1
     out = capsys.readouterr().out
     assert "ARC002" in out
     assert "new finding" in out
@@ -580,7 +407,7 @@ def test_cli_lint_reports_and_fails(tmp_path, capsys):
 
 def test_cli_lint_json_schema(tmp_path, capsys):
     tree = make_tree(tmp_path / "tree", _RNG_VIOLATION)
-    assert main(["lint", str(tree), "--no-baseline", "--format", "json"]) == 1
+    assert main(["lint", str(tree), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
     assert payload["summary"]["new"] == 1
@@ -593,14 +420,34 @@ def test_cli_lint_json_schema(tmp_path, capsys):
     assert finding["path"] == "core/mod.py"
 
 
-def test_cli_fix_baseline_roundtrip(tmp_path, capsys):
-    tree = make_tree(tmp_path / "tree", _RNG_VIOLATION)
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(tree), "--baseline", str(baseline),
-                 "--fix-baseline"]) == 0
-    assert main(["lint", str(tree), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
+def test_cli_sarif_document_shape(tmp_path, capsys):
+    tree = make_tree(tmp_path / "tree", {
+        **_RNG_VIOLATION,
+        "core/clock.py": (
+            "import time\n"
+            "def stamp():\n"
+            "    return time.time()  # arclint: disable=ARC002\n"
+        ),
+    })
+    assert main(["lint", str(tree), "--format", "sarif"]) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["version"] == "2.1.0"
+    (run,) = doc["runs"]
+    driver = run["tool"]["driver"]
+    assert driver["name"] == "arclint"
+    assert [rule["id"] for rule in driver["rules"]] == rule_ids()
+    results = run["results"]
+    assert [(r["ruleId"], r.get("suppressions")) for r in results] == [
+        ("ARC002", None), ("ARC002", [{"kind": "inSource"}]),
+    ]
+    for result in results:
+        assert "arclintContentId/v1" in result["partialFingerprints"]
+        location = result["locations"][0]["physicalLocation"]
+        assert location["artifactLocation"]["uri"].endswith(".py")
+        assert location["region"]["startLine"] >= 1
+    # The human summary goes to stderr so stdout stays a pure document.
+    assert "new finding" in captured.err
 
 
 # --------------------------------------------------------------------- #
@@ -609,13 +456,16 @@ def test_cli_fix_baseline_roundtrip(tmp_path, capsys):
 
 
 def test_live_tree_is_clean():
-    report = run_lint([REPO_SRC], baseline_path=REPO_BASELINE)
+    report = run_lint([REPO_SRC])
     assert report.files_checked > 50
     details = "\n".join(f.render() for f in report.new)
     assert report.new == [], f"arclint findings on src/repro:\n{details}"
-    assert report.stale_baseline == []
+    # The one accepted exception: KernelTrace.fingerprint leaves out the
+    # cosmetic trace name.
+    assert [(f.rule, f.path) for f in report.suppressed] == [
+        ("ARC001", "trace/events.py")
+    ]
 
 
 def test_cli_meta_lint_exits_zero():
-    assert main(["lint", str(REPO_SRC), "--baseline",
-                 str(REPO_BASELINE)]) == 0
+    assert main(["lint", str(REPO_SRC)]) == 0
