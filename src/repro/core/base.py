@@ -18,9 +18,10 @@ state fixed by :meth:`~AtomicStrategy.begin_kernel`: it assigns no
 attribute and reads no engine state, so the engine plans each distinct
 shape once per kernel call and reuses the template (arclint ARC004
 checks the assignment half statically).  The one live input a template
-may depend on is :meth:`AtomicStrategy.plan_mode`, which the engine calls
-for every batch with active lanes and folds into the template key:
-ARC-HW's greedy scheduler returns its stall test there.  The default
+may depend on is :meth:`AtomicStrategy.plan_mode`: when a class
+overrides it, the engine calls it for every batch with active lanes and
+folds it into the template key; ARC-HW's greedy scheduler returns its
+stall test there.  The default
 :meth:`AtomicStrategy.plan_batch` binds a template to one batch, for
 callers that plan a single batch directly.
 
@@ -201,7 +202,8 @@ class AtomicStrategy(ABC):
         """The live input of this batch's template, if any.
 
         Called for every batch with active lanes, before the template is
-        looked up; the default has none.
+        looked up, when a class overrides it; the default has none, and
+        the engine does not call it.
         """
         return None
 

@@ -129,18 +129,26 @@ def simulate_kernel(
     run_starts = inputs.run_starts
     n_runs = len(run_starts) - 1
     next_run = 0
-    offsets = inputs.offsets
     group_slots = inputs.group_slots
-    group_sizes = inputs.group_sizes
-    compute_per_batch = inputs.compute
+    shapes = inputs.shapes
+    pos_shape = inputs.pos_shape
+    pos_offset = inputs.pos_offset
+    pos_compute = inputs.pos_compute
     warp_ids = trace.warp_id.tolist() if tel is not None else None
     view = BatchView(0, 0, 0, None, None, trace.num_params)
     plan_batch = strategy.plan_batch
-    # Shape-static strategies: one template per distinct (mode, sizes),
-    # kept for this call only (cost and num_params are fixed here), so
-    # nothing needs invalidating.
-    templates = {} if plans_by_shape(type(strategy)) else None
-    bind = templates is not None
+    # Shape-static strategies: one template per distinct shape (and
+    # mode), kept for this call only (cost and num_params are fixed
+    # here), so nothing needs invalidating.  A class without a live
+    # input finds its template by shape id in a list, whose id 0 holds
+    # the idle plan; one with plan_mode keys a dict by (mode, shape id).
+    by_shape = by_mode = None
+    if plans_by_shape(type(strategy)):
+        if type(strategy).plan_mode is AtomicStrategy.plan_mode:
+            by_shape = [idle] + [None] * (len(shapes) - 1)
+        else:
+            by_mode = {}
+    bind = by_shape is not None or by_mode is not None
     plan_shape = strategy.plan_shape
     plan_mode = strategy.plan_mode
     num_params = trace.num_params
@@ -154,6 +162,9 @@ def simulate_kernel(
     ic_latency = cost.interconnect_latency
     ic_step = 1.0 / config.interconnect_bw
     transit = cost.lsu_transit
+    lab_buffer_op = cost.lab_buffer_op
+    phi_tag_op = cost.phi_tag_op
+    ru_op = cost.reduction_unit_op
     # LSU queues and reduction units are shared with the strategies.
     lsu = state.lsu
     lsu_depth = state.lsu_depth
@@ -164,7 +175,7 @@ def simulate_kernel(
     num_partitions = config.num_partitions
     partitions = [[0.0] * config.rops_per_partition for _ in range(num_partitions)]
     # Hot-address serialization at the ROPs.
-    slot_free: dict[int, float] = {}
+    slot_free = [0.0] * trace.n_slots
     ic_free = 0.0
     last_completion = 0.0
 
@@ -174,35 +185,33 @@ def simulate_kernel(
     acc_shuffles = acc_buffer_ops = acc_tag_ops = acc_ru_values = 0
     transactions = rop_ops_total = lsu_full_events = 0
 
-    # Event loop: pop the sub-core that becomes ready earliest, run its next
-    # batch to completion (from the sub-core's point of view), repeat.
-    # Every heap entry is ``(time, subcore, push_seq)``: same-timestamp
-    # events pop in the engine's established deterministic sub-core order,
-    # and the trailing monotonic sequence number makes the tuple totally
-    # ordered by explicit scalars alone -- a future payload element can
-    # never be reached by tuple comparison, so tie order can never fall
-    # back to whatever that payload happens to compare as (ARC007).
-    # REPRO_SANITIZE=1 turns on a runtime assert that the popped stream
-    # honors that total order.
+    # Event loop: take the sub-core that becomes ready earliest, run its
+    # next batch to completion (from the sub-core's point of view),
+    # repeat.  Every heap entry is ``(time, subcore, push_seq, cursor,
+    # run_end)``: the sub-core runs positions ``cursor:run_end`` of
+    # ``order`` (its current warp).  Same-timestamp events pop in the
+    # engine's established deterministic sub-core order, and the unique
+    # sequence number, increasing with every push, settles every
+    # comparison before the cursor payload is reached, so tie order is
+    # set by ``(time, subcore, push_seq)`` alone.  REPRO_SANITIZE=1 turns
+    # on a runtime assert that the popped stream honors that order.
     sanitize = os.environ.get("REPRO_SANITIZE") == "1"
-    # Each sub-core runs order[cursor:run_end) of its current warp.
-    cursors = [0] * n_subcores
-    run_ends = [0] * n_subcores
     ready_heap = []
     push_seq = 0
     for subcore in range(n_subcores):
         if next_run == n_runs:
             break
-        cursors[subcore] = run_starts[next_run]
+        ready_heap.append(
+            (0.0, subcore, push_seq, run_starts[next_run], run_starts[next_run + 1]))
         next_run += 1
-        run_ends[subcore] = run_starts[next_run]
-        ready_heap.append((0.0, subcore, push_seq))
         push_seq += 1
     heapify(ready_heap)
 
     last_popped = (-1.0, -1, -1)
     while ready_heap:
-        t, subcore, seq = heappop(ready_heap)
+        # The entry stays on the heap until the event ends: heapreplace
+        # then swaps in the sub-core's next event, or heappop drops it.
+        t, subcore, seq, cursor, run_end = ready_heap[0]
         if sanitize:
             assert last_popped < (t, subcore, seq), (
                 f"event-tie order violated: popped {(t, subcore, seq)} "
@@ -212,38 +221,42 @@ def simulate_kernel(
             last_popped = (t, subcore, seq)
         state.now = t
         sm = sm_of[subcore]
-        cursor = cursors[subcore]
-        run_end = run_ends[subcore]
-        index = order[cursor]
-        cursor += 1
-        lo = offsets[index]
-        hi = offsets[index + 1]
-        if lo == hi:
-            plan = idle
-        elif templates is not None:
-            shape = group_sizes[lo] if hi - lo == 1 else group_sizes[lo:hi]
-            key = (plan_mode(sm, subcore, state), shape)
-            plan = templates.get(key)
+        shape_id = pos_shape[cursor]
+        lo = pos_offset[cursor]
+        compute = pos_compute[cursor]
+        if tel is not None:
+            index = order[cursor]
+            warp = warp_ids[index]
+        if by_shape is not None:
+            plan = by_shape[shape_id]
             if plan is None:
-                plan = templates[key] = plan_shape(
-                    shape if hi - lo > 1 else (shape,), num_params, key[0])
+                plan = by_shape[shape_id] = plan_shape(
+                    shapes[shape_id], num_params, None)
+        elif not shape_id:
+            plan = idle
+        elif by_mode is not None:
+            key = (plan_mode(sm, subcore, state), shape_id)
+            plan = by_mode.get(key)
+            if plan is None:
+                plan = by_mode[key] = plan_shape(
+                    shapes[shape_id], num_params, key[0])
         else:
-            view.index = index
+            sizes = shapes[shape_id]
+            view.index = order[cursor]
             view.sm = sm
             view.subcore = subcore
-            view.slots = group_slots[lo:hi]
-            view.sizes = group_sizes[lo:hi]
+            view.slots = group_slots[lo:lo + len(sizes)]
+            view.sizes = sizes
             plan = plan_batch(view, state)
+        cursor += 1
 
         t0 = t
-        compute = compute_per_batch[index]
         issue = plan.issue_cycles
         t = t0 + compute + issue
         acc_compute += compute
         acc_issue += issue
         acc_shuffles += plan.shuffle_ops
         if tel is not None:
-            warp = warp_ids[index]
             if compute:
                 tel.spans.append((subcore, warp, index, "compute", t0, t0 + compute))
             if issue:
@@ -258,9 +271,11 @@ def simulate_kernel(
         # pipeline finishes the per-lane tag lookups -- this is how the
         # flood of atomic requests overwhelms the LSU *before*
         # aggregation (§7.1).  A plan uses at most one of the two units.
-        local_ops = plan.sm_buffer_ops or plan.l1_tag_ops
+        buffer_ops = plan.sm_buffer_ops
+        local_ops = buffer_ops or plan.l1_tag_ops
         if local_ops:
-            if plan.local_absorb:
+            absorb = plan.local_absorb
+            if absorb:
                 heap = lsu[sm]
                 while heap and heap[0] <= t:
                     heappop(heap)
@@ -273,22 +288,22 @@ def simulate_kernel(
                 if tel is not None and admission > t:
                     tel.spans.append((subcore, warp, index, "lsu_wait", t, admission))
                 t = admission
-            if plan.sm_buffer_ops:
-                unit_free, op_cycles = buf_free, cost.lab_buffer_op
+            if buffer_ops:
+                unit_free, op_cycles = buf_free, lab_buffer_op
             else:
-                unit_free, op_cycles = l1_free, cost.phi_tag_op
+                unit_free, op_cycles = l1_free, phi_tag_op
             start = unit_free[sm]
             if t >= start:
                 start = t
             end = start + local_ops * op_cycles
             unit_free[sm] = end
-            if plan.local_absorb:
-                held = t + transit if plan.sm_buffer_ops else end
-                heappush(lsu[sm], held)
+            if absorb:
+                held = t + transit if buffer_ops else end
+                heappush(heap, held)
                 if tel is not None:
                     tel.lsu_intervals.append((sm, t, held))
             acc_local_stall += end - t
-            acc_buffer_ops += plan.sm_buffer_ops
+            acc_buffer_ops += buffer_ops
             acc_tag_ops += plan.l1_tag_ops
             if tel is not None:
                 tel.spans.append((subcore, warp, index, "local_unit", t, end))
@@ -298,14 +313,15 @@ def simulate_kernel(
         # sub-core hands over the transaction and moves on; only the
         # reduced request waits for the FPU.
         ru_done = t
-        if plan.ru_values:
+        ru_values = plan.ru_values
+        if ru_values:
             ru_start = ru_free[subcore]
             if t >= ru_start:
                 ru_start = t
-            ru_done = ru_start + plan.ru_values * cost.reduction_unit_op
+            ru_done = ru_start + ru_values * ru_op
             ru_free[subcore] = ru_done
             acc_ru_busy += ru_done - ru_start
-            acc_ru_values += plan.ru_values
+            acc_ru_values += ru_values
             if tel is not None:
                 tel.ru_intervals.append((subcore, ru_start, ru_done))
 
@@ -337,7 +353,7 @@ def simulate_kernel(
             arrive = ic_start + ic_latency
             rops = partitions[slot % num_partitions]
             start = arrive if arrive >= rops[0] else rops[0]
-            prior = slot_free.get(slot, 0.0)
+            prior = slot_free[slot]
             if prior > start:
                 start = prior
             service = rop_ops * atomic_service
@@ -384,34 +400,32 @@ def simulate_kernel(
         # a time in program order; its last batch keeps its own event
         # because the next pending warp is pulled when that event pops,
         # in order across sub-cores.  Idle batches touch no shared state.
-        while cursor + 1 < run_end:
-            index = order[cursor]
-            if offsets[index] != offsets[index + 1]:
-                break
-            cursor += 1
+        while cursor + 1 < run_end and not pos_shape[cursor]:
             t0 = t
-            compute = compute_per_batch[index]
+            compute = pos_compute[cursor]
             t = t0 + compute + idle_issue
             acc_compute += compute
             acc_issue += idle_issue
             acc_shuffles += idle_shuffles
             if tel is not None:
+                index = order[cursor]
                 warp = warp_ids[index]
                 if compute:
                     tel.spans.append((subcore, warp, index, "compute", t0, t0 + compute))
                 if idle_issue:
                     tel.spans.append((subcore, warp, index, "issue", t0 + compute, t))
+            cursor += 1
         # No batch moves time backwards, so the event's final time is the
         # SM's latest.
         if t > sm_last_time[sm]:
             sm_last_time[sm] = t
-        cursors[subcore] = cursor
-        run_ends[subcore] = run_end
         if cursor < run_end:
-            heappush(ready_heap, (t, subcore, push_seq))
+            heapreplace(ready_heap, (t, subcore, push_seq, cursor, run_end))
             push_seq += 1
-        elif t > last_completion:
-            last_completion = t
+        else:
+            heappop(ready_heap)
+            if t > last_completion:
+                last_completion = t
 
     # Kernel-exit flush of residual buffered state (LAB / PHI).  No warps
     # remain to block, so the writeback streams without occupying LSU
@@ -428,7 +442,7 @@ def simulate_kernel(
             arrive = ic_start + ic_latency
             rops = partitions[slot % num_partitions]
             start = arrive if arrive >= rops[0] else rops[0]
-            prior = slot_free.get(slot, 0.0)
+            prior = slot_free[slot]
             if prior > start:
                 start = prior
             service = rop_ops * atomic_service

@@ -64,6 +64,12 @@ class EngineInputs:
     the engine's hot path; building these once per trace instead of once
     per simulated kernel is what :attr:`KernelTrace.engine_inputs` is for.
     Tuples, so no simulation can change what the next one reads.
+
+    The engine walks :attr:`order` with a cursor, so what it reads per
+    batch is stored per *position* of :attr:`order`, and each batch's
+    group sizes are interned into :attr:`shapes`: a warp's atomics
+    coalesce into a few groups, so a kernel has only a handful of
+    distinct shapes.
     """
 
     #: Batch indices grouped by warp: one run per warp, warps in
@@ -72,12 +78,19 @@ class EngineInputs:
     order: tuple[int, ...]
     #: Where each warp's run starts in :attr:`order`, then ``len(order)``.
     run_starts: tuple[int, ...]
-    #: :attr:`CoalescedTrace.offsets`, ``.slots`` and ``.sizes``.
-    offsets: tuple[int, ...]
+    #: :attr:`CoalescedTrace.slots`, indexed by group.
     group_slots: tuple[int, ...]
-    group_sizes: tuple[int, ...]
+    #: The distinct batch shapes (tuples of :attr:`CoalescedTrace.sizes`
+    #: of one batch); id 0 is the empty shape of a batch with no active
+    #: lane, whether or not the trace has one.
+    shapes: tuple[tuple[int, ...], ...]
+    #: Per position ``p`` of :attr:`order`, for batch ``order[p]``: its
+    #: shape id, the offset of its first group in :attr:`group_slots`
+    #: (:attr:`CoalescedTrace.offsets`) and its
     #: :attr:`KernelTrace.compute_cycles_per_batch`.
-    compute: tuple[float, ...]
+    pos_shape: tuple[int, ...]
+    pos_offset: tuple[int, ...]
+    pos_compute: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -225,13 +238,30 @@ class KernelTrace:
         coalesced = vars(self).get("coalesced")
         if coalesced is None:
             coalesced = coalesce_trace(self.lane_slots)
+        offsets = coalesced.offsets
+        # Intern shapes without a per-batch loop: pad each batch's group
+        # sizes with zeros to one row of bytes and deduplicate the rows as
+        # opaque byte strings (much faster than ``np.unique(axis=0)``).
+        # Sizes are positive, so a row's nonzero prefix is its shape, and
+        # the all-zero row -- prepended so that it exists -- sorts first.
+        batch_of_group = np.repeat(np.arange(self.n_batches), np.diff(offsets))
+        padded = np.zeros((self.n_batches + 1, WARP_SIZE), dtype=np.uint8)
+        padded[1 + batch_of_group,
+               np.arange(coalesced.n_groups) - offsets[batch_of_group]] = coalesced.sizes
+        rows, shape_of = np.unique(padded.view(f"V{WARP_SIZE}").ravel(),
+                                   return_inverse=True)
+        rows = rows.view(np.uint8).reshape(-1, WARP_SIZE)
+        shapes = tuple(tuple(row[:n]) for row, n in
+                       zip(rows.tolist(), np.count_nonzero(rows, axis=1).tolist()))
+        shape_of = shape_of[1:]
         return EngineInputs(
             order=shared(ints, order.tolist()),
             run_starts=shared(ints, run_starts.tolist()),
-            offsets=shared(ints, coalesced.offsets.tolist()),
             group_slots=shared(ints, coalesced.slots.tolist()),
-            group_sizes=shared(ints, coalesced.sizes.tolist()),
-            compute=shared(floats, self.compute_cycles_per_batch.tolist()),
+            shapes=shapes,
+            pos_shape=shared(ints, shape_of[order].tolist()),
+            pos_offset=shared(ints, offsets[order].tolist()),
+            pos_compute=shared(floats, self.compute_cycles_per_batch[order].tolist()),
         )
 
     @cached_property

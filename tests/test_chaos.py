@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -104,6 +106,23 @@ def counted(metrics, name, **labels):
     if family is None:
         return 0
     return family.value(**labels) if labels else family.total()
+
+
+def assert_workers_exit(workers, budget_s=10.0):
+    """Every pool worker in *workers* exits within *budget_s* seconds.
+
+    Waits on each worker's sentinel rather than ``join()`` plus
+    ``is_alive()``: the executor's management thread reaps the same
+    children, and a ``Popen.poll()`` (behind both) that loses that
+    ``waitpid`` race reads ECHILD as "alive" for a worker already gone.
+    """
+    assert workers
+    pending = {process.sentinel: process for process in workers}
+    deadline = time.monotonic() + budget_s
+    while pending and time.monotonic() < deadline:
+        for ready in wait(list(pending), deadline - time.monotonic()):
+            del pending[ready]
+    assert not pending, f"workers outlived the interrupt: {pending}"
 
 
 def serial_baseline(tmp_path, workloads=WORKLOADS):
@@ -221,11 +240,7 @@ def test_interrupt_shuts_pool_down_cleanly(fake_registry, tmp_path,
         run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
                             policy=chaos_policy())
     assert {"wait": False, "cancel_futures": True} in shutdowns
-    assert workers
-    for process in workers:
-        process.join(timeout=10.0)
-    assert not [p for p in workers if p.is_alive()], \
-        "an interrupted run must not leave worker processes running"
+    assert_workers_exit(workers)
 
     # The interrupted cell completed first: journaled under its
     # content-address key, entry on disk, and seeded into memory.
@@ -386,8 +401,6 @@ def test_ctrl_c_inside_a_running_event_loop_stops_the_broker(
     import asyncio
     import signal
     import threading
-    import time
-    from multiprocessing.connection import wait
 
     serial_baseline(tmp_path)
     workers = []
@@ -418,16 +431,7 @@ def test_ctrl_c_inside_a_running_event_loop_stops_the_broker(
         loop.close()
     assert not [t for t in threading.enumerate()
                 if t.name == "repro-matrix" and t.is_alive()]
-    assert workers
-    # Wait on each worker's sentinel: the executor's management thread
-    # reaps the same children, and a Popen.poll() (behind join() and
-    # is_alive()) that loses that race reads ECHILD as "alive".
-    pending = {process.sentinel: process for process in workers}
-    deadline = time.monotonic() + 10.0
-    while pending and time.monotonic() < deadline:
-        for ready in wait(list(pending), deadline - time.monotonic()):
-            del pending[ready]
-    assert not pending, f"workers outlived the interrupt: {pending}"
+    assert_workers_exit(workers)
 
 
 # --------------------------------------------------------------------- #

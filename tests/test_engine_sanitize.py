@@ -1,9 +1,11 @@
 """``REPRO_SANITIZE=1`` event-order checks in the engine.
 
-Every tuple the engine pushes onto its ready heap ends in a monotonic
-``push_seq`` tiebreaker, so equal-time events pop in a fixed order.  The
-sanitizer asserts in the pop loop that the popped event stream is
-strictly increasing.  These tests pin that the assert fires when a push
+Every tuple the engine pushes onto its ready heap is ``(time, subcore,
+push_seq, cursor, run_end)``.  ``push_seq`` is unique and increases with
+every push, so equal-time events pop in a fixed order and no comparison
+reaches the cursor payload after it.  The sanitizer asserts in the event
+loop that the stream of ``(time, subcore, push_seq)`` it takes off the
+heap is strictly increasing.  These tests pin that the assert fires when a push
 goes back in time, and that it changes no results (same heap, same
 pops, only an extra comparison per pop), across strategies with very
 different event patterns.
@@ -60,15 +62,17 @@ def test_sanitizer_zero_means_off(monkeypatch):
 
 
 def test_sanitizer_catches_a_push_that_goes_back_in_time(monkeypatch):
-    real_heappush = engine.heappush
+    # A sub-core's next event replaces its current one on the ready heap
+    # (the ROP heaps of floats go through heapreplace too).
+    real_heapreplace = engine.heapreplace
 
     def backwards(heap, item):
         # Every ready-heap push lands before the kernel started.
         if isinstance(item, tuple):
             item = (-1.0, *item[1:])
-        real_heappush(heap, item)
+        return real_heapreplace(heap, item)
 
-    monkeypatch.setattr(engine, "heappush", backwards)
+    monkeypatch.setattr(engine, "heapreplace", backwards)
     trace = mixed_locality_trace(n_batches=120, seed=3)
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     simulate_kernel(trace, small_gpu(), BaselineAtomic())

@@ -20,6 +20,20 @@ def make_trace(lane_slots, **kwargs):
     return KernelTrace(lane_slots=lane_slots, **defaults)
 
 
+@st.composite
+def engine_traces(draw):
+    """Small traces with idle batches, repeated slots and interleaved warps."""
+    n = draw(st.integers(0, 12))
+    lanes = draw(hnp.arrays(np.int64, (n, WARP_SIZE),
+                            elements=st.integers(INACTIVE, 4)))
+    lanes[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = INACTIVE
+    return make_trace(
+        lanes, n_slots=5,
+        warp_id=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        compute_cycles=np.array(draw(st.lists(
+            st.sampled_from([0.0, 1.5, 120.0]), min_size=n, max_size=n))))
+
+
 class TestValidation:
     def test_wrong_lane_width_rejected(self):
         with pytest.raises(ValueError):
@@ -130,13 +144,44 @@ class TestEngineInputs:
         trace = make_trace(lanes, warp_id=[5, 2, 5, 2],
                            compute_cycles=np.array([1.0, 2.0, 3.0, 4.0]))
         inputs = trace.engine_inputs
-        coalesced = trace.coalesced
         assert inputs.order == (0, 2, 1, 3)
         assert inputs.run_starts == (0, 2, 4)
-        assert inputs.offsets == tuple(coalesced.offsets.tolist())
         assert inputs.group_slots == (1, 2, 0, 3)
-        assert inputs.group_sizes == (2, 1, 1, 1)
-        assert inputs.compute == (1.0, 2.0, 3.0, 4.0)
+        assert inputs.shapes[0] == ()
+        assert sorted(inputs.shapes) == [(), (1, 1), (2, 1)]
+        assert [inputs.shapes[i] for i in inputs.pos_shape] \
+            == [(2, 1), (1, 1), (), ()]
+        assert inputs.pos_offset == (0, 2, 2, 4)
+        assert inputs.pos_compute == (1.0, 3.0, 2.0, 4.0)
+
+    @given(engine_traces())
+    @settings(max_examples=80, deadline=None)
+    def test_positions_hold_their_batch_shape_offset_and_compute(self, trace):
+        inputs = trace.engine_inputs
+        coalesced = trace.coalesced
+        offsets = coalesced.offsets.tolist()
+        sizes = coalesced.sizes.tolist()
+        order = list(inputs.order)
+        assert sorted(order) == list(range(trace.n_batches))
+        for position, batch in enumerate(order):
+            lo, hi = offsets[batch], offsets[batch + 1]
+            assert inputs.shapes[inputs.pos_shape[position]] == tuple(sizes[lo:hi])
+            if lo == hi:
+                assert inputs.pos_shape[position] == 0
+        # The per-position fields are the per-batch arrays permuted by order.
+        assert inputs.pos_offset == tuple(coalesced.offsets[order].tolist())
+        assert inputs.pos_compute \
+            == tuple(trace.compute_cycles_per_batch[order].tolist())
+
+    @given(engine_traces())
+    @settings(max_examples=60, deadline=None)
+    def test_shapes_are_distinct_and_empty_is_id_zero(self, trace):
+        shapes = trace.engine_inputs.shapes
+        assert shapes[0] == ()
+        assert len(set(shapes)) == len(shapes)
+        assert all(isinstance(size, int) for shape in shapes for size in shape)
+        # Every shape but the empty one is some batch's.
+        assert set(trace.engine_inputs.pos_shape) | {0} == set(range(len(shapes)))
 
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
