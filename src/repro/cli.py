@@ -20,8 +20,9 @@ Thin wrappers over the library for the common one-off questions:
 (default from ``REPRO_JOBS``) and ``--no-cache`` to bypass the
 persistent disk cache; both paths are bit-identical to a serial
 uncached run.  Parallel runs are fault tolerant (retries, per-cell
-timeouts via ``REPRO_CELL_TIMEOUT``, pool-crash recovery, resumable
-manifests) and print the run's metrics summary after the table.
+timeouts via ``REPRO_CELL_TIMEOUT``, pool-crash recovery) and resume
+from the disk cache: a rerun simulates only the cells it lacks.  They
+print the run's metrics summary after the table.
 
 Observability: ``simulate --timeline out.json`` saves a per-strategy
 telemetry timeline, ``profile --perfetto out.trace.json`` writes a
@@ -722,7 +723,6 @@ def _cmd_serve(args) -> int:
         stats = snapshot.get("stats", {})
         sup = snapshot.get("supervisor", {})
         breaker = sup.get("breaker", {})
-        print(f"session:   {snapshot.get('session')}")
         print(f"pool:      jobs={snapshot.get('jobs')} "
               f"restarts={sup.get('restarts', 0)}")
         queue = snapshot.get("queue", {})

@@ -9,7 +9,6 @@ from repro.experiments.diskcache import (
     strategy_fingerprint,
 )
 from repro.experiments.faults import FaultPlan, FaultSpec, InjectedFault
-from repro.experiments.manifest import RunManifest
 from repro.experiments.parallel import (
     CellSpec,
     default_jobs,
@@ -58,7 +57,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "RetryPolicy",
-    "RunManifest",
     "default_jobs",
     "plan_cells",
     "run_matrix_parallel",

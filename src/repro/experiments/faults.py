@@ -16,7 +16,7 @@ failures those proofs need, at exactly chosen points:
   truncated, exercising quarantine on the next read;
 * ``interrupt``     -- a :class:`KeyboardInterrupt` is raised in the
   *parent* after the cell's result is recorded, exercising the clean
-  Ctrl-C shutdown and manifest-resume paths;
+  Ctrl-C shutdown and the rerun's resume from the disk cache;
 * ``queue-full``    -- the service broker treats its admission queue as
   saturated for the targeted cell's Nth..1st admission attempts,
   exercising load-shedding deterministically (see
@@ -276,8 +276,9 @@ def on_completed(cell: str) -> None:
     """Parent-side hook fired after *cell*'s result has been recorded.
 
     An ``interrupt`` fault raises :class:`KeyboardInterrupt` here --
-    after the manifest append and cache seeding, exactly where a real
-    Ctrl-C between cells would land.
+    after the worker stored the result and the parent seeded its
+    in-memory cache, exactly where a real Ctrl-C between cells would
+    land.
     """
     plan = active_plan()
     if plan is not None and plan.find(cell, "interrupt", 1):

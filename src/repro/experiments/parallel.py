@@ -3,14 +3,13 @@
 Every (workload, GPU, strategy) cell of an experiment matrix is an
 independent simulation, which makes the figure harness embarrassingly
 parallel.  :func:`run_matrix_parallel` plans the same cell list as the
-serial :func:`~repro.experiments.runner.run_matrix`, skips the cells a
-previous interrupted run already finished, and submits the rest to one
+serial :func:`~repro.experiments.runner.run_matrix`, skips the cells
+whose results the disk cache already holds (so an interrupted run
+resumes instead of restarting), and submits the rest to one
 :class:`~repro.service.broker.Broker` -- the simulation service's own
 front to the pool: one spawn worker pool under a circuit breaker,
-bounded retries with deterministic backoff, per-attempt timeouts, pool-crash
-recovery, in-process degradation, and a session journal
-(:mod:`repro.experiments.manifest`) so interrupted runs resume instead
-of restarting.
+bounded retries with deterministic backoff, per-attempt timeouts,
+pool-crash recovery and in-process degradation.
 
 Determinism is a hard requirement ("parallel and cached runs produce
 bit-identical results to serial uncached runs"), so the design removes
@@ -44,7 +43,6 @@ from typing import TYPE_CHECKING
 from repro import obslog
 from repro.experiments import diskcache, faults, runner
 from repro.obs import sanitize, tracing
-from repro.experiments.manifest import RunManifest, run_key
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import Cell, run_matrix
 from repro.gpu import GPUConfig, SimResult
@@ -273,7 +271,6 @@ def run_matrix_parallel(
     skip_inapplicable: bool = True,
     policy: "RetryPolicy | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    resume: bool = True,
 ) -> list[Cell]:
     """Parallel, fault-tolerant, bit-identical drop-in for
     :func:`run_matrix`.
@@ -283,11 +280,10 @@ def run_matrix_parallel(
     under *policy* (default: :meth:`RetryPolicy.from_env`): failed
     cells are retried with deterministic backoff, hung cells time out,
     a crashed pool is respawned, and cells that exhaust retries degrade
-    to in-process serial execution.  The broker's session journal is
-    named after the matrix (:func:`~repro.experiments.manifest.run_key`)
-    and kept when the run is interrupted, so a rerun loads the finished
-    cells from the disk cache and simulates only the remainder; pass
-    ``resume=False`` to discard any existing journal first.
+    to in-process serial execution.  Every cell the disk cache already
+    holds -- stored by an interrupted run, another matrix or a serial
+    run -- is loaded in the parent and logged as a ``cell.skip``; only
+    the remainder goes to the broker.
 
     Pass a :class:`~repro.obs.metrics.MetricsRegistry` as *metrics* to
     receive the broker's counters (attempt outcomes, degradations, pool
@@ -313,7 +309,7 @@ def run_matrix_parallel(
         return []
 
     # Content-address every cell up front (traces are memoized in the
-    # parent): the same keys address the disk cache and the journal.
+    # parent), so the disk cache can serve what it already holds.
     keys = [
         diskcache.result_key(
             spec.gpu,
@@ -322,24 +318,20 @@ def run_matrix_parallel(
         )
         for spec in specs
     ]
-    session = run_key(keys)
     results: dict[int, SimResult] = {}
 
     cache = diskcache.active_cache()
-    journal = None
     if cache is not None:
-        journal = RunManifest.for_session(cache.root / "manifests", session)
-        if not resume:
-            journal.discard()
-        finished = journal.load()
         for index, key in enumerate(keys):
-            if key not in finished:
+            # Only entries that exist are read, so a cold cell's one
+            # lookup (and its cache.miss) stays in the worker.
+            if not cache.entry_path(key).exists():
                 continue
             cached = cache.load(key)
             if cached is not None:
                 results[index] = cached
                 obslog.emit("cell.skip", cell=specs[index].cell_id,
-                            reason="manifest-resume", key=key)
+                            reason="cached", key=key)
 
     def on_result(index: int, result: SimResult) -> None:
         spec = specs[index]
@@ -353,10 +345,8 @@ def run_matrix_parallel(
 
         broker = Broker(jobs=min(jobs, len(pending)),
                         queue_depth=len(pending), policy=policy,
-                        session=session, metrics=metrics)
+                        metrics=metrics)
         _run_to_completion(_drive(broker, specs, pending, on_result))
-    elif journal is not None:
-        journal.discard()
 
     cells = []
     for index, spec in enumerate(specs):
@@ -425,8 +415,8 @@ async def _drive(broker: "Broker", specs: "list[CellSpec]",
     raises -- the chaos ``interrupt`` fault's ``KeyboardInterrupt``
     included -- is caught below before asyncio can re-raise it out of
     the loop.  Any failure stops the broker undrained: the pool shuts
-    down with ``wait=False, cancel_futures=True`` and the journal stays
-    for the rerun.
+    down with ``wait=False, cancel_futures=True``, and the cells that
+    finished stay in the disk cache for the rerun.
     """
     import asyncio
 

@@ -2,10 +2,10 @@
 to the event loop, and check it against two declared tables.
 
 The stack's bit-identity claims rest on two disciplines: shared files
-(cache entries, the quarantine, run journals, the obslog sink) are
-written only through a sound protocol, and the service's event loop
-blocks only at audited sites.  :data:`SHARED_WRITES` declares the
-``(resource class, write protocol)`` pairs the stack performs, and
+(cache entries, the quarantine, the obslog sink) are written only
+through a sound protocol, and the service's event loop blocks only
+at audited sites.  :data:`SHARED_WRITES` declares the ``(resource
+class, write protocol)`` pairs the stack performs, and
 :data:`LOOP_IO_FRAMES` the repro frames allowed to do I/O on the loop
 thread.  This module records the ground truth those tables are held
 against, as the engine's heap-tie assert does for its event order.  With
@@ -64,7 +64,6 @@ __all__ = [
     "PROTOCOL_RAW_WRITE",
     "RESOURCE_CACHE_QUARANTINE",
     "RESOURCE_CACHE_RESULTS",
-    "RESOURCE_MANIFEST",
     "RESOURCE_OBSLOG",
     "SANITIZE_ENV",
     "SANITIZE_LOG_ENV",
@@ -99,7 +98,6 @@ PROTOCOL_BUFFERED_APPEND = "buffered-append"
 # Shared-resource classes: files several processes write at once.
 RESOURCE_CACHE_RESULTS = "cache-results"
 RESOURCE_CACHE_QUARANTINE = "cache-quarantine"
-RESOURCE_MANIFEST = "manifest"
 RESOURCE_OBSLOG = "obslog"
 
 #: Every shared-file write the stack performs, as (resource class,
@@ -113,7 +111,6 @@ RESOURCE_OBSLOG = "obslog"
 SHARED_WRITES = frozenset({
     (RESOURCE_CACHE_RESULTS, PROTOCOL_ATOMIC_RENAME),
     (RESOURCE_CACHE_QUARANTINE, PROTOCOL_ATOMIC_RENAME),
-    (RESOURCE_MANIFEST, PROTOCOL_APPEND),
     (RESOURCE_OBSLOG, PROTOCOL_APPEND),
 })
 
@@ -121,16 +118,10 @@ SHARED_WRITES = frozenset({
 #: thread, as the innermost repro frame :func:`observed_frames` reports.
 #: Anything else observed there is a new stall and fails the check.
 LOOP_IO_FRAMES = frozenset({
-    # A single O_APPEND line: telemetry, spans and the run journal.
+    # A single O_APPEND line: telemetry and spans.
     "repro.obslog.emit",
-    # Run-journal read, once at broker start and on crash recovery.
-    "repro.obslog.read_events",
     # Engine-source hash behind every cell key; memoized per process.
     "repro.experiments.diskcache.engine_fingerprint",
-    # Crash recovery serves a journalled cell from the disk cache ...
-    "repro.experiments.diskcache.DiskCache.load",
-    # ... and moves a corrupt entry it meets there aside.
-    "repro.experiments.diskcache.DiskCache._quarantine",
     # Once-per-trace spool write that pool workers load the trace from.
     "repro.trace.io.save_trace",
     # Creating the trace spool directory at startup (a process's first
@@ -148,7 +139,6 @@ LOOP_IO_FRAMES = frozenset({
 _CACHE_DIR_RESOURCES = {
     "results": RESOURCE_CACHE_RESULTS,
     "quarantine": RESOURCE_CACHE_QUARANTINE,
-    "manifests": RESOURCE_MANIFEST,
 }
 
 #: Directory of the ``repro`` package, for frame attribution.

@@ -4,7 +4,7 @@ Two complementary channels:
 
 * :func:`emit` -- an append-only **JSONL event stream** (one JSON object
   per line) recording what the run *did*: cache
-  hit/miss/write/quarantine, journal resume decisions (``cell.skip``),
+  hit/miss/write/quarantine, resume decisions (``cell.skip``),
   and the broker's request lifecycle for daemon requests and parallel
   matrix cells alike (``svc.accept`` / ``svc.attempt`` /
   ``svc.degrade`` / ``svc.breaker`` / ``svc.finish`` and friends from

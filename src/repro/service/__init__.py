@@ -1,7 +1,7 @@
 """Simulation-as-a-service: the async facade over the experiment stack.
 
 The packages below :mod:`repro.experiments` know how to execute one
-matrix of cells well (spawn pool, disk cache, manifests, retries); this
+matrix of cells well (spawn pool, disk cache, retries); this
 package turns them into a *long-running* service:
 
 * :mod:`repro.service.request`    -- typed requests, responses and
@@ -19,7 +19,7 @@ package turns them into a *long-running* service:
 
 Everything the service persists flows through the writers
 :data:`repro.obs.sanitize.SHARED_WRITES` declares (atomic-rename cache
-entries, O_APPEND journal and obslog lines); the service layer itself
+entries, O_APPEND obslog lines); the service layer itself
 opens no shared file.
 """
 

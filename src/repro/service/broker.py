@@ -26,26 +26,26 @@ own, so both paths share every mechanism below:
 * **supervised execution** -- pool-level failures (crash, timeout) are
   retried with the PR 3 deterministic backoff, reported to the
   :class:`~repro.service.supervisor.PoolSupervisor` (whose breaker may
-  take the pool away), recovered from the session journal + disk cache
-  where possible, and degraded to in-process serial execution when the
-  breaker is open or retries are exhausted.  Recovery never changes
-  *what* is computed, so responses stay bit-identical to serial runs.
+  take the pool away), and degraded to in-process serial execution
+  when the breaker is open or retries are exhausted.  A retry through
+  the respawned pool re-enters the worker's disk-cache lookup, so a
+  cell whose result was stored before the crash is loaded, not
+  re-simulated.  Recovery never changes *what* is computed, so
+  responses stay bit-identical to serial runs.
 
 Process safety shapes the I/O: the broker itself performs **no direct
 writes** to any shared file.  Results reach the disk cache through the
-worker's existing atomic-rename writer, and completions (the session
-journal, :class:`~repro.experiments.manifest.RunManifest`) and
-telemetry both go through :func:`repro.obslog.emit`'s single
-``O_APPEND`` write -- the writers :data:`repro.obs.sanitize.SHARED_WRITES`
-declares, so the runtime sanitizer observes nothing new when the daemon
-runs under ``REPRO_SANITIZE=1``.
+worker's existing atomic-rename writer, and telemetry goes through
+:func:`repro.obslog.emit`'s single ``O_APPEND`` write -- the writers
+:data:`repro.obs.sanitize.SHARED_WRITES` declares, so the runtime
+sanitizer observes nothing new when the daemon runs under
+``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -59,7 +59,6 @@ from repro import obslog
 from repro.experiments import diskcache, faults, parallel, runner
 from repro.obs import metrics as obsmetrics
 from repro.obs.tracing import Span
-from repro.experiments.manifest import RunManifest
 from repro.experiments.resilience import RetryPolicy
 from repro.gpu import SimResult
 from repro.service.request import (
@@ -95,9 +94,6 @@ STAT_COUNTERS = {
     "executions": ("repro_service_executions_total",
                    "Pool attempt submissions", ()),
     "failures": ("repro_service_failures_total", "Failed attempts", ()),
-    "journal_recoveries": (
-        "repro_service_journal_recoveries_total",
-        "Crash recoveries served from journal + disk cache", ()),
     "completed": ("repro_service_completed_total", "Completed executions",
                   ("source",)),
 }
@@ -163,7 +159,6 @@ class Broker:
         probe_timeout: float = 10.0,
         clock=time.monotonic,
         paused: bool = False,
-        session: "str | None" = None,
         metrics: "obsmetrics.MetricsRegistry | None" = None,
     ):
         if jobs < 1:
@@ -178,7 +173,6 @@ class Broker:
         self._breaker = breaker
         self._clock = clock
         self._paused = paused
-        self._session = session if session is not None else f"pid{os.getpid()}"
         self._started = False
         self._stopping = False
         self._inflight: "dict[str, _Entry]" = {}
@@ -186,8 +180,6 @@ class Broker:
         self._results: "dict[str, _Memo]" = {}
         self._arrivals: "dict[str, int]" = {}
         self._spooled: "set[str]" = set()
-        self._journal: "RunManifest | None" = None
-        self._journalled: "set[str]" = set()
         self._t0 = self._clock()
         #: The store for every service counter and timing.  A fresh
         #: registry per broker keeps ``snapshot()["stats"]`` per-broker;
@@ -253,7 +245,7 @@ class Broker:
     # ----------------------------------------------------------------- #
 
     async def start(self) -> None:
-        """Spin up the queue, dispatchers, worker pool and journal."""
+        """Spin up the queue, dispatchers and worker pool."""
         if self._started:
             return
         self._loop = asyncio.get_running_loop()
@@ -296,13 +288,6 @@ class Broker:
         self._inproc = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-svc-inproc"
         )
-        if cache is not None:
-            self._journal = RunManifest.for_session(
-                cache.root / "manifests", self._session
-            )
-            # One journal read at startup, before any request is
-            # admitted: nothing is queued yet, so nothing can stall.
-            self._journalled = set(self._journal.load())
         self._dispatchers = [
             self._loop.create_task(self._dispatch_loop())
             for _ in range(max(1, self.concurrency))
@@ -311,15 +296,10 @@ class Broker:
         self._stopping = False
         self.emit_event("svc.start", jobs=self.jobs,
                         queue_depth=self.queue_depth,
-                        concurrency=self.concurrency, session=self._session)
+                        concurrency=self.concurrency)
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop dispatchers and the pool; optionally drain queued work.
-
-        A drained stop completed every admitted request, so the session
-        journal has nothing left to resume and is discarded; an
-        undrained stop (an interrupt) keeps it for the rerun.
-        """
+        """Stop dispatchers and the pool; optionally drain queued work."""
         if not self._started:
             return
         if drain:
@@ -333,8 +313,6 @@ class Broker:
         # workers rather than wait on them at interpreter exit.
         self._supervisor.shutdown(terminate=not drain)
         self._inproc.shutdown(wait=False)
-        if drain and self._journal is not None:
-            self._journal.discard()
         self._spool.cleanup()
         self._started = False
         self.emit_event("svc.stop", **self._stats())
@@ -640,12 +618,7 @@ class Broker:
                 return
             if outcome is None:
                 attempt_span.end(outcome="requeued")
-                if self._recover_from_journal(entry):
-                    return
                 continue
-            if outcome == "crash" and self._recover_from_journal(
-                    entry, attempt_span):
-                return
             self._count["failures"].inc()
             attempt_span.end(outcome=outcome)
             self._m_attempts.inc(outcome=outcome)
@@ -682,33 +655,6 @@ class Broker:
             return
         self._complete(entry, result, "inproc")
 
-    def _recover_from_journal(self, entry: _Entry,
-                              attempt_span: "Span | None" = None) -> bool:
-        """After a pool crash, serve the entry from journal + disk cache
-        instead of re-executing, when a previous completion wrote both."""
-        if entry.key not in self._journalled and self._journal is not None:
-            # Crash-recovery path only: the pool just died, every
-            # in-flight request is already stalled on its restart.
-            self._journalled = set(self._journal.load())
-        if entry.key not in self._journalled:
-            return False
-        cache = diskcache.active_cache()
-        if cache is None:
-            return False
-        # Same crash-recovery path: one cache read replaces a full
-        # re-execution through a freshly respawned pool.
-        result = cache.load(entry.key)
-        if result is None:
-            return False
-        self._count["journal_recoveries"].inc()
-        if attempt_span is not None:
-            attempt_span.end(outcome="crash", recovered=True)
-            self._m_attempts.inc(outcome="crash")
-        self.emit_event("svc.recover", cell=entry.cell, key=entry.key,
-                        source="journal")
-        self._complete(entry, result, "journal")
-        return True
-
     # ----------------------------------------------------------------- #
     # Completion
     # ----------------------------------------------------------------- #
@@ -719,13 +665,6 @@ class Broker:
         # Encoded once here; every reply for this key splices the text.
         memo = _Memo(result, json.dumps(result.to_dict()))
         self._results[entry.key] = memo
-        if self._journal is not None:
-            self._journal.record(entry.key, {
-                "workload": entry.spec.workload,
-                "gpu": entry.spec.gpu.name,
-                "strategy": entry.spec.strategy,
-            })
-            self._journalled.add(entry.key)
         self._count["completed"].inc(source=source)
         exec_span_id = None
         if entry.exec_span is not None:
@@ -770,7 +709,6 @@ class Broker:
 
     def snapshot(self) -> dict:
         snap = {
-            "session": self._session,
             "jobs": self.jobs,
             "queue": {
                 "depth": self.queue_depth,

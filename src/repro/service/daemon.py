@@ -100,7 +100,7 @@ class ServiceDaemon:
         if ready is not None:
             ready.set()
         # SIGINT/SIGTERM request the same clean drain as a shutdown op,
-        # so Ctrl-C never strands worker processes or a journal.
+        # so Ctrl-C never strands worker processes.
         loop = asyncio.get_running_loop()
         hooked = []
         for signum in (signal.SIGINT, signal.SIGTERM):

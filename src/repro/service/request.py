@@ -114,10 +114,9 @@ class ServiceResponse:
 
     ``source`` is where the bytes came from: ``"worker"`` (pool
     execution), ``"inproc"`` (serial degradation -- breaker open or
-    retries exhausted), ``"memo"`` (an earlier request for the same key
-    completed) or ``"journal"`` (recovered from the session journal +
-    disk cache after a pool crash).  ``coalesced`` marks responses that
-    piggybacked on another request's execution.
+    retries exhausted) or ``"memo"`` (an earlier request for the same
+    key completed).  ``coalesced`` marks responses that piggybacked on
+    another request's execution.
 
     ``trace_id`` / ``span_id`` name the broker's ``svc.request`` span
     for this request; ``exec_span_id`` (when the request executed or

@@ -82,7 +82,6 @@ class CircuitBreaker:
         self._clock = clock
         self._failures = 0   # consecutive pool-level failures
         self._trips = 0      # consecutive trips (resets on success)
-        self.trips_total = 0
         self.open_backoff = 0.0
         self._state = "closed"
         self._open_until = 0.0
@@ -112,7 +111,6 @@ class CircuitBreaker:
             self.backoff_max,
         )
         self._trips += 1
-        self.trips_total += 1
         self._state = "open"
         self._open_until = self._clock() + self.open_backoff
 
@@ -125,7 +123,6 @@ class CircuitBreaker:
         return {
             "state": self.state,
             "consecutive_failures": self._failures,
-            "trips_total": self.trips_total,
             "open_backoff": self.open_backoff,
         }
 
@@ -138,8 +135,8 @@ class PoolSupervisor:
     returns the live executor, or ``None`` while the breaker holds
     traffic off the pool (the caller then degrades).  Pool-level
     failures are reported through :meth:`fail`, successes through
-    :meth:`ok`.  Restarts and probes are counted only in the broker's
-    metrics registry, which :meth:`snapshot` reads back.
+    :meth:`ok`.  Trips, restarts and probes are counted only in the
+    broker's metrics registry, which :meth:`snapshot` reads back.
     """
 
     #: Breaker state encoded for the ``repro_service_breaker_state``
@@ -298,7 +295,8 @@ class PoolSupervisor:
 
     def snapshot(self) -> dict:
         return {
-            "breaker": self.breaker.snapshot(),
+            "breaker": {**self.breaker.snapshot(),
+                        "trips_total": self._m_trips.total()},
             "restarts": self._m_restarts.total(),
             "probes": self._m_probes.total(),
             "probe_failures": int(self._m_probes.value(outcome="failed")),

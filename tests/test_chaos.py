@@ -11,17 +11,18 @@ invariant: recovery never changes results.  The acceptance proofs:
   bit-identical to a clean serial run, and a warm rerun quarantines the
   corrupt entry instead of serving or deleting it;
 * **resume** -- a run interrupted after K of N cells re-simulates only
-  the N-K remainder (asserted via the broker's admissions and the
-  journal);
+  the N-K remainder (asserted via the broker's admissions and the disk
+  cache's entries), and a later, larger matrix admits only the cells
+  no earlier run cached;
 * **clean Ctrl-C** -- an interrupt shuts the pool down with
   ``cancel_futures``, and every completed cell is already seeded in the
-  caches and recorded in the journal;
+  in-memory and disk caches;
 * **bounded retries and graceful degradation** -- transient errors are
   retried with deterministic backoff, exhausted cells fall back to
   in-process execution, and only a cell that fails *that too* raises.
 
 The pool-driving tests spawn real worker processes; the unit tests at
-the bottom cover the plan/policy/manifest primitives in-process.
+the bottom cover the plan/policy primitives in-process.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro import obslog
 from repro.experiments import diskcache, faults, runner
 from repro.experiments import parallel
 from repro.experiments.faults import FaultPlan, FaultSpec, InjectedFault
-from repro.experiments.manifest import RunManifest, run_key
 from repro.experiments.parallel import plan_cells, run_matrix_parallel
 from repro.experiments.resilience import RetryPolicy
 from repro.experiments.runner import clear_caches, run_matrix
@@ -195,11 +195,11 @@ def test_interrupted_run_resumes_without_resimulating(fake_registry,
                             policy=chaos_policy(), metrics=MetricsRegistry())
 
     cache = diskcache.active_cache()
-    manifest_paths = list((cache.root / "manifests").glob("*.jsonl"))
-    assert len(manifest_paths) == 1, "interrupt must leave the journal"
-    finished = RunManifest(manifest_paths[0]).load()
-    completed_before = len(finished)
+    completed_before = len(cache.entries())
     assert 1 <= completed_before <= N_CELLS
+    # The disk cache is the one record of finished work.
+    assert {path.name for path in cache.root.iterdir()} <= {
+        "results", "quarantine"}
 
     faults.configure(None)
     clear_caches()
@@ -211,15 +211,39 @@ def test_interrupted_run_resumes_without_resimulating(fake_registry,
     assert counted(metrics, "repro_service_admitted_total") == remainder
     assert counted(metrics, "repro_service_completed_total",
                    source="worker") == remainder
-    assert not list((cache.root / "manifests").glob("*.jsonl")), \
-        "a completed run must discard its journal"
+
+
+def test_superset_matrix_resumes_from_cells_a_smaller_run_cached(
+        fake_registry, tmp_path):
+    """A matrix run after a smaller one admits only the cells the first
+    did not compute, and logs one ``cell.skip`` (cached) per other."""
+    serial = serial_baseline(tmp_path)
+    run_matrix_parallel(["P1"], STRATEGIES, GPUS, jobs=2,
+                        policy=chaos_policy())
+    first = sorted(f"P1|3060-Sim|{strategy}" for strategy in STRATEGIES)
+
+    clear_caches()
+    sink = tmp_path / "superset.jsonl"
+    previous = obslog.set_obslog_path(sink)
+    try:
+        metrics = MetricsRegistry()
+        cells = run_matrix_parallel(WORKLOADS, STRATEGIES, GPUS, jobs=2,
+                                    policy=chaos_policy(), metrics=metrics)
+    finally:
+        obslog.set_obslog_path(previous)
+    assert cell_tuples(cells) == cell_tuples(serial)
+    assert counted(metrics, "repro_service_admitted_total") \
+        == N_CELLS - len(first)
+    skips = [e for e in obslog.read_events(sink) if e["event"] == "cell.skip"]
+    assert sorted(e["cell"] for e in skips) == first
+    assert all(e["reason"] == "cached" for e in skips)
 
 
 def test_interrupt_shuts_pool_down_cleanly(fake_registry, tmp_path,
                                            monkeypatch):
     """Ctrl-C cancels queued futures, ends the workers -- also one still
     busy with a hung cell -- and loses no completed work: the finished
-    cells are seeded in memory, on disk, and in the journal."""
+    cells are seeded in memory and on disk."""
     serial_baseline(tmp_path)
     shutdowns = []
     workers = []
@@ -242,17 +266,14 @@ def test_interrupt_shuts_pool_down_cleanly(fake_registry, tmp_path,
     assert {"wait": False, "cancel_futures": True} in shutdowns
     assert_workers_exit(workers)
 
-    # The interrupted cell completed first: journaled under its
-    # content-address key, entry on disk, and seeded into memory.
+    # The interrupted cell completed first: stored on disk under its
+    # content-address key, and seeded into memory.
     cache = diskcache.active_cache()
     key = diskcache.result_key(
         SIMULATED_GPUS["3060-Sim"],
         runner.get_trace("P1"),
         runner.make_strategy("baseline"),
     )
-    manifest_paths = list((cache.root / "manifests").glob("*.jsonl"))
-    assert manifest_paths
-    assert key in RunManifest(manifest_paths[0]).load()
     assert cache.entry_path(key).exists()
 
     monkeypatch.setattr(
@@ -385,6 +406,7 @@ def test_matrix_runs_from_inside_a_running_event_loop(fake_registry,
     assert cell_tuples(asyncio.run(notebook_cell())) == cell_tuples(serial)
 
     clear_caches()
+    diskcache.active_cache().clear()  # else the rerun is served from disk
     faults.configure(FaultPlan((
         FaultSpec(cell="P1|3060-Sim|baseline", kind="error", times=10),
     )))
@@ -551,66 +573,6 @@ def test_retry_policy_validation_and_env(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Run manifest
-# --------------------------------------------------------------------- #
-
-
-def test_run_key_depends_on_cell_order_and_content():
-    assert run_key(["a", "b"]) == run_key(["a", "b"])
-    assert run_key(["a", "b"]) != run_key(["b", "a"])
-    assert run_key(["a", "b"]) != run_key(["a", "b", "c"])
-
-
-def test_manifest_records_survive_torn_and_foreign_lines(tmp_path):
-    manifest = RunManifest.for_session(tmp_path / "manifests",
-                                       run_key(["k1", "k2"]))
-    assert manifest.load() == {}
-    manifest.record("k1", {"workload": "P1"})
-    manifest.record("k2", {"workload": "P2"})
-    with open(manifest.path, "a", encoding="utf-8") as handle:
-        handle.write('{"format": 99, "key": "k3"}\n')  # foreign version
-        handle.write('{"format": 1, "key": "k4"')  # torn trailing append
-
-    records = manifest.load()
-    assert sorted(records) == ["k1", "k2"]
-    assert records["k1"]["cell"] == {"workload": "P1"}
-
-    manifest.discard()
-    assert not manifest.path.exists()
-    manifest.discard()  # idempotent
-
-
-def test_manifest_resumes_a_journal_of_the_older_line_writer(tmp_path):
-    """Journals written before records went through ``obslog.emit``
-    (compact lines without ``event``/``ts``/``pid``) still resume, and
-    new appends land in the same file."""
-    manifest = RunManifest.for_session(tmp_path, "older")
-    manifest.path.write_text(
-        '{"cell":{"workload":"P1"},"format":1,"key":"k1"}\n',
-        encoding="utf-8",
-    )
-    manifest.record("k2", {"workload": "P2"})
-    records = manifest.load()
-    assert sorted(records) == ["k1", "k2"]
-    assert records["k1"]["cell"] == {"workload": "P1"}
-    assert records["k2"]["cell"] == {"workload": "P2"}
-
-
-def test_manifest_on_an_unusable_path_degrades_with_one_warning(tmp_path,
-                                                                caplog):
-    """A journal path that cannot be read or appended reads as empty,
-    and a failed append logs one warning instead of raising."""
-    manifest = RunManifest(tmp_path / "taken.jsonl")
-    manifest.path.mkdir()  # a directory where the journal file belongs
-    assert manifest.load() == {}
-    with caplog.at_level("WARNING", logger="repro"):
-        manifest.record("k1", {"workload": "P1"})
-    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1
-    assert str(manifest.path) in warnings[0].getMessage()
-
-
-# --------------------------------------------------------------------- #
 # What crosses the spawn boundary
 # --------------------------------------------------------------------- #
 
@@ -676,8 +638,7 @@ def test_pool_workers_see_what_the_parent_carried(tmp_path, monkeypatch):
 
     async def scenario():
         broker = broker_module.Broker(jobs=1, paused=True,
-                                      policy=chaos_policy(),
-                                      session="carry")
+                                      policy=chaos_policy())
         await broker.start()
         try:
             pool = await broker._supervisor.acquire()
@@ -918,4 +879,3 @@ def test_iosan_clean_run_uses_only_sound_protocols(fake_registry, tmp_path,
     unsound = observed - sanitize.SHARED_WRITES
     assert not unsound, f"clean run performed unsound writes: {unsound}"
     assert ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME) in observed
-    assert ("manifest", sanitize.PROTOCOL_APPEND) in observed

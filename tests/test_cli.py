@@ -493,7 +493,7 @@ def test_request_metrics_formats_from_live_daemon(capsys, tmp_path,
     from repro.service.daemon import ServiceDaemon
 
     socket_path = tmp_path / "cli-metrics.sock"
-    broker = Broker(jobs=1, metrics=MetricsRegistry(), session="cli-m")
+    broker = Broker(jobs=1, metrics=MetricsRegistry())
     daemon = ServiceDaemon(broker, socket_path=socket_path)
 
     loop_holder = {}

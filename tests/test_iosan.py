@@ -158,7 +158,6 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
         == "cache-results"
     assert classify(root / "quarantine" / "ab" / "abc123.json") \
         == "cache-quarantine"
-    assert classify(root / "manifests" / "run.jsonl") == "manifest"
     assert classify(obslog) == "obslog"
     # Writer temp files are the private half of atomic-rename.
     assert classify(root / "results" / "ab" / ".abc123-x7.tmp") is None
@@ -167,8 +166,7 @@ def test_classify_path_mirrors_static_pattern_table(tmp_path):
     assert sanitize.classify_path(str(root / "results" / "x.json"),
                                   None, None) is None
     # One vocabulary: every class a path maps to has a declared writer.
-    assert {classify(root / d / "x") for d in ("results", "quarantine",
-                                               "manifests")} \
+    assert {classify(root / d / "x") for d in ("results", "quarantine")} \
         | {classify(obslog)} \
         == {resource for resource, _ in sanitize.SHARED_WRITES}
 
@@ -177,16 +175,13 @@ def test_observed_protocols_folds_and_excludes_temps(tmp_path):
     root = tmp_path / "cache"
     entry = str(root / "results" / "ab" / "abc123.json")
     tmp = str(root / "results" / "ab" / ".abc123-x7.tmp")
-    manifest = str(root / "manifests" / "run.jsonl")
     obslog = str(tmp_path / "events.jsonl")
     events = [
         # mkstemp + commit: only the replace is a shared-resource write.
         {"op": "os.open", "path": tmp,
          "flags": os.O_RDWR | os.O_CREAT | os.O_EXCL},
         {"op": "replace", "path": entry, "src": tmp},
-        # O_APPEND journal and obslog writes.
-        {"op": "os.open", "path": manifest,
-         "flags": os.O_WRONLY | os.O_CREAT | os.O_APPEND},
+        # O_APPEND obslog writes.
         {"op": "os.open", "path": obslog,
          "flags": os.O_WRONLY | os.O_CREAT | os.O_APPEND},
         # Reads carry no write protocol.
@@ -203,7 +198,6 @@ def test_observed_protocols_folds_and_excludes_temps(tmp_path):
     assert observed == {
         ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME),
         ("cache-results", sanitize.PROTOCOL_RAW_WRITE),
-        ("manifest", sanitize.PROTOCOL_APPEND),
         ("obslog", sanitize.PROTOCOL_APPEND),
     }
 

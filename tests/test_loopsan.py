@@ -250,8 +250,7 @@ def test_clean_service_run_blocks_only_inside_static_model(
         SimRequest(workload=workload, gpu="3060-Sim", strategy="baseline")
         for workload in ("S1", "S2", "S1", "S2", "S1")
     ]
-    broker = Broker(jobs=2, paused=True, policy=fast_policy(),
-                    session="sanitize-clean")
+    broker = Broker(jobs=2, paused=True, policy=fast_policy())
     responses = asyncio.run(ordered_burst(broker, requests))
     sanitize.uninstall()
     assert all(not isinstance(r, BaseException) for r in responses)
@@ -261,7 +260,7 @@ def test_clean_service_run_blocks_only_inside_static_model(
     events = read_events(log_path)
     assert events, "armed shim must observe the run's loop-thread I/O"
     observed = sanitize.observed_frames(events)
-    assert observed, "journal/obslog writes happen on the loop thread"
+    assert observed, "obslog writes happen on the loop thread"
     unexplained = observed - sanitize.LOOP_IO_FRAMES
     assert not unexplained, (
         "loop-thread blocking frames outside LOOP_IO_FRAMES: "
@@ -281,8 +280,7 @@ def test_injected_loop_block_fault_is_caught_by_both_layers(
         FaultSpec(cell="S1|3060-Sim|baseline", kind="loop-block",
                   times=1, seconds=0.25),
     )))
-    broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                    session="sanitize-fault")
+    broker = Broker(jobs=1, paused=True, policy=fast_policy())
     responses = asyncio.run(ordered_burst(broker, [
         SimRequest(workload="S1", gpu="3060-Sim", strategy="baseline"),
     ]))

@@ -181,7 +181,7 @@ def test_parallel_run_logs_every_cell(fake_registry, obslog_sink):
 
 def test_resumed_run_logs_skip_decisions(fake_registry, obslog_sink):
     """Interrupt a run, then resume: the second log must record one
-    `cell.skip` (manifest-resume) per already-finished cell."""
+    `cell.skip` (cached) per cell the disk cache holds."""
     faults.configure(FaultPlan((
         FaultSpec(cell="P1|3060-Sim|baseline", kind="interrupt"),
     )))
@@ -191,6 +191,11 @@ def test_resumed_run_logs_skip_decisions(fake_registry, obslog_sink):
     first = events_by_name(obslog.read_events(obslog_sink))
     completed = {event["cell"] for event in first.get("svc.finish", ())}
     assert completed, "the interrupting cell finishes before raising"
+    # A worker can store a cell whose reply the interrupt cut off.
+    cache = diskcache.active_cache()
+    cached = {event["cell"] for event in first["svc.accept"]
+              if cache.entry_path(event["key"]).exists()}
+    assert completed <= cached
 
     faults.configure(None)
     clear_caches()
@@ -199,12 +204,12 @@ def test_resumed_run_logs_skip_decisions(fake_registry, obslog_sink):
                         policy=quick_policy())
     grouped = events_by_name(obslog.read_events(obslog_sink))
     skips = grouped["cell.skip"]
-    assert {event["cell"] for event in skips} == completed
-    assert all(event["reason"] == "manifest-resume" for event in skips)
+    assert {event["cell"] for event in skips} == cached
+    assert all(event["reason"] == "cached" for event in skips)
     assert sum(stop["requests"] for stop in grouped.get("svc.stop", ())) \
-        == len(CELL_IDS) - len(completed)
+        == len(CELL_IDS) - len(cached)
     assert {event["cell"] for event in grouped.get("svc.finish", ())} \
-        == CELL_IDS - completed
+        == CELL_IDS - cached
 
 
 def stripped(events):

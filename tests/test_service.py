@@ -17,8 +17,6 @@ request computes.  The acceptance proofs:
 * **breaker determinism** -- the closed -> open -> half-open -> closed
   cycle is walked deterministically by a fake clock in-unit and by
   crash faults end to end;
-* **journal recovery** -- a pool crash re-serves journaled completions
-  from the disk cache without re-executing;
 * **the load proof** -- >= 1000 requests (>97% duplicates) complete
   bit-identical to serial while planned faults crash workers, hang a
   cell past its timeout and saturate the queue;
@@ -38,9 +36,8 @@ import pytest
 
 from repro.experiments import diskcache, faults, runner
 from repro.experiments.faults import FaultPlan, FaultSpec
-from repro.experiments.manifest import RunManifest
 from repro.experiments.resilience import RetryPolicy
-from repro.experiments.runner import clear_caches, run_matrix, simulate_cell
+from repro.experiments.runner import clear_caches, run_matrix
 from repro.gpu import SIMULATED_GPUS
 from repro.obslog import read_events
 from repro.service import (
@@ -160,8 +157,7 @@ def test_coalescing_fans_out_single_execution(fake_registry, tmp_path,
     """Six duplicate requests: one admission, one pool execution, six
     bit-identical responses."""
     truth = serial_truth(tmp_path, ["S1"], ["baseline"])
-    broker = Broker(jobs=2, paused=True, policy=fast_policy(),
-                    session="coalesce")
+    broker = Broker(jobs=2, paused=True, policy=fast_policy())
     requests = [
         SimRequest(workload="S1", gpu="3060-Sim", strategy="baseline")
         for _ in range(6)
@@ -196,7 +192,7 @@ def test_completed_request_answers_from_memo(fake_registry, tmp_path):
         finally:
             await broker.stop()
 
-    broker = Broker(jobs=1, policy=fast_policy(), session="memo")
+    broker = Broker(jobs=1, policy=fast_policy())
     first, second = asyncio.run(scenario(broker))
     assert first.source == "worker"
     assert second.source == "memo"
@@ -227,7 +223,7 @@ def test_replaced_trace_gets_a_new_key_and_executes(fake_registry,
         finally:
             await broker.stop()
 
-    broker = Broker(jobs=1, policy=fast_policy(), session="reseed")
+    broker = Broker(jobs=1, policy=fast_policy())
     before, after = asyncio.run(scenario(broker))
     assert after.key != before.key
     assert after.key == diskcache.result_key(
@@ -268,8 +264,7 @@ def test_inproc_fallback_simulates_the_admitted_trace(fake_registry,
             await broker.stop()
 
     broker = Broker(jobs=1, paused=True, policy=fast_policy(attempts=2),
-                    breaker=CircuitBreaker(threshold=10),
-                    session="fallback-trace")
+                    breaker=CircuitBreaker(threshold=10))
     response = asyncio.run(scenario(broker))
     assert response.source == "inproc"
     assert response.key == diskcache.result_key(
@@ -299,7 +294,7 @@ def test_gpu_config_request_resolves_the_preset_key(fake_registry,
         finally:
             await broker.stop()
 
-    broker = Broker(jobs=1, policy=fast_policy(), session="gpuobj")
+    broker = Broker(jobs=1, policy=fast_policy())
     first, second = asyncio.run(scenario(broker))
     assert second.key == first.key
     assert second.cell == first.cell
@@ -322,7 +317,7 @@ def test_unknown_strategy_raises_on_every_request(fake_registry):
         finally:
             await broker.stop()
 
-    broker = Broker(jobs=1, policy=fast_policy(), session="unknown")
+    broker = Broker(jobs=1, policy=fast_policy())
     asyncio.run(scenario(broker))
     assert stats(broker)["requests"] == 0
 
@@ -353,7 +348,7 @@ def test_queue_full_fault_sheds_typed_then_readmits(fake_registry,
         finally:
             await broker.stop()
 
-    broker = Broker(jobs=1, policy=fast_policy(), session="shed")
+    broker = Broker(jobs=1, policy=fast_policy())
     response = asyncio.run(scenario(broker))
     assert response.result.to_dict() == truth[("S1", "3060-Sim",
                                                "baseline")]
@@ -390,7 +385,7 @@ def test_shed_event_records_remaining_deadline_budget(fake_registry,
         finally:
             await broker.stop()
 
-    broker = Broker(jobs=1, policy=fast_policy(), session="shed-budget")
+    broker = Broker(jobs=1, policy=fast_policy())
     asyncio.run(scenario(broker))
     [shed_event] = events_named(obslog_sink, "svc.shed")
     assert 0.0 < shed_event["deadline_remaining"] <= 30.0
@@ -402,7 +397,7 @@ def test_real_queue_saturation_sheds(fake_registry, tmp_path):
     is shed by genuine occupancy, not a fault."""
     serial_truth(tmp_path, ["S1", "S2"], ["baseline"])
     broker = Broker(jobs=1, queue_depth=1, paused=True,
-                    policy=fast_policy(), session="saturate")
+                    policy=fast_policy())
     responses = asyncio.run(ordered_burst(broker, [
         SimRequest(workload="S1", gpu="3060-Sim", strategy="baseline"),
         SimRequest(workload="S2", gpu="3060-Sim", strategy="baseline"),
@@ -429,8 +424,7 @@ def test_deadline_expires_typed_while_queued(fake_registry, tmp_path,
         finally:
             await broker.stop(drain=False)
 
-    broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                    session="deadline")
+    broker = Broker(jobs=1, paused=True, policy=fast_policy())
     asyncio.run(scenario(broker))
     assert stats(broker)["deadline_misses"] >= 1
     assert events_named(obslog_sink, "svc.deadline")
@@ -460,8 +454,7 @@ def test_deadline_expires_typed_while_executing(fake_registry, tmp_path,
         finally:
             await broker.stop(drain=False)
 
-    broker = Broker(jobs=1, policy=fast_policy(timeout=None),
-                    session="deadline-exec")
+    broker = Broker(jobs=1, policy=fast_policy(timeout=None))
     waited = asyncio.run(scenario(broker))
     assert waited < 2.5, f"waiter outlived its 0.5 s deadline: {waited:.2f}s"
     assert stats(broker)["deadline_misses"] >= 1
@@ -505,7 +498,6 @@ def test_circuit_breaker_state_machine():
     assert breaker.state == "half-open"
     breaker.record_success()
     assert breaker.state == "closed"
-    assert breaker.trips_total == 2
     # Healing resets the exponential series, not just the state.
     breaker.record_failure()
     assert breaker.record_failure() is True
@@ -558,7 +550,6 @@ def test_breaker_trips_half_opens_and_heals(fake_registry, tmp_path,
     broker = Broker(
         jobs=1, concurrency=1, policy=fast_policy(attempts=2),
         breaker=CircuitBreaker(threshold=2, backoff_base=2.0),
-        session="breaker",
     )
     crashed, opened, while_open, healed, closed = asyncio.run(
         scenario(broker)
@@ -589,44 +580,6 @@ def test_breaker_trips_half_opens_and_heals(fake_registry, tmp_path,
     }
     assert "retries-exhausted" in degrade_reasons
     assert "breaker-open" in degrade_reasons
-
-
-def test_crash_recovers_journaled_completion_without_reexecuting(
-        fake_registry, tmp_path, obslog_sink):
-    """A pre-seeded session journal + disk cache answer a crashed
-    request from persisted state: zero successful pool executions."""
-    serial_truth(tmp_path, ["S1"], ["baseline"])
-    cache = diskcache.active_cache()
-    config = SIMULATED_GPUS["3060-Sim"]
-    trace = runner.get_trace("S1")
-    strategy = runner.make_strategy("baseline")
-    persisted = simulate_cell(trace, config, strategy)  # stores on disk
-    key = diskcache.result_key(config, trace, strategy)
-    journal = RunManifest.for_session(cache.root / "manifests", "recov")
-    journal.record(key, {"workload": "S1", "gpu": "3060-Sim",
-                         "strategy": "baseline"})
-    faults.configure(FaultPlan((
-        FaultSpec(cell="S1|3060-Sim|baseline", kind="crash", times=10),
-    )))
-
-    async def scenario(broker):
-        await broker.start()
-        try:
-            return await broker.submit(SimRequest(
-                workload="S1", gpu="3060-Sim", strategy="baseline"
-            ))
-        finally:
-            await broker.stop()
-
-    broker = Broker(jobs=1, policy=fast_policy(), session="recov")
-    response = asyncio.run(scenario(broker))
-    assert response.source == "journal"
-    assert response.result.to_dict() == persisted.to_dict()
-    assert stats(broker)["journal_recoveries"] == 1
-    assert stats(broker)["executions"] == 1, \
-        "recovery must happen on the first crash, not after retries"
-    [recover] = events_named(obslog_sink, "svc.recover")
-    assert recover["key"] == key
 
 
 # --------------------------------------------------------------------- #
@@ -681,7 +634,6 @@ def test_thousand_request_chaos_is_bit_identical(fake_registry,
 
     broker = Broker(
         jobs=2, queue_depth=4, policy=fast_policy(timeout=3.0, attempts=2),
-        session="load",
     )
     responses = asyncio.run(scenario(broker))
 
@@ -750,8 +702,7 @@ def test_paused_duplicate_burst_counts_and_digests_are_pinned():
         FaultSpec(cell="svc-coalesced|3060-Sim|baseline", kind="queue-full",
                   times=1),
     )))
-    broker = Broker(jobs=2, paused=True, policy=fast_policy(),
-                    session="pinned-burst")
+    broker = Broker(jobs=2, paused=True, policy=fast_policy())
     requests = [SimRequest(workload=w, gpu=g, strategy=s)
                 for _ in range(4) for w, g, s in cells]
     outcomes = asyncio.run(ordered_burst(broker, requests))
@@ -784,14 +735,12 @@ def test_soak_keeps_broker_state_bounded_by_cells_served(fake_registry,
     cells = [(w, g, s) for w in workloads for g in ("3060-Sim", "4090-Sim")
              for s in ("baseline", "ARC-HW")]
     waves, per_wave = 20, 500
-    broker = Broker(jobs=1, queue_depth=len(cells), policy=fast_policy(),
-                    session="soak")
+    broker = Broker(jobs=1, queue_depth=len(cells), policy=fast_policy())
 
     def state_sizes():
         return {
             "results": len(broker._results),
             "arrivals": len(broker._arrivals),
-            "journalled": len(broker._journalled),
             "spooled": len(broker._spooled),
             "inflight": len(broker._inflight),
             "cell_records": len(broker._cells),
@@ -830,7 +779,7 @@ def test_soak_keeps_broker_state_bounded_by_cells_served(fake_registry,
         "memo answers must stay identical to the executed result"
     for wave_sizes in sizes:
         assert max(wave_sizes.values()) <= len(cells), wave_sizes
-    assert sizes[-1]["results"] == sizes[-1]["journalled"] == len(cells)
+    assert sizes[-1]["results"] == len(cells)
     assert sizes[-1]["inflight"] == 0
     assert sizes[-1]["spooled"] == len(workloads)
     # Warm-up: wave 1 executes every cell, wave 2 is the first answered
@@ -872,8 +821,7 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
     socket_path = tmp_path / "svc-drain.sock"
 
     async def scenario():
-        broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                        session="drain")
+        broker = Broker(jobs=1, paused=True, policy=fast_policy())
         daemon = ServiceDaemon(broker, socket_path=socket_path)
         ready = asyncio.Event()
         run_task = asyncio.create_task(daemon.run(ready))
@@ -930,8 +878,8 @@ def test_sigterm_drains_inflight_coalesced_waiters(fake_registry,
 def test_reply_bytes_match_plain_encoding_for_every_source(
         fake_registry, tmp_path):
     """The daemon splices each memo entry's encoded result into its
-    replies.  For every source -- journal, inproc, worker, coalesced,
-    memo -- with and without a client trace context, the reply
+    replies.  For every source -- inproc, worker, coalesced, memo --
+    with and without a client trace context, the reply
     line is byte for byte ``json.dumps({"status": "ok",
     **response.to_dict()}) + "\\n"``, and so is a response that carries
     no trace object."""
@@ -943,29 +891,16 @@ def test_reply_bytes_match_plain_encoding_for_every_source(
         return (json.dumps({"status": "ok", **response.to_dict()})
                 + "\n").encode("utf-8")
 
-    serial_truth(tmp_path, ["S1", "S2", "S3"], ["baseline", "ARC-HW"])
+    serial_truth(tmp_path, ["S2", "S3"], ["baseline", "ARC-HW"])
     rounds = (("baseline", False), ("ARC-HW", True))
-    # Journal: S1's completion is persisted before the daemon starts,
-    # and every pool attempt at S1 crashes.  Inproc: S3's one pool
-    # attempt errors, so it degrades in process.
-    cache = diskcache.active_cache()
-    config = SIMULATED_GPUS["3060-Sim"]
-    journal = RunManifest.for_session(cache.root / "manifests", "bytes")
-    plan = []
-    for strategy, _ in rounds:
-        made = runner.make_strategy(strategy)
-        simulate_cell(runner.get_trace("S1"), config, made)
-        journal.record(
-            diskcache.result_key(config, runner.get_trace("S1"), made),
-            {"workload": "S1", "gpu": "3060-Sim", "strategy": strategy})
-        plan += [FaultSpec(cell=f"S1|3060-Sim|{strategy}", kind="crash",
-                           times=10),
-                 FaultSpec(cell=f"S3|3060-Sim|{strategy}", kind="error",
-                           times=1)]
-    faults.configure(FaultPlan(tuple(plan)))
+    # Inproc: S3's one pool attempt errors, so it degrades in process.
+    faults.configure(FaultPlan(tuple(
+        FaultSpec(cell=f"S3|3060-Sim|{strategy}", kind="error", times=1)
+        for strategy, _ in rounds
+    )))
     socket_path = tmp_path / "svc-bytes.sock"
     broker = Broker(jobs=1, policy=fast_policy(attempts=1),
-                    breaker=CircuitBreaker(threshold=10), session="bytes")
+                    breaker=CircuitBreaker(threshold=10))
     responses = {}
     submit = broker.submit
 
@@ -997,7 +932,6 @@ def test_reply_bytes_match_plain_encoding_for_every_source(
         lines = []
         try:
             for strategy, traced in rounds:
-                lines.append(await call("S1", strategy, traced))
                 lines.append(await call("S3", strategy, traced))
                 broker.pause()
                 pair = [asyncio.create_task(call("S2", strategy, traced))
@@ -1029,7 +963,7 @@ def test_reply_bytes_match_plain_encoding_for_every_source(
         assert b'"trace"' not in _reply_line(untraced)
         seen.add((response.source, response.coalesced, traced))
     for traced in (False, True):
-        for source in ("journal", "inproc", "worker", "memo"):
+        for source in ("inproc", "worker", "memo"):
             assert (source, False, traced) in seen, (source, traced)
         assert ("worker", True, traced) in seen, traced
 
@@ -1054,8 +988,7 @@ def test_service_iosan_writes_match_static_model(fake_registry, tmp_path,
         SimRequest(workload=workload, gpu="3060-Sim", strategy="baseline")
         for workload in ("S1", "S2", "S1", "S2", "S1")
     ]
-    broker = Broker(jobs=2, paused=True, policy=fast_policy(),
-                    session="iosan")
+    broker = Broker(jobs=2, paused=True, policy=fast_policy())
     assert sanitize.maybe_install(), "shim must arm when both env vars set"
     try:
         responses = asyncio.run(ordered_burst(broker, requests))
@@ -1076,10 +1009,9 @@ def test_service_iosan_writes_match_static_model(fake_registry, tmp_path,
     assert not unexplained, (
         f"service runtime writes outside SHARED_WRITES: {sorted(unexplained)}"
     )
-    # The three shared files a service run touches, each through its
+    # The two shared files a service run touches, each through its
     # declared sound protocol.
     assert ("cache-results", sanitize.PROTOCOL_ATOMIC_RENAME) in observed
-    assert ("manifest", sanitize.PROTOCOL_APPEND) in observed
     assert ("obslog", sanitize.PROTOCOL_APPEND) in observed
 
 
@@ -1152,7 +1084,7 @@ def test_tracing_armed_chaos_is_bit_identical(fake_registry, tmp_path,
 
     broker = Broker(jobs=2, queue_depth=4,
                     policy=fast_policy(timeout=3.0, attempts=2),
-                    session="traced-load", metrics=MetricsRegistry())
+                    metrics=MetricsRegistry())
     responses = asyncio.run(scenario(broker))
 
     mismatched = [
@@ -1219,7 +1151,7 @@ def test_stitched_export_holds_full_request_path(fake_registry, tmp_path,
                          strategy="baseline",
                          trace_id=client_span.context.trace_id,
                          parent_span=client_span.context.span_id)
-    broker = Broker(jobs=1, policy=fast_policy(), session="stitch")
+    broker = Broker(jobs=1, policy=fast_policy())
 
     async def scenario():
         await broker.start()
@@ -1271,7 +1203,6 @@ def test_stitched_export_holds_full_request_path(fake_registry, tmp_path,
 PINNED_STATUS_SHAPE = {
     "status": "str",
     "snapshot": {
-        "session": "str",
         "jobs": "int",
         "queue": {
             "depth": "int",
@@ -1289,7 +1220,6 @@ PINNED_STATUS_SHAPE = {
             "deadline_misses": "int",
             "executions": "int",
             "failures": "int",
-            "journal_recoveries": "int",
             "completed": "int",
         },
         "supervisor": {
@@ -1309,7 +1239,6 @@ PINNED_STATUS_SHAPE = {
 PINNED_STATUS = {
     "status": "ok",
     "snapshot": {
-        "session": "metrics",
         "jobs": 1,
         "queue": {
             "depth": 16,
@@ -1327,7 +1256,6 @@ PINNED_STATUS = {
             "deadline_misses": 0,
             "executions": 1,
             "failures": 0,
-            "journal_recoveries": 0,
             "completed": 1,
         },
         "supervisor": {
@@ -1356,7 +1284,6 @@ PINNED_SAMPLES = [
     "repro_service_executions_total 1",
     "repro_service_failures_total 0",
     "repro_service_inflight 0",
-    "repro_service_journal_recoveries_total 0",
     "repro_service_memo_hits_total 0",
     "repro_service_pool_restarts_total 0",
     "repro_service_queue_depth 16",
@@ -1392,7 +1319,7 @@ def test_metrics_registry_counts_admission_outcomes(fake_registry,
     )))
     registry = MetricsRegistry()
     broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                    session="metrics", metrics=registry)
+                    metrics=registry)
     daemon = ServiceDaemon(broker)
     requests = [SimRequest(workload="S1", gpu="3060-Sim",
                            strategy="baseline") for _ in range(6)]
@@ -1443,7 +1370,7 @@ def test_daemon_metrics_op_returns_snapshot_and_exposition(fake_registry):
     from repro.obs.metrics import MetricsRegistry
     from repro.service.daemon import ServiceDaemon
 
-    broker = Broker(jobs=1, metrics=MetricsRegistry(), session="mop")
+    broker = Broker(jobs=1, metrics=MetricsRegistry())
     daemon = ServiceDaemon(broker)
     reply = asyncio.run(daemon._dispatch({"op": "metrics"}))
     assert reply["status"] == "ok"
@@ -1463,8 +1390,7 @@ def test_svc_events_share_one_elapsed_ms_schema(fake_registry, tmp_path,
     faults.configure(FaultPlan((
         FaultSpec(cell="S1|3060-Sim|baseline", kind="queue-full", times=1),
     )))
-    broker = Broker(jobs=1, paused=True, policy=fast_policy(),
-                    session="schema")
+    broker = Broker(jobs=1, paused=True, policy=fast_policy())
     requests = [
         SimRequest(workload=w, gpu="3060-Sim", strategy="baseline")
         for w in ("S1", "S2", "S1", "S2")
