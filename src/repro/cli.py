@@ -13,8 +13,6 @@ Thin wrappers over the library for the common one-off questions:
   running one with ``--status`` / ``--stop``).
 * ``request``    -- submit one simulation request to a running daemon.
 * ``cache``      -- inspect or clear the persistent simulation cache.
-* ``lint``       -- arclint domain-invariant static analysis (ARC001,
-  ARC002, ARC004).
 
 ``simulate`` accepts ``--jobs N`` to fan cells across worker processes
 (default from ``REPRO_JOBS``) and ``--no-cache`` to bypass the
@@ -22,7 +20,8 @@ persistent disk cache; both paths are bit-identical to a serial
 uncached run.  Parallel runs are fault tolerant (retries, per-cell
 timeouts via ``REPRO_CELL_TIMEOUT``, pool-crash recovery) and resume
 from the disk cache: a rerun simulates only the cells it lacks.  They
-print the run's metrics summary after the table.
+print after the table how many cells the parent loaded from the disk
+cache and how many went to the pool, then the broker's metrics summary.
 
 Observability: ``simulate --timeline out.json`` saves a per-strategy
 telemetry timeline, ``profile --perfetto out.trace.json`` writes a
@@ -33,9 +32,7 @@ machine-readable results; ``--log FILE`` streams structured JSONL run
 events (cells, cache, retries) and ``-v``/``REPRO_LOG_LEVEL`` raise
 stderr diagnostic verbosity.
 
-``lint`` dispatches before the simulation stack is imported: the
-pre-commit hook runs ``repro lint`` on every commit, so its startup cost
-is numpy-free.  The other commands import what they need lazily.
+Commands import the simulation stack lazily, when they run.
 """
 
 from __future__ import annotations
@@ -58,8 +55,7 @@ def load_workload(key):
     """Late-bound :func:`repro.workloads.load_workload`.
 
     A module-level name (rather than a local import in each command) so
-    tests can monkeypatch ``repro.cli.load_workload``, while the real
-    import stays off the ``lint`` fast path.
+    tests can monkeypatch ``repro.cli.load_workload``.
     """
     from repro.workloads import load_workload as _load_workload
 
@@ -347,29 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--clear", action="store_true", help="delete every cached result"
     )
-
-    lint = sub.add_parser(
-        "lint",
-        help="run arclint, the domain-invariant static analysis "
-             "(fingerprint-completeness, determinism, "
-             "strategy-conformance)",
-    )
-    _add_lint_arguments(lint)
     return parser
-
-
-def _add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``lint`` options, shared by the subcommand and the fast path."""
-    parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: the installed "
-             "repro package source)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text); sarif emits a SARIF 2.1.0 "
-             "document for code-scanning upload",
-    )
 
 
 def _cmd_list() -> int:
@@ -479,8 +453,19 @@ def _cmd_simulate(args) -> int:
         # in-memory cache so the table assembly below is pure lookups.
         from repro.experiments.parallel import run_matrix_parallel
         from repro.obs.metrics import registry
+        from repro.service.broker import STAT_COUNTERS
         from repro.service.request import RequestFailed
 
+        def counts():
+            # Cells the parent loaded from the disk cache, and cells the
+            # broker was asked for: the pool's own cache lookups happen
+            # in the workers, which count into their own registries.
+            cache = diskcache.active_cache()
+            requests = registry().get(STAT_COUNTERS["requests"][0])
+            return ((cache.stats.hits if cache is not None else 0),
+                    (requests.total() if requests is not None else 0))
+
+        before = counts()
         try:
             cells = run_matrix_parallel(
                 [args.workload], list(args.strategies), [args.gpu],
@@ -491,7 +476,9 @@ def _cmd_simulate(args) -> int:
             for line in _metrics_summary_lines(registry().snapshot()):
                 print(line, file=sys.stderr)
             return 1
-        execution = f"execution: {len(cells)} cells, {jobs} jobs"
+        loaded, pooled = (now - then for now, then in zip(counts(), before))
+        execution = (f"execution: {len(cells)} cells, {jobs} jobs, "
+                     f"{loaded} from the disk cache, {pooled} to the pool")
     rows = []
     results = {}
     skipped = []
@@ -781,7 +768,11 @@ def _unreachable(args, svc_daemon, exc) -> int:
 
 
 def _metrics_summary_lines(snapshot: dict) -> "list[str]":
-    """Compact `repro top` view of a daemon metrics snapshot."""
+    """Compact `repro top` view of a daemon metrics snapshot.
+
+    It has no disk-cache line: pool workers count their cache lookups
+    in their own registries, which no process printing this sees.
+    """
     from repro.service.broker import STAT_COUNTERS
 
     def value(name, default=0.0, **labels):
@@ -821,12 +812,6 @@ def _metrics_summary_lines(snapshot: dict) -> "list[str]":
             for s in snapshot.get("repro_service_attempts_total",
                                   {}).get("series", [])
         ) or "none"),
-        "cache      "
-        + " ".join(f"{label}={int(total(name))}" for label, name in (
-            ("hits", "repro_cache_hits_total"),
-            ("misses", "repro_cache_misses_total"),
-            ("quarantined", "repro_cache_quarantined_total"),
-        )),
     ]
     lat = snapshot.get("repro_service_request_latency_seconds")
     if lat and lat.get("series"):
@@ -1058,41 +1043,8 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from pathlib import Path
-
-    import repro
-    from repro.lint import run_lint
-
-    report = run_lint(args.paths or [Path(repro.__file__).parent])
-    if args.format == "json":
-        print(report.render_json())
-    elif args.format == "sarif":
-        print(report.render_sarif())
-        print(report.summary_line(), file=sys.stderr)
-    else:
-        print(report.render_text())
-        if report.new:
-            print(
-                "\nnew findings fail the build: fix them, or add an inline "
-                "`# arclint: disable=<RULE>` with a justification."
-            )
-    return report.exit_code
-
-
 def main(argv: list[str] | None = None) -> int:
     """Parse *argv* (default ``sys.argv``) and run the chosen command."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        # Fast path: lint must stay sub-second for pre-commit, so it
-        # parses its own arguments without importing the simulation
-        # stack the full parser's choices= lists pull in.
-        lint_parser = argparse.ArgumentParser(
-            prog="repro lint",
-            description="arclint: domain-invariant static analysis",
-        )
-        _add_lint_arguments(lint_parser)
-        return _cmd_lint(lint_parser.parse_args(argv[1:]))
     args = _build_parser().parse_args(argv)
     obslog.setup_logging(getattr(args, "verbose", 0))
     previous_sink = None
@@ -1112,7 +1064,6 @@ def main(argv: list[str] | None = None) -> int:
         "request": lambda: _cmd_request(args),
         "trace": lambda: _cmd_trace(args),
         "cache": lambda: _cmd_cache(args),
-        "lint": lambda: _cmd_lint(args),
     }
     try:
         return handlers[args.command]()

@@ -16,8 +16,8 @@ engine binds it to the batch's group slot when it issues the request.
 ``plan_shape`` is a pure function of ``(sizes, num_params, mode)`` and
 state fixed by :meth:`~AtomicStrategy.begin_kernel`: it assigns no
 attribute and reads no engine state, so the engine plans each distinct
-shape once per kernel call and reuses the template (arclint ARC004
-checks the assignment half statically).  The one live input a template
+shape once per kernel call and reuses the template (the test
+``test_plan_shape_is_pure`` checks it).  The one live input a template
 may depend on is :meth:`AtomicStrategy.plan_mode`: when a class
 overrides it, the engine calls it for every batch with active lanes and
 folds it into the template key; ARC-HW's greedy scheduler returns its

@@ -16,7 +16,8 @@
   reduction-unit busy time per sub-core.
 
 Every stamp is *simulation* time in shader cycles -- the collector never
-reads a wall clock (ARC002) -- so recording is deterministic and the
+reads a wall clock (tests/test_invariants.py bans one in the engine
+packages) -- so recording is deterministic and the
 engine's event order, results and ``SimResult`` output are bit-identical
 with telemetry on or off.  The collector is deliberately dumb: plain
 list appends on the hot path, no binning, no derived state.  Exporters

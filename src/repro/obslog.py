@@ -28,8 +28,8 @@ Two complementary channels:
 
 Timestamps here are *wall-clock* on purpose: this module records host
 execution, not simulation. It must never be imported by the engine
-packages (``repro/{core,gpu,trace}``), where arclint's ARC002 bans
-wall-clock reads -- the engine's own time-resolved story is
+packages (``repro/{core,gpu,trace}``), where ``tests/test_invariants.py``
+bans wall-clock reads -- the engine's own time-resolved story is
 :mod:`repro.gpu.telemetry`, stamped in simulated cycles.
 """
 

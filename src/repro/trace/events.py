@@ -265,7 +265,7 @@ class KernelTrace:
         )
 
     @cached_property
-    def fingerprint(self) -> str:  # arclint: disable=ARC001 (name is cosmetic, see below)
+    def fingerprint(self) -> str:  # omits the cosmetic name, see below
         """Deterministic content hash of everything the simulator reads.
 
         Covers lane slots, warp placement, per-batch compute cycles, the

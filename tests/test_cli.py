@@ -96,6 +96,22 @@ def test_simulate_parallel_prints_run_report(small_registry, capsys):
                for line in lines)
 
 
+def test_simulate_parallel_execution_line_counts_cache_and_pool(
+        small_registry, capsys):
+    """The parent sees only its own disk-cache lookups, so the summary
+    splits the cells into those it loaded and those the pool ran, and
+    prints no cache-counter line that would miss the workers' lookups."""
+    argv = ["simulate", "-w", "3D-LE", "-g", "3060-Sim",
+            "-s", "baseline", "ARC-HW", "--jobs", "2"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert "hits=0 misses=0" not in cold
+    assert "0 from the disk cache, 2 to the pool" in cold
+
+    assert main(argv) == 0
+    assert "2 from the disk cache, 0 to the pool" in capsys.readouterr().out
+
+
 def test_simulate_parallel_exits_1_naming_the_failed_cell(small_registry,
                                                          capsys):
     """A cell that fails every worker attempt and its in-process

@@ -1,10 +1,12 @@
-"""Property tests over *every* registered atomic strategy.
+"""Property tests over *every* atomic strategy.
 
 ``tests/test_properties.py`` checks engine-level conservation for a
 hand-picked strategy sample; this module sweeps the full
-``STRATEGY_FACTORIES`` registry (all ARC-SW thresholds included) and
-holds each entry to the :class:`~repro.core.base.AtomicStrategy`
-contract:
+``STRATEGY_FACTORIES`` registry (all ARC-SW thresholds included), plus
+each concrete strategy class the registry does not construct (found
+the way ``tests/test_invariants.py`` finds them, built with its
+defaults), and holds each to the
+:class:`~repro.core.base.AtomicStrategy` contract:
 
 * ``reduce_batch_values`` must cover exactly the batch's active slot
   set, emit each slot at most once, and conserve the scatter-add mass
@@ -18,11 +20,10 @@ contract:
   (the engine applies ``idle_plan()`` to idle batches unseen);
 * a shape-static strategy's ``plan_shape`` must be pure: it leaves the
   instance unchanged and returns equal plans for equal arguments (the
-  engine plans each batch shape once per kernel and reuses the result;
-  arclint ARC004 checks the same statically).
+  engine plans each batch shape once per kernel and reuses the result).
 
-These invariants are what the bench comparator's exact-equality policy
-for deterministic metrics stands on.
+These invariants are what the cache's and the figure regressions'
+exact-equality checks stand on.
 """
 
 from __future__ import annotations
@@ -33,12 +34,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import BatchView, EngineView, plans_by_shape
-from repro.experiments.runner import STRATEGY_FACTORIES, make_strategy
+from repro.experiments.runner import STRATEGY_FACTORIES
 from repro.gpu import RTX3060_SIM, simulate_kernel
 from repro.gpu.warp import WARP_SIZE
 from repro.trace import KernelTrace
+from tests.test_invariants import concrete_strategies
 
-ALL_STRATEGIES = sorted(STRATEGY_FACTORIES)
+_REGISTERED = {type(make()) for make in STRATEGY_FACTORIES.values()}
+FACTORIES = {**STRATEGY_FACTORIES,
+             **{cls.__name__: cls for cls in concrete_strategies()
+                if cls not in _REGISTERED}}
+ALL_STRATEGIES = sorted(FACTORIES)
+
+
+def make_strategy(name):
+    return FACTORIES[name]()
 
 batch_params = st.fixed_dictionaries(
     {
@@ -147,7 +157,7 @@ def build_trace(params) -> KernelTrace:
 @settings(max_examples=8, deadline=None)
 def test_simulation_deterministic_for_every_strategy(name, params):
     """Two fresh instances replay the same trace to identical results --
-    the whole-document exactness the bench comparator relies on."""
+    the whole-document exactness the disk cache relies on."""
     trace = build_trace(params)
     first = simulate_kernel(trace, RTX3060_SIM, make_strategy(name))
     second = simulate_kernel(trace, RTX3060_SIM, make_strategy(name))
@@ -236,8 +246,8 @@ def test_shape_static_set_is_the_five_template_strategies():
 @given(shape_params)
 @settings(max_examples=25, deadline=None)
 def test_plan_shape_is_pure(name, params):
-    """Runtime counterpart of ARC004's plan_shape check: no instance
-    state changes, and a repeated call returns an equal plan."""
+    """No instance state changes, and a repeated call returns an equal
+    plan."""
     strategy = make_strategy(name)
     trace = build_trace({"n_batches": 1, "n_slots": 4, "num_params": 3,
                          "density": 1.0, "seed": 0})
@@ -253,14 +263,14 @@ def test_plan_shape_is_pure(name, params):
 
 
 def test_registry_names_are_stable():
-    """The registry's names are API: the bench scenarios, the engine
+    """The registry's names are API: perfbench, the engine
     guard fixtures and the paper's figures all reference them."""
-    assert ALL_STRATEGIES == sorted(
+    assert sorted(STRATEGY_FACTORIES) == sorted(
         ["baseline", "ARC-HW", "CCCL", "LAB", "LAB-ideal", "PHI"]
         + [f"ARC-SW-B-{t}" for t in (0, 4, 8, 16, 24)]
         + [f"ARC-SW-S-{t}" for t in (0, 4, 8, 16, 24)]
     )
-    for name in ALL_STRATEGIES:
+    for name in STRATEGY_FACTORIES:
         instance = make_strategy(name)
         assert make_strategy(name).name == instance.name  # stable label
         assert isinstance(instance.name, str) and instance.name
