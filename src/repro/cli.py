@@ -452,31 +452,31 @@ def _cmd_simulate(args) -> int:
         # Fan the cells out through the broker; results land in the
         # in-memory cache so the table assembly below is pure lookups.
         from repro.experiments.parallel import run_matrix_parallel
-        from repro.obs.metrics import registry
+        from repro.obs.metrics import MetricsRegistry
         from repro.service.broker import STAT_COUNTERS
         from repro.service.request import RequestFailed
 
-        def counts():
-            # Cells the parent loaded from the disk cache, and cells the
-            # broker was asked for: the pool's own cache lookups happen
-            # in the workers, which count into their own registries.
-            cache = diskcache.active_cache()
-            requests = registry().get(STAT_COUNTERS["requests"][0])
-            return ((cache.stats.hits if cache is not None else 0),
-                    (requests.total() if requests is not None else 0))
-
-        before = counts()
+        # This run's broker counters only, however many runs the process
+        # has made.
+        metrics = MetricsRegistry()
+        cache = diskcache.active_cache()
+        hits_before = cache.stats.hits if cache is not None else 0
         try:
             cells = run_matrix_parallel(
                 [args.workload], list(args.strategies), [args.gpu],
-                jobs=jobs, metrics=registry(),
+                jobs=jobs, metrics=metrics,
             )
         except RequestFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
-            for line in _metrics_summary_lines(registry().snapshot()):
+            for line in _metrics_summary_lines(metrics.snapshot()):
                 print(line, file=sys.stderr)
             return 1
-        loaded, pooled = (now - then for now, then in zip(counts(), before))
+        # Cells the parent loaded from the disk cache, and cells the
+        # broker was asked for: the pool's own cache lookups happen in
+        # the workers, which count into their own registries.
+        loaded = (cache.stats.hits if cache is not None else 0) - hits_before
+        requests = metrics.get(STAT_COUNTERS["requests"][0])
+        pooled = requests.total() if requests is not None else 0
         execution = (f"execution: {len(cells)} cells, {jobs} jobs, "
                      f"{loaded} from the disk cache, {pooled} to the pool")
     rows = []
@@ -532,7 +532,7 @@ def _cmd_simulate(args) -> int:
     if execution is not None:
         console.info("")
         console.info(execution)
-        for line in _metrics_summary_lines(registry().snapshot()):
+        for line in _metrics_summary_lines(metrics.snapshot()):
             console.info(line)
     cache = diskcache.active_cache()
     if cache is not None and cache.stats.lookups:

@@ -8,34 +8,30 @@ the sub-core spends issuing extra instructions, how much work lands on
 SM-local units (ARC-HW reduction FPU, LAB SRAM buffer, PHI L1 tags), and
 which memory transactions travel to the L2 ROP units.
 
-Shape-static strategies (baseline, ARC-SW, CCCL, ARC-HW) plan from the
-batch's *shape* alone -- the tuple of its coalesced group sizes -- through
-:meth:`AtomicStrategy.plan_shape`.  The returned plan is a template: each
-:attr:`MemRequest.slot` holds a group index into that tuple, and the
-engine binds it to the batch's group slot when it issues the request.
-``plan_shape`` is a pure function of ``(sizes, num_params, mode)`` and
-state fixed by :meth:`~AtomicStrategy.begin_kernel`: it assigns no
-attribute and reads no engine state, so the engine plans each distinct
-shape once per kernel call and reuses the template (the test
-``test_plan_shape_is_pure`` checks it).  The one live input a template
-may depend on is :meth:`AtomicStrategy.plan_mode`: when a class
-overrides it, the engine calls it for every batch with active lanes and
-folds it into the template key; ARC-HW's greedy scheduler returns its
-stall test there.  The default
-:meth:`AtomicStrategy.plan_batch` binds a template to one batch, for
-callers that plan a single batch directly.
+Every strategy plans from the batch's *shape* -- the tuple of its
+coalesced group sizes -- through :meth:`AtomicStrategy.plan_shape`.  The
+returned plan is a template: each :attr:`MemRequest.slot` holds a group
+index into that tuple, and the engine binds it to the batch's group slot
+when it issues the request.  ``plan_shape`` is a pure function of
+``(sizes, num_params, mode)`` and state fixed by
+:meth:`~AtomicStrategy.begin_kernel`: it assigns no attribute and reads
+no engine state, so the engine plans each distinct shape once per kernel
+call and reuses the template (the test ``test_plan_shape_is_pure``
+checks it).  The one live input a template may depend on is
+:meth:`AtomicStrategy.plan_mode`: when a class overrides it, the engine
+calls it for every batch with active lanes and folds it into the
+template key; ARC-HW's greedy scheduler returns its stall test there.
 
-Dynamic strategies (LAB, LAB-ideal, PHI, DAB) keep per-kernel state that
-each batch mutates; they override :meth:`AtomicStrategy.plan_batch` and
-the engine calls it once per batch with active lanes.  Which path the
-engine takes is decided from the class (:func:`plans_by_shape`): a class
-that defines ``plan_shape`` is planned from templates, and a subclass of
-it that overrides ``plan_batch`` is planned per batch again.  The
-SM-buffer strategies (:mod:`repro.core.smbuffer`) still cost each batch
-*shape* once per kernel call: per batch they only touch the batch's
-slots in their per-SM LRU buffer, and they return the shape's shared
-plan unless the touch evicted a slot.  A plan returned to the engine is
-never mutated afterwards, shared or not.
+Per-kernel state that each batch mutates lives behind one hook,
+:meth:`AtomicStrategy.touch`.  When a class overrides it, the engine
+calls it for every batch with active lanes, after the template is
+looked up; the requests it returns carry absolute slots and are issued
+after the template's.  The SM-buffer strategies
+(:mod:`repro.core.smbuffer`: LAB, LAB-ideal, PHI, DAB) touch the batch's
+slots in their per-SM LRU buffer there and return the evictions.  A
+template is never mutated after it is returned.
+:meth:`AtomicStrategy.plan_batch` does both steps for one batch, for
+callers that plan a single batch directly; the engine never calls it.
 
 Batches with no active lane are planned once per kernel, not once per
 batch: see :meth:`AtomicStrategy.idle_plan`.
@@ -57,8 +53,7 @@ if TYPE_CHECKING:
     from repro.trace.events import KernelTrace
 
 
-__all__ = ["MemRequest", "BatchPlan", "BatchView", "EngineView", "AtomicStrategy",
-           "plans_by_shape"]
+__all__ = ["MemRequest", "BatchPlan", "BatchView", "EngineView", "AtomicStrategy"]
 
 
 class MemRequest(NamedTuple):
@@ -135,7 +130,7 @@ class BatchView:
 
 
 class EngineView(ABC):
-    """Live engine state visible to dynamic strategies."""
+    """Live engine state a strategy reads in ``plan_mode`` and ``touch``."""
 
     #: Current simulation time in cycles (kept a plain attribute: it is
     #: read/written once per batch on the hot path).
@@ -169,22 +164,23 @@ class AtomicStrategy(ABC):
         """Reset per-launch state.  Called once before simulation."""
 
     def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """Decide how *batch*'s atomic updates are carried out.
+        """The plan of one *batch*: :meth:`plan_shape`'s template bound to
+        its slots, followed by :meth:`touch`'s requests.
 
-        Dynamic strategies override this, and the engine then calls it
-        for every batch with at least one active lane.  An empty *batch*
-        must still be accepted and planned as :meth:`idle_plan`.  The
-        default binds :meth:`plan_shape`'s template to *batch*'s slots.
+        A convenience for callers that plan a single batch; the engine
+        does the same steps itself and never calls it, so a strategy
+        must not override it.  An empty *batch* plans as
+        :meth:`idle_plan`.
         """
         if not batch.n_groups:
             return self.idle_plan()
         mode = self.plan_mode(batch.sm, batch.subcore, engine)
         template = self.plan_shape(tuple(batch.sizes), batch.num_params, mode)
         slots = batch.slots
-        return replace(template, requests=[
-            request._replace(slot=slots[request.slot])
-            for request in template.requests
-        ])
+        requests = [request._replace(slot=slots[request.slot])
+                    for request in template.requests]
+        requests += self.touch(batch, engine) or ()
+        return replace(template, requests=requests)
 
     def plan_shape(self, sizes: tuple[int, ...], num_params: int,
                    mode: Hashable) -> BatchPlan:
@@ -195,8 +191,7 @@ class AtomicStrategy(ABC):
         distinct ``(mode, sizes)`` per kernel and reuses the result.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither plan_shape nor plan_batch"
-        )
+            f"{type(self).__name__} does not implement plan_shape")
 
     def plan_mode(self, sm: int, subcore: int, engine: EngineView) -> Hashable:
         """The live input of this batch's template, if any.
@@ -207,12 +202,23 @@ class AtomicStrategy(ABC):
         """
         return None
 
+    def touch(self, batch: BatchView,
+              engine: EngineView) -> list[MemRequest] | None:
+        """Per-batch state update; returns extra requests with absolute
+        slots, or ``None``.
+
+        Called for every batch with active lanes, after its template is
+        looked up, when a class overrides it; the default has none, and
+        the engine does not call it.  It must not mutate a template.
+        """
+        return None
+
     def idle_plan(self) -> BatchPlan:
         """The plan for a batch with no active lane.
 
         The engine calls this once per kernel, after :meth:`begin_kernel`,
-        and applies the result to every batch with no active lane in
-        place of :meth:`plan_batch`.  It must therefore not read the
+        and applies the result to every batch with no active lane, which
+        :meth:`touch` never sees.  It must therefore not read the
         engine or depend on the batch, and it may spend only sub-core
         cycles (``issue_cycles``, ``shuffle_ops``): the engine raises
         :class:`ValueError` if it carries ``requests``, ``ru_values``,
@@ -254,14 +260,3 @@ class AtomicStrategy(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
-
-def plans_by_shape(cls: type) -> bool:
-    """Whether the engine plans *cls* from :meth:`~AtomicStrategy.plan_shape`
-    templates: the first class in its MRO that defines either method
-    defines ``plan_shape``."""
-    for klass in cls.__mro__:
-        if "plan_shape" in vars(klass):
-            return True
-        if "plan_batch" in vars(klass):
-            return False
-    return False

@@ -20,14 +20,14 @@ related-work ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.core.base import BatchPlan, BatchView, EngineView
+from repro.core.base import BatchPlan, BatchView, EngineView, MemRequest
 from repro.core.lab import LAB
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Hashable
+
     from repro.gpu.config import GPUConfig
     from repro.trace.events import KernelTrace
 
@@ -52,28 +52,26 @@ class DAB(LAB):
         super().begin_kernel(trace, config)
         self._batches_since_flush: dict[int, int] = {}
 
-    def shape_costs(self, sizes: tuple[int, ...]) -> BatchPlan:
+    def plan_shape(self, sizes: tuple[int, ...], num_params: int,
+                   mode: Hashable) -> BatchPlan:
         """LAB's costs plus the ordering logic every batch pays."""
-        plan = super().shape_costs(sizes)
+        plan = super().plan_shape(sizes, num_params, mode)
         plan.issue_cycles += self._cost.branch * 2
         return plan
 
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """LAB's plan plus epoch-boundary flushes."""
-        plan = super().plan_batch(batch, engine)
-        if batch.n_groups == 0:
-            return plan
+    def touch(self, batch: BatchView,
+              engine: EngineView) -> list[MemRequest] | None:
+        """LAB's evictions plus epoch-boundary flushes."""
+        requests = super().touch(batch, engine)
         sm = batch.sm
         count = self._batches_since_flush.get(sm, 0) + 1
         if count >= self.epoch_batches:
             # Epoch boundary: drain this SM's buffer deterministically.
-            # The plan may be shared by other batches: extend a copy.
             buffer = self._buffers[sm]
             if buffer:
                 writebacks = self._writebacks
-                plan = replace(plan, requests=plan.requests + [
-                    writebacks[slot] for slot in buffer])
+                requests = (requests or []) + [writebacks[slot] for slot in buffer]
                 buffer.clear()
             count = 0
         self._batches_since_flush[sm] = count
-        return plan
+        return requests

@@ -23,6 +23,8 @@ from repro.core.smbuffer import SMBufferStrategy
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Hashable
+
     from repro.gpu.config import GPUConfig
     from repro.trace.events import KernelTrace
 
@@ -61,10 +63,10 @@ class LAB(SMBufferStrategy):
         sram_bytes = config.l1_kib_per_sm * 1024 * self.capacity_fraction
         return max(1, int(sram_bytes // entry_bytes))
 
-    def shape_costs(self, sizes: tuple[int, ...]) -> BatchPlan:
+    def plan_shape(self, sizes: tuple[int, ...], num_params: int,
+                   mode: Hashable) -> BatchPlan:
         """Issue per group; every lane's value is applied serially at the
         SM-wide buffer."""
-        num_params = self._num_params
         return BatchPlan(
             issue_cycles=num_params * len(sizes) * self._cost.atomic_issue,
             sm_buffer_ops=sum(int(size * num_params * self.op_overhead)

@@ -21,6 +21,8 @@ from repro.core.smbuffer import SMBufferStrategy
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from collections.abc import Hashable
+
     from repro.gpu.config import GPUConfig
     from repro.trace.events import KernelTrace
 
@@ -40,9 +42,9 @@ class PHI(SMBufferStrategy):
         lines = config.l1_kib_per_sm * 1024 // self._line_bytes
         return max(1, lines * line_slots)
 
-    def shape_costs(self, sizes: tuple[int, ...]) -> BatchPlan:
+    def plan_shape(self, sizes: tuple[int, ...], num_params: int,
+                   mode: Hashable) -> BatchPlan:
         """Issue per group; one L1 tag lookup per lane value."""
-        num_params = self._num_params
         return BatchPlan(
             issue_cycles=num_params * len(sizes) * self._cost.atomic_issue,
             l1_tag_ops=sum(size * num_params for size in sizes),

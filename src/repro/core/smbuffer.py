@@ -7,19 +7,19 @@ recently used one, whose partial sum travels on to the L2 ROPs, and the
 kernel's exit flushes every slot still buffered.
 
 What a batch costs (issue cycles, buffer or tag operations) depends on
-its *shape* alone -- the tuple of its group sizes -- so
-:meth:`SMBufferStrategy.shape_costs` runs once per distinct shape per
-kernel call, and every batch of that shape that evicts nothing gets the
-same shared plan.  Per batch, only the LRU touch of its slots is left.
+its *shape* alone -- the tuple of its group sizes -- so each subclass's
+:meth:`~repro.core.base.AtomicStrategy.plan_shape` template carries no
+requests, and the engine costs each shape once per kernel call.  Per
+batch, only the LRU touch of its slots is left:
+:meth:`SMBufferStrategy.touch` returns the evictions.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
 from collections import OrderedDict
-from dataclasses import replace
 
-from repro.core.base import AtomicStrategy, BatchPlan, BatchView, EngineView, MemRequest
+from repro.core.base import AtomicStrategy, BatchView, EngineView, MemRequest
 
 from typing import TYPE_CHECKING
 
@@ -58,14 +58,11 @@ class SMBufferStrategy(AtomicStrategy):
     def begin_kernel(self, trace: KernelTrace, config: GPUConfig) -> None:
         """Reset per-launch state and capture the cost model."""
         self._cost = config.cost
-        self._num_params = trace.num_params
         self._capacity = self.buffer_capacity(trace, config)
         # SM -> LRU of buffered slots, created at the SM's first batch:
         # end_kernel flushes in this order, and the engine's stable flush
         # sort keeps it between SMs that finish together.
         self._buffers: dict[int, OrderedDict[int, None]] = {}
-        # Group sizes -> that shape's eviction-free plan, for this call.
-        self._shapes: dict[tuple[int, ...], BatchPlan] = {}
         self._writebacks = _SlotRequests(trace.num_params, self.bypass_lsu)
 
     @abstractmethod
@@ -77,23 +74,10 @@ class SMBufferStrategy(AtomicStrategy):
         """Buffered primitive slots each SM can hold."""
         return self._capacity
 
-    @abstractmethod
-    def shape_costs(self, sizes: tuple[int, ...]) -> BatchPlan:
-        """The plan of a batch whose groups have *sizes*, evicting nothing.
-
-        Called once per distinct *sizes* per kernel call, after
-        :meth:`begin_kernel`; the result is shared by every batch of that
-        shape and must carry no requests.
-        """
-
-    def plan_batch(self, batch: BatchView, engine: EngineView) -> BatchPlan:
-        """Touch the batch's slots in its SM's buffer; evict on overflow."""
-        sizes = tuple(batch.sizes)
-        if not sizes:
-            return self.idle_plan()
-        plan = self._shapes.get(sizes)
-        if plan is None:
-            plan = self._shapes[sizes] = self.shape_costs(sizes)
+    def touch(self, batch: BatchView,
+              engine: EngineView) -> list[MemRequest] | None:
+        """Touch the batch's slots in its SM's buffer; return the
+        write-backs of the slots that overflow evicts."""
         buffer = self._buffers.get(batch.sm)
         if buffer is None:
             buffer = self._buffers[batch.sm] = OrderedDict()
@@ -109,9 +93,7 @@ class SMBufferStrategy(AtomicStrategy):
                 if evictions is None:
                     evictions = []
                 evictions.append(self._writebacks[victim])
-        if evictions is None:
-            return plan
-        return replace(plan, requests=evictions)
+        return evictions
 
     def end_kernel(
         self, engine: EngineView

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from heapq import heapify, heappop, heappush, heapreplace
 
-from repro.core.base import AtomicStrategy, BatchView, EngineView, plans_by_shape
+from repro.core.base import AtomicStrategy, BatchView, EngineView
 from repro.gpu.config import GPUConfig
 from repro.gpu.stats import SimResult
 
@@ -37,7 +37,7 @@ __all__ = ["simulate_kernel"]
 
 
 class _EngineState(EngineView):
-    """The live state dynamic strategies read (their EngineView).
+    """The live state strategies read in ``plan_mode`` and ``touch``.
 
     The event loop sets ``now`` once per event and mutates the ``lsu``
     heaps and the ``ru_free`` list in place.
@@ -96,8 +96,8 @@ def simulate_kernel(
         If the strategy's ``idle_plan()`` carries memory traffic.
     """
     strategy.begin_kernel(trace, config)
-    # Every batch with no active lane runs this plan; plan_batch never
-    # sees such a batch.
+    # Every batch with no active lane runs this plan; no template or
+    # touch is made for such a batch.
     idle = strategy.idle_plan()
     if idle.requests or idle.ru_values or idle.sm_buffer_ops or idle.l1_tag_ops:
         raise ValueError(
@@ -135,22 +135,26 @@ def simulate_kernel(
     pos_offset = inputs.pos_offset
     pos_compute = inputs.pos_compute
     warp_ids = trace.warp_id.tolist() if tel is not None else None
-    view = BatchView(0, 0, 0, None, None, trace.num_params)
-    plan_batch = strategy.plan_batch
-    # Shape-static strategies: one template per distinct shape (and
-    # mode), kept for this call only (cost and num_params are fixed
-    # here), so nothing needs invalidating.  A class without a live
-    # input finds its template by shape id in a list, whose id 0 holds
-    # the idle plan; one with plan_mode keys a dict by (mode, shape id).
+    # One template per distinct shape (and mode), kept for this call
+    # only (cost and num_params are fixed here), so nothing needs
+    # invalidating.  A class without a live input finds its template by
+    # shape id in a list, whose id 0 holds the idle plan; one with
+    # plan_mode keys a dict by (mode, shape id).  A class with a touch
+    # hook gets the batch's view after the lookup.
     by_shape = by_mode = None
-    if plans_by_shape(type(strategy)):
-        if type(strategy).plan_mode is AtomicStrategy.plan_mode:
-            by_shape = [idle] + [None] * (len(shapes) - 1)
-        else:
-            by_mode = {}
-    bind = by_shape is not None or by_mode is not None
+    if type(strategy).plan_mode is AtomicStrategy.plan_mode:
+        by_shape = [idle] + [None] * (len(shapes) - 1)
+    else:
+        by_mode = {}
     plan_shape = strategy.plan_shape
     plan_mode = strategy.plan_mode
+    touch = None
+    if type(strategy).touch is not AtomicStrategy.touch:
+        touch = strategy.touch
+        view = BatchView(0, 0, 0, None, None, trace.num_params)
+    # Whether this batch's request slots are group indices; only a touch
+    # that returns requests clears it.
+    bind = True
     num_params = trace.num_params
     idle_issue = idle.issue_cycles
     idle_shuffles = idle.shuffle_ops
@@ -234,20 +238,27 @@ def simulate_kernel(
                     shapes[shape_id], num_params, None)
         elif not shape_id:
             plan = idle
-        elif by_mode is not None:
+        else:
             key = (plan_mode(sm, subcore, state), shape_id)
             plan = by_mode.get(key)
             if plan is None:
                 plan = by_mode[key] = plan_shape(
                     shapes[shape_id], num_params, key[0])
-        else:
+        requests = plan.requests
+        if touch is not None and shape_id:
             sizes = shapes[shape_id]
             view.index = order[cursor]
             view.sm = sm
             view.subcore = subcore
             view.slots = group_slots[lo:lo + len(sizes)]
             view.sizes = sizes
-            plan = plan_batch(view, state)
+            extra = touch(view, state)
+            bind = not extra
+            if extra:
+                # The hook's requests carry absolute slots: bind the
+                # template's ahead of them.
+                requests = [request._replace(slot=group_slots[lo + request.slot])
+                            for request in requests] + extra
         cursor += 1
 
         t0 = t
@@ -334,7 +345,7 @@ def simulate_kernel(
         # primitive's different parameters hit different addresses and
         # can overlap.  A template's slot is a group index of this batch.
         heap = lsu[sm]
-        for slot, rop_ops, addresses, after_ru, bypass_lsu in plan.requests:
+        for slot, rop_ops, addresses, after_ru, bypass_lsu in requests:
             if bind:
                 slot = group_slots[lo + slot]
             ready = ru_done if after_ru else t

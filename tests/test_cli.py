@@ -112,6 +112,22 @@ def test_simulate_parallel_execution_line_counts_cache_and_pool(
     assert "2 from the disk cache, 0 to the pool" in capsys.readouterr().out
 
 
+def test_simulate_parallel_prints_only_its_own_broker_counts(capsys):
+    """Each ``--jobs`` run reports its own broker: a second run in the
+    same process does not repeat the first run's requests."""
+    argv = ["simulate", "-w", "NV-SP", "-g", "3060-Sim", "--jobs", "2",
+            "-s", "baseline", "ARC-HW"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("requests   requests=2 ") for line in first)
+
+    assert main(argv + ["CCCL"]) == 0
+    second = capsys.readouterr().out
+    assert "2 from the disk cache, 1 to the pool" in second
+    assert any(line.startswith("requests   requests=1 ")
+               for line in second.splitlines()), second
+
+
 def test_simulate_parallel_exits_1_naming_the_failed_cell(small_registry,
                                                          capsys):
     """A cell that fails every worker attempt and its in-process

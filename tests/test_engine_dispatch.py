@@ -24,9 +24,11 @@ class RecordingStrategy(AtomicStrategy):
     def begin_kernel(self, trace, config):
         self.events = []
 
-    def plan_batch(self, batch, engine):
-        self.events.append((batch.index, batch.subcore, engine.now))
+    def plan_shape(self, sizes, num_params, mode):
         return BatchPlan(issue_cycles=1.0)
+
+    def touch(self, batch, engine):
+        self.events.append((batch.index, batch.subcore, engine.now))
 
 
 def tiny_gpu(subcores=4):
@@ -167,10 +169,9 @@ def recording(base):
             super().begin_kernel(trace, config)
             self.events = []
 
-        def plan_batch(self, batch, engine):
-            if batch.n_groups:
-                self.events.append((batch.index, batch.subcore, engine.now))
-            return super().plan_batch(batch, engine)
+        def touch(self, batch, engine):
+            self.events.append((batch.index, batch.subcore, engine.now))
+            return super().touch(batch, engine)
 
     return Recording
 

@@ -98,15 +98,15 @@ def test_eviction_grid_evicts(sname):
     """The grid must keep exercising mid-kernel evictions and epoch
     drains, not only the kernel-exit flush."""
     strategy = STRATEGIES[sname]()
-    plan_batch = strategy.plan_batch
+    touch = strategy.touch
     sent = []
 
     def counting(batch, engine):
-        plan = plan_batch(batch, engine)
-        sent.append(len(plan.requests))
-        return plan
+        requests = touch(batch, engine)
+        sent.append(len(requests or ()))
+        return requests
 
-    strategy.plan_batch = counting
+    strategy.touch = counting
     simulate_kernel(TRACES["scattered"](), SIMULATED_GPUS["3060-Sim"], strategy)
     assert sum(sent) > 1000, sname
 

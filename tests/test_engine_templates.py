@@ -1,11 +1,12 @@
-"""Plan templates: shape-static strategies are planned once per batch shape.
+"""Plan templates: every strategy is planned once per batch shape.
 
-The engine plans baseline, ARC-SW-S, ARC-SW-B, CCCL and ARC-HW through
-``plan_shape`` once per distinct ``(plan_mode, sizes)`` of a kernel call
-and binds each template's group indices to the batch's slots.  The trace
-below repeats every group-size signature on different slots, mixes in
-runs of idle batches, and runs on a GPU whose LSU queue fills, so
-ARC-HW's greedy scheduler sees both verdicts.
+The engine plans each strategy through ``plan_shape`` once per distinct
+``(plan_mode, sizes)`` of a kernel call and binds each template's group
+indices to the batch's slots; the SM-buffer strategies (LAB, LAB-ideal,
+PHI, DAB) add their per-batch LRU ``touch``.  The trace below repeats
+every group-size signature on different slots, mixes in runs of idle
+batches, and runs on a GPU whose LSU queue fills, so ARC-HW's greedy
+scheduler sees both verdicts.
 """
 
 import dataclasses
@@ -14,8 +15,17 @@ import numpy as np
 import pytest
 
 from repro.bench.metrics import sim_digest
-from repro.core import ArcHW, ArcSWButterfly, ArcSWSerialized, BaselineAtomic, CCCLReduce
-from repro.core.base import plans_by_shape
+from repro.core import (
+    DAB,
+    LAB,
+    PHI,
+    ArcHW,
+    ArcSWButterfly,
+    ArcSWSerialized,
+    BaselineAtomic,
+    CCCLReduce,
+    LABIdeal,
+)
 from repro.gpu import RTX4090_SIM, simulate_kernel
 from repro.gpu.warp import WARP_SIZE
 from repro.trace import KernelTrace
@@ -59,24 +69,36 @@ STRATEGIES = {
     "ARC-SW-B-8": lambda: ArcSWButterfly(8),
     "CCCL": CCCLReduce,
     "ARC-HW": ArcHW,
+    "LAB-0.001": lambda: LAB(capacity_fraction=0.001),
+    "LAB-ideal": LABIdeal,
+    "PHI": PHI,
+    "DAB-8": lambda: DAB(epoch_batches=8),
 }
 
 #: ``(sim_digest, total_cycles, lsu_full_events)``, recorded from the
-#: engine before plan templates existed (every batch planned by its
-#: strategy's own ``plan_batch``).
+#: engine before plan templates existed, when every batch was planned by
+#: its strategy's own ``plan_batch``; the SM-buffer entries were recorded
+#: from that per-batch path just before it was removed.
 EXPECTED = {
     "baseline": ("9a3fc8dc2d8f5831", 8052.332000000002, 114),
     "ARC-SW-S-8": ("93e5ee86889d5c6c", 3979.840000000001, 52),
     "ARC-SW-B-8": ("120fe63f249343dd", 6607.9000000000015, 114),
     "CCCL": ("cf193a73470ecd56", 6471.452000000001, 113),
     "ARC-HW": ("46591c69883b6c9c", 4517.292, 81),
+    "LAB-0.001": ("c8b1eaedf1df75ce", 4192.634400000001, 37),
+    "LAB-ideal": ("d19301ee9261ef55", 3631.8039999999983, 0),
+    "PHI": ("7fb048f7abfa52c5", 4296.680000000001, 0),
+    "DAB-8": ("09fd7dc5aa38e122", 6467.918399999999, 78),
 }
+
+#: LAB-ideal bypasses the LSU queue, and a PHI sub-core waits until its
+#: own queue entry frees, so two sub-cores never fill the two entries.
+NO_LSU_PRESSURE = {"LAB-ideal", "PHI"}
 
 
 def counting(factory, calls):
     """*factory*'s strategy with its ``plan_shape`` calls logged to
-    *calls* (patched on the instance, so the class still plans by
-    shape)."""
+    *calls* (patched on the instance)."""
     strategy = factory()
     original = strategy.plan_shape
 
@@ -85,20 +107,6 @@ def counting(factory, calls):
         return original(sizes, num_params, mode)
 
     strategy.plan_shape = plan_shape
-    return strategy
-
-
-def per_batch(factory):
-    """*factory*'s strategy planned per batch through the default
-    ``plan_batch`` binder (overriding it turns templates off)."""
-    base = type(factory())
-
-    class PerBatch(base):
-        def plan_batch(self, batch, engine):
-            return super().plan_batch(batch, engine)
-
-    strategy = PerBatch.__new__(PerBatch)
-    strategy.__dict__.update(vars(factory()))
     return strategy
 
 
@@ -116,24 +124,36 @@ def test_trace_repeats_each_signature_on_different_slots():
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_templates_reproduce_per_batch_planning(name):
-    factory = STRATEGIES[name]
-    assert plans_by_shape(type(factory()))
     digest, total_cycles, lsu_full_events = EXPECTED[name]
-    result = simulate_kernel(template_trace(), template_gpu(), factory())
+    result = simulate_kernel(template_trace(), template_gpu(), STRATEGIES[name]())
     assert sim_digest(result) == digest
     assert result.total_cycles == total_cycles
-    assert result.lsu_full_events == lsu_full_events > 0
-    # The default plan_batch binds the same templates one batch at a time.
-    assert not plans_by_shape(type(per_batch(factory)))
-    bound = simulate_kernel(template_trace(), template_gpu(), per_batch(factory))
-    assert sim_digest(bound) == digest
+    assert result.lsu_full_events == lsu_full_events
+    assert (lsu_full_events > 0) == (name not in NO_LSU_PRESSURE)
+
+
+def test_lab_evicts_mid_kernel():
+    """The tiny LAB buffer overflows, so the touch hook's evictions go
+    through the request path, not only the kernel-exit flush."""
+    strategy = LAB(capacity_fraction=0.001)
+    touch = strategy.touch
+    evictions = []
+
+    def counting(batch, engine):
+        requests = touch(batch, engine)
+        evictions.extend(requests or ())
+        return requests
+
+    strategy.touch = counting
+    result = simulate_kernel(template_trace(), template_gpu(), strategy)
+    assert sim_digest(result) == EXPECTED["LAB-0.001"][0]
+    assert len(evictions) == 86
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
 def test_plan_shape_runs_once_per_mode_and_shape(name):
     calls = []
     strategy = counting(STRATEGIES[name], calls)
-    assert plans_by_shape(type(strategy))
     result = simulate_kernel(template_trace(), template_gpu(), strategy)
     assert sim_digest(result) == EXPECTED[name][0]
     assert len(calls) == len(set(calls))

@@ -7,10 +7,11 @@ added later is covered without editing this file:
   that defines its own ``fingerprint`` or ``to_dict`` changes that
   method's output, so no cache key misses an input.
 * **Strategy conformance.**  Every concrete :class:`AtomicStrategy` is
-  exported, plans through ``plan_batch`` or ``plan_shape``, binds a
-  report name, is keyable by ``strategy_fingerprint`` and has an idle
-  plan without traffic.  ``tests/test_strategy_properties.py`` runs its
-  runtime properties over the same discovered set.
+  exported, plans through ``plan_shape`` and does not override
+  ``plan_batch`` (which the engine never calls), binds a report name,
+  is keyable by ``strategy_fingerprint`` and has an idle plan without
+  traffic.  ``tests/test_strategy_properties.py`` runs its runtime
+  properties over the same discovered set.
 * **Engine determinism.**  ``repro/{core,gpu,trace}`` reads no clock,
   no global or unseeded RNG, and iterates no set or ``dict.values()``,
   so serial, pool and cached runs stay bit-identical.
@@ -145,15 +146,38 @@ def concrete_strategies() -> "list[type[AtomicStrategy]]":
     return sorted(found, key=lambda cls: cls.__name__)
 
 
+def planning_problems(cls) -> "list[str]":
+    """How *cls* departs from the one planning path the engine takes."""
+    own = cls.__mro__[:cls.__mro__.index(AtomicStrategy)]
+    problems = []
+    if not any("plan_shape" in vars(klass) for klass in own):
+        problems.append(f"{cls.__name__} does not implement plan_shape")
+    problems += [f"{klass.__name__} overrides plan_batch, which the engine "
+                 "never calls" for klass in own if "plan_batch" in vars(klass)]
+    return problems
+
+
+def test_planning_check_rejects_planted_mutants():
+    class Overriding(repro.core.LAB):
+        def plan_batch(self, batch, engine):
+            return super().plan_batch(batch, engine)
+
+    class Unplanned(AtomicStrategy):
+        name = "unplanned"
+
+    assert planning_problems(Overriding) == [
+        "Overriding overrides plan_batch, which the engine never calls"]
+    assert planning_problems(Unplanned) == [
+        "Unplanned does not implement plan_shape"]
+
+
 @pytest.mark.parametrize("cls", concrete_strategies(),
                          ids=lambda cls: cls.__name__)
 def test_strategy_conforms(cls):
     name = cls.__name__
     assert getattr(repro.core, name, None) is cls and name in repro.core.__all__, (
         f"{name} is not exported from repro.core")
-    assert any("plan_batch" in vars(klass) or "plan_shape" in vars(klass)
-               for klass in cls.__mro__[:cls.__mro__.index(AtomicStrategy)]), (
-        f"{name} implements neither plan_batch nor plan_shape")
+    assert not planning_problems(cls)
     strategy = cls()
     assert strategy.name != AtomicStrategy.name, f"{name} binds no report name"
     strategy_fingerprint(strategy)  # raises on a non-scalar parameter

@@ -348,17 +348,18 @@ def snapshot(plan):
     lambda: DAB(epoch_batches=2),
 ], ids=["LAB", "PHI", "DAB"])
 def test_buffered_plans_are_never_changed_after_return(factory):
-    """A plan handed out for one batch may be shared with later batches
-    of its shape: no later batch, eviction or epoch drain may alter it."""
+    """A template is shared by every batch of its shape: no touch --
+    eviction or epoch drain -- may alter it."""
     strat = begin(factory())
     engine = FakeEngine()
-    first = strat.plan_batch(make_view([(1, 4), (2, 4)]), engine)
-    recorded = snapshot(first)
-    for slot in range(3, 200):
-        plan = strat.plan_batch(make_view([(slot, 4), (slot + 200, 4)]), engine)
-        if not plan.requests:
-            # Eviction-free batches of one shape share one plan.
-            assert plan is first
-    assert snapshot(first) == recorded
-    assert first.requests == []
-
+    template = strat.plan_shape((4, 4), NUM_PARAMS, None)
+    recorded = snapshot(template)
+    sent = 0
+    # 4,000 distinct slots overflow even PHI's 3,072-slot buffer.
+    for slot in range(0, 4000, 2):
+        requests = strat.touch(make_view([(slot, 4), (slot + 1, 4)]), engine)
+        assert requests is not template.requests
+        sent += len(requests or ())
+    assert sent > 0
+    assert snapshot(template) == recorded
+    assert template.requests == []
